@@ -173,15 +173,15 @@ def generate_report(runner: ExperimentRunner, *, scale: float) -> str:
         "| predictor | hit | miss | savings |",
         "|---|---|---|---|",
     ]
+    learned = runner.run_matrix(("Base",) + LEARNED_REPORT_PREDICTORS)
     base_energy = sum(
-        runner.run_global(app, "Base").energy
-        for app in runner.applications
+        learned[app]["Base"].energy for app in runner.applications
     )
     for name in LEARNED_REPORT_PREDICTORS:
         stats = PredictionStats()
         energy = 0.0
         for app in runner.applications:
-            result = runner.run_global(app, name)
+            result = learned[app][name]
             stats.merge(result.stats)
             energy += result.energy
         parts.append(
@@ -207,9 +207,10 @@ def generate_report(runner: ExperimentRunner, *, scale: float) -> str:
         "|---|---|---|---|---|",
     ]
     envelope = ExperimentRunner(build_extremes(executions=12), runner.config)
+    envelope_matrix = envelope.run_matrix(LEARNED_REPORT_PREDICTORS)
     for app in envelope.applications:
         for name in LEARNED_REPORT_PREDICTORS:
-            result = envelope.run_global(app, name)
+            result = envelope_matrix[app][name]
             parts.append(
                 f"| {app} | {name} | {result.stats.hit_fraction:.1%} "
                 f"| {result.stats.miss_fraction:.1%} "

@@ -115,13 +115,21 @@ def build_table3(
     applications: Optional[Sequence[str]] = None,
 ) -> list[Table3Row]:
     """Run each PCAP variant over each application's full trace history
-    and report the final prediction-table sizes."""
+    and report the final prediction-table sizes.
+
+    The sizes come from one global matrix over the variants, which
+    tracks each lane's peak table size exactly as
+    :meth:`~repro.sim.experiment.ExperimentRunner.run_global` does.
+    """
     apps = list(applications) if applications else runner.applications
-    rows: list[Table3Row] = []
-    for application in apps:
-        entries: dict[str, int] = {}
-        for variant in variants:
-            result = runner.run_global(application, variant)
-            entries[variant] = result.table_size or 0
-        rows.append(Table3Row(application=application, entries=entries))
-    return rows
+    matrix = runner.run_matrix(list(variants), applications=apps)
+    return [
+        Table3Row(
+            application=application,
+            entries={
+                variant: matrix[application][variant].table_size or 0
+                for variant in variants
+            },
+        )
+        for application in apps
+    ]

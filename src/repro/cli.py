@@ -490,6 +490,7 @@ def _render_run_results(matrix) -> str:
 
 
 def _cmd_run(args) -> int:
+    from repro.sim.fused import fused_eligible
     from repro.sim.resilience import ResiliencePolicy
 
     predictors = args.predictor or ["PCAP"]
@@ -508,10 +509,9 @@ def _cmd_run(args) -> int:
         multistate=args.multistate,
         policy=policy,
         checkpoint=checkpoint,
-        fused=args.fused,
     )
-    fused_active = runner._fused_eligible(
-        args.fused, mode="global", multistate=args.multistate
+    fused_active = fused_eligible(
+        runner, len(predictors), multistate=args.multistate
     )
     print(f"resilient run: {len(predictors)} predictor(s) × "
           f"{len(apps)} application(s), scale {args.scale}"
@@ -649,12 +649,20 @@ def _cmd_faults(args) -> int:
     with tempfile.TemporaryDirectory(prefix="repro-faults-") as tmp:
         cache_dir = os.path.join(tmp, "cache")
 
-        # 1. Fault-free serial baseline (also publishes cache entries,
-        #    so the faulted run has artifacts for cache.corrupt-read).
+        # 1. Fault-free serial baseline, one classic run per
+        #    (application, predictor); it also publishes filter results,
+        #    so the faulted run has artifacts for cache.corrupt-read.
         args.cache_dir = cache_dir
         args.jobs = 1
         baseline_runner = _runner(args)
-        baseline = baseline_runner.run_matrix(predictors)
+        applications = baseline_runner.applications
+        baseline = {
+            app: {
+                name: baseline_runner.run_global(app, name)
+                for name in predictors
+            }
+            for app in applications
+        }
 
         # 2. The trace format segment: a malformed-line fault must
         #    surface as a clean TraceFormatError, not a crash.
@@ -692,17 +700,36 @@ def _cmd_faults(args) -> int:
         faults.clear()
         ledger = report.ledger
 
-        # 4. Verdicts.
+        # 4. Verdicts.  The two predictors run fused, one cell per
+        #    application, so a failed cell drops its application's row.
+        def targets(spec, cell) -> bool:
+            return (
+                (spec.cell is None or spec.cell == cell.index)
+                and (spec.application is None
+                     or spec.application == cell.application)
+            )
+
         crash_cells = {
-            spec.cell
+            outcome.cell.index
+            for outcome in ledger.outcomes
             for site in (faults.WORKER_CRASH, faults.WORKER_FAIL)
             for spec in plan.specs_for(site)
-            if spec.cell is not None and spec.attempts >= policy.max_attempts
+            if spec.attempts >= policy.max_attempts
+            and targets(spec, outcome.cell)
         }
+        failed_apps = {f.cell.application for f in ledger.failures}
+        uncovered = [
+            f"{app} × {name}"
+            for app in applications
+            for name in predictors
+            if name not in report.matrix.get(app, {})
+            and app not in failed_apps
+        ]
         check(
-            "run completed with a full ledger",
-            len(ledger.outcomes)
-            == len(predictors) * len(baseline_runner.applications),
+            "every application × predictor in the matrix or a failed cell",
+            not uncovered,
+            f"missing {', '.join(uncovered)}" if uncovered
+            else f"{len(ledger.outcomes)} cell(s)",
         )
         check(
             "terminally faulted cells reported as failures",
@@ -715,6 +742,29 @@ def _cmd_faults(args) -> int:
               bool(ledger.failures) == bool(crash_cells))
         check("retries were recorded", bool(ledger.retries),
               f"{len(ledger.retries)} failed attempt(s)")
+        # A worker fault mostly fires in a forked worker, whose plan the
+        # parent never sees; what the parent sees is the failed attempt
+        # it causes on a matching cell.
+        worker_specs = [
+            spec
+            for site in (faults.WORKER_CRASH, faults.WORKER_HANG,
+                         faults.WORKER_FAIL)
+            for spec in plan.specs_for(site)
+        ]
+        unfired = [
+            spec for spec in worker_specs
+            if not any(targets(spec, event.cell) for event in ledger.retries)
+        ]
+        check(
+            "every planned worker fault fired",
+            not unfired,
+            "; ".join(
+                f"{spec.site} (cell {spec.cell}, app {spec.application}) "
+                "did not fire"
+                for spec in unfired
+            )
+            or f"{len(worker_specs)} worker fault(s)",
+        )
         healthy_identical = True
         compared = 0
         for application, row in report.matrix.items():
@@ -968,12 +1018,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=argparse.SUPPRESS,
                    help="inject faults per SPEC (see repro.faults; "
                         "$REPRO_FAULT_PLAN works for every command)")
-    p.add_argument("--fused", action=argparse.BooleanOptionalAction,
-                   default=None,
-                   help="evaluate all predictors in one streaming pass "
-                        "per application (bit-identical results, one "
-                        "cell per app; default: $REPRO_FUSED). "
-                        "--no-fused forces the per-cell path")
     add_scale(p)
     p.set_defaults(fn=_cmd_run)
 

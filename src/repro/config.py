@@ -47,50 +47,6 @@ def default_jobs() -> int:
     return value
 
 
-#: Environment variable enabling the fused multi-predictor sweep kernel
-#: (:mod:`repro.sim.fused`) by default.
-FUSED_ENV_VAR = "REPRO_FUSED"
-
-
-#: Spellings :func:`default_fused` accepts (case-insensitive).
-_FUSED_TRUE = ("1", "true", "yes", "on")
-_FUSED_FALSE = ("0", "false", "no", "off")
-
-
-def default_fused() -> bool:
-    """Whether fused execution is enabled by default.
-
-    Read from the ``REPRO_FUSED`` environment variable; ``1``/``true``/
-    ``yes``/``on`` (case-insensitive) enable it, ``0``/``false``/``no``/
-    ``off`` disable it, and an unset (or empty) variable leaves the
-    classic per-cell path as the default.  Any other value raises
-    :class:`~repro.errors.ConfigurationError` — a typo like
-    ``REPRO_FUSED=ture`` must not silently disable the kernel.
-    """
-    raw = os.environ.get(FUSED_ENV_VAR)
-    if raw is None:
-        return False
-    text = raw.strip().lower()
-    if not text:
-        return False
-    if text in _FUSED_TRUE:
-        return True
-    if text in _FUSED_FALSE:
-        return False
-    raise ConfigurationError(
-        f"{FUSED_ENV_VAR}={raw!r} is not a boolean; use one of "
-        f"{'/'.join(_FUSED_TRUE)} or {'/'.join(_FUSED_FALSE)}"
-    )
-
-
-def resolve_fused(fused: "bool | None" = None) -> bool:
-    """Normalize a fused-execution request (``None`` defers to the
-    ``REPRO_FUSED`` environment variable)."""
-    if fused is None:
-        return default_fused()
-    return bool(fused)
-
-
 @dataclass(frozen=True, slots=True)
 class SimulationConfig:
     """All knobs of one simulation run (paper §6 defaults).

@@ -25,7 +25,7 @@ from repro.cache.filter import FilterResult, filter_execution
 from repro.disk.energy import EnergyBreakdown, sum_breakdowns
 from repro.errors import SimulationError
 from repro.predictors.registry import PredictorSpec, make_spec
-from repro.config import SimulationConfig, resolve_fused
+from repro.config import SimulationConfig
 from repro.sim.engine import evaluate_local_stream, run_global_execution
 from repro.sim.metrics import PredictionStats
 from repro.sim.tracing import SimTraceEvent, TraceRecorder, Tracer
@@ -418,22 +418,23 @@ class ExperimentRunner:
         *,
         mode: str = "global",
         applications: Optional[Sequence[str]] = None,
-        fused: Optional[bool] = None,
     ) -> dict[str, dict[str, ApplicationResult]]:
         """``{application: {predictor: result}}`` for a whole figure.
 
-        ``fused`` (``None`` defers to ``REPRO_FUSED``) evaluates all
-        global-mode predictors in one streaming pass per application
-        (:mod:`repro.sim.fused`) with bit-identical results; local-mode
-        and tracing runs always take the per-cell path.
+        A matrix :func:`~repro.sim.fused.fused_eligible` admits (global
+        mode, two or more predictors, untraced) evaluates every
+        predictor in one streaming pass per application
+        (:mod:`repro.sim.fused`) with bit-identical results; the rest
+        run one :meth:`run_global` or :meth:`run_local` per cell.
         """
+        # Imported lazily: repro.sim.fused imports this module.
+        from repro.sim.fused import fused_eligible, run_fused_application
+
         if mode not in ("global", "local"):
             raise ValueError(f"unknown mode {mode!r}")
         apps = list(applications) if applications else self.applications
-        if resolve_fused(fused) and mode == "global" and not self.tracing:
-            from repro.sim.fused import run_fused_application
-
-            names = list(predictors)
+        names = list(predictors)
+        if fused_eligible(self, len(names), mode=mode):
             return {
                 application: dict(zip(names, run_fused_application(
                     self,
@@ -444,7 +445,7 @@ class ExperimentRunner:
             }
         run = self.run_global if mode == "global" else self.run_local
         return {
-            application: {name: run(application, name) for name in predictors}
+            application: {name: run(application, name) for name in names}
             for application in apps
         }
 

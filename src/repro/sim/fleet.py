@@ -342,7 +342,6 @@ def _shared_outcomes(
                          runner.config)
             ]
             provenance = {
-                "fused": True,
                 "mode": "fleet-shared",
                 "multistate": False,
                 "variant_set": variant_fp,
@@ -398,9 +397,11 @@ def run_fleet(
     in first-seen device order).
 
     ``resilience`` / ``checkpoint`` route execution through the
-    resilient executor (per-cell retries, journalling; fleet checkpoint
-    keys embed the fleet fingerprint, so a changed population or lane
-    set never resumes stale entries).  Failed cells raise
+    resilient executor (per-cell retries, journalling; sharded fleets
+    journal each application × predictor lane under the per-cell key,
+    and shared fleets key their one cell on the fleet fingerprint, so a
+    changed population or lane set never resumes stale entries).
+    Failed cells raise
     :class:`~repro.errors.ExecutionError` — fleet aggregates over a
     silently partial population would be meaningless.
     """

@@ -52,12 +52,17 @@ step.  Configurations the lanes do not model — structured tracing,
 multistate disks — are rejected by :func:`fused_supported` and fall
 back to the classic path.
 
-Parallel decomposition changes from (application × variant) cells to
-one fused cell per *application*; results merge through the same
-deterministic cell-ordered fold, and the resilience executor
-checkpoints fused cells under keys derived from the variant-set
-fingerprint (:func:`repro.sim.artifact_cache.variant_set_fingerprint`),
-so a changed variant list never resumes from stale entries.
+Every untraced, non-multistate global matrix or sweep with at least
+:data:`MIN_FUSED_LANES` predictor lanes takes this path
+(:func:`fused_eligible` is the one predicate its callers consult);
+single-lane runs, local mode, tracing and multistate keep the classic
+per-cell path.  Parallel decomposition changes from (application ×
+variant) cells to one fused cell per *application*; results merge
+through the same deterministic cell-ordered fold.  The resilience
+executor journals each fused lane under the per-(application,
+predictor) :func:`~repro.sim.resilience.cell_key` the per-cell path
+writes, so one journal resumes under either path, and a resumed run
+re-executes only the lanes its journal lacks.
 """
 
 from __future__ import annotations
@@ -115,6 +120,34 @@ def fused_supported(
     way, fused is purely an execution strategy).
     """
     return not multistate and not runner.tracing
+
+
+#: Fewest predictor lanes for which a matrix or sweep takes the fused
+#: path.  One lane cannot pay for building the tape: ``repro run
+#: --predictor PCAP`` over a packed store ran slower fused than per
+#: cell, while two lanes (PCAP+TP, PCAP+LT) already ran faster fused.
+MIN_FUSED_LANES = 2
+
+
+def fused_eligible(
+    runner: ExperimentRunner,
+    lanes: int,
+    *,
+    mode: str = "global",
+    multistate: bool = False,
+) -> bool:
+    """Whether a run of ``lanes`` predictor lanes takes the fused path.
+
+    The one predicate every matrix and sweep entry point consults:
+    global mode, a run :func:`fused_supported` models, and at least
+    :data:`MIN_FUSED_LANES` lanes.  Everything else takes the per-cell
+    path; results are bit-identical either way.
+    """
+    return (
+        lanes >= MIN_FUSED_LANES
+        and mode == "global"
+        and fused_supported(runner, multistate=multistate)
+    )
 
 
 #: Tape length below which the constant-intent/omniscient lanes take
@@ -1293,6 +1326,9 @@ def run_fused_application(
             if spec.table_size is not None:
                 peak_table[lane] = max(peak_table[lane], spec.table_size)
             spec.on_execution_end()
+        # Release this execution's tape and filter result before the
+        # next one is decoded, so only one of each is ever alive.
+        del tape, filtered
     return [
         ApplicationResult(
             application=application,
@@ -1334,44 +1370,92 @@ def run_fused_cells(
     ``use_cache=False`` bypasses the artifact cache (for variant sets
     built by opaque callables, whose labels do not pin down semantics).
 
+    With ``checkpoint`` (a :class:`~repro.sim.resilience.CellCheckpoint`
+    or a path) every lane is journalled under the per-(application,
+    label) :func:`~repro.sim.resilience.cell_key` the per-cell path
+    writes.  A resumed run restores each journalled lane as a cell of
+    its own and runs one fused cell per application over the lanes the
+    journal lacks.
+
     Returns ``(outcomes, ledger)`` where ``outcomes`` maps application
     → :class:`FusedCellOutcome` and ``ledger`` is the resilient
     executor's :class:`~repro.sim.resilience.RunLedger` (``None`` on
-    the plain path).  With ``policy``/``checkpoint``, failed cells are
-    missing from ``outcomes`` — callers inspect the ledger.
+    the plain path).  With ``policy``/``checkpoint``, an application
+    with a failed cell is missing from ``outcomes`` — callers inspect
+    the ledger.
     """
     from repro.sim.artifact_cache import fused_key
 
     label_tuple = tuple(labels)
     config = runner.config
     cache = runner.artifact_cache if use_cache else None
-    lane_label = f"fused[{len(label_tuple)}]"
     apps = list(applications)
+    every_lane = tuple(range(len(label_tuple)))
+    #: (application, lanes) of each cell, in cell order.
+    plan = [(app, every_lane) for app in apps]
+    keys = None
+    owned = None
+    if checkpoint is not None:
+        from repro.sim.resilience import CellCheckpoint, cell_key
+
+        if not isinstance(checkpoint, CellCheckpoint):
+            checkpoint = owned = CellCheckpoint(checkpoint)
+        lane_keys = {
+            app: [
+                cell_key(runner.fingerprint(app), label, config)
+                for label in label_tuple
+            ]
+            for app in apps
+        }
+        plan = []
+        for app in apps:
+            missing = tuple(
+                lane for lane in every_lane
+                if checkpoint.get(lane_keys[app][lane]) is None
+            )
+            plan.extend(
+                (app, (lane,)) for lane in every_lane if lane not in missing
+            )
+            if missing:
+                plan.append((app, missing))
+        keys = [
+            tuple(lane_keys[app][lane] for lane in lanes)
+            for app, lanes in plan
+        ]
     cells = [
-        ExperimentCell(index=index, application=app, predictor=lane_label)
-        for index, app in enumerate(apps)
+        ExperimentCell(
+            index=index,
+            application=app,
+            predictor=(
+                label_tuple[lanes[0]] if len(lanes) == 1
+                else f"fused[{len(lanes)}]"
+            ),
+        )
+        for index, (app, lanes) in enumerate(plan)
     ]
 
-    def run_cell(cell: ExperimentCell) -> FusedCellOutcome:
-        application = cell.application
+    def run_cell(cell: ExperimentCell) -> list[ApplicationResult]:
+        application, lanes = plan[cell.index]
         key = None
         if cache is not None:
             key = fused_key(
-                runner.fingerprint(application), config, label_tuple
+                runner.fingerprint(application),
+                config,
+                tuple(label_tuple[lane] for lane in lanes),
             )
             hit, value = cache.get(key)
             if hit and isinstance(value, FusedCellOutcome):
-                return value
+                return value.results
         specs = make_specs()
-        outcome = FusedCellOutcome(
-            application=application,
-            results=run_fused_application(
-                runner, application, specs, use_cache=use_cache
-            ),
+        results = run_fused_application(
+            runner,
+            application,
+            [specs[lane] for lane in lanes],
+            use_cache=use_cache,
         )
         if key is not None:
-            cache.put(key, outcome)
-        return outcome
+            cache.put(key, FusedCellOutcome(application, results))
+        return results
 
     # Warm the filter memo in the parent (forked workers inherit it
     # copy-on-write); streaming traces stay lazy, as in prewarm().
@@ -1379,41 +1463,43 @@ def run_fused_cells(
         if not getattr(runner.suite[app], "streaming", False):
             runner.filtered(app)
 
-    if policy is not None or checkpoint is not None:
-        from repro.sim.artifact_cache import variant_set_fingerprint
-        from repro.sim.resilience import cell_key, run_cells
+    try:
+        if policy is not None or checkpoint is not None:
+            from repro.sim.resilience import run_cells
 
-        keys = None
-        provenance = None
-        if checkpoint is not None:
-            fingerprint = variant_set_fingerprint(label_tuple, config)
-            keys = [
-                cell_key(
-                    runner.fingerprint(app), f"fused:{fingerprint}", config
-                )
-                for app in apps
-            ]
-            # Fused cells span the whole variant set, so a journal is
-            # only resumable by a run over the identical lane list.
-            provenance = {
-                "fused": True,
-                "mode": "global",
-                "multistate": False,
-                "variant_set": fingerprint,
-            }
-        ledger = run_cells(
-            cells,
-            run_cell,
-            jobs=jobs,
-            policy=policy,
-            progress=progress,
-            checkpoint=checkpoint,
-            cell_keys=keys,
-            provenance=provenance,
-        )
-        results = ledger.results
-    else:
-        ledger = None
-        results = execute_cells(cells, run_cell, jobs=jobs, progress=progress)
-    outcomes = {item.cell.application: item.result for item in results}
+            ledger = run_cells(
+                cells,
+                run_cell,
+                jobs=jobs,
+                policy=policy,
+                progress=progress,
+                checkpoint=checkpoint,
+                cell_keys=keys,
+                provenance={"mode": "global", "multistate": False},
+            )
+            results = ledger.results
+        else:
+            ledger = None
+            results = execute_cells(
+                cells, run_cell, jobs=jobs, progress=progress
+            )
+    finally:
+        if owned is not None:
+            owned.close()
+    lanes_of: dict[str, list[Optional[ApplicationResult]]] = {
+        app: [None] * len(label_tuple) for app in apps
+    }
+    for item in results:
+        app, lanes = plan[item.cell.index]
+        for lane, result in zip(lanes, item.result):
+            lanes_of[app][lane] = result
+    # A failed cell drops its whole application row.
+    failed = set() if ledger is None else {
+        failure.cell.application for failure in ledger.failures
+    }
+    outcomes = {
+        app: FusedCellOutcome(app, lane_results)
+        for app, lane_results in lanes_of.items()
+        if app not in failed
+    }
     return outcomes, ledger

@@ -342,22 +342,23 @@ class ParallelExperimentRunner(ExperimentRunner):
         applications: Optional[Sequence[str]] = None,
         multistate: bool = False,
         jobs: Optional[int] = None,
-        fused: Optional[bool] = None,
     ) -> dict[str, dict[str, ApplicationResult]]:
         """``{application: {predictor: result}}`` over a worker pool;
         bit-identical to the serial :class:`ExperimentRunner` matrix.
 
-        ``fused`` (``None`` defers to ``REPRO_FUSED``) decomposes by
-        application instead of (application × predictor): each cell
-        decodes its trace once and evaluates every predictor against it
-        (:mod:`repro.sim.fused`), with bit-identical results.  Local
-        mode, multistate, and tracing runs keep the classic cells.
+        A matrix :func:`~repro.sim.fused.fused_eligible` admits (global
+        mode, two or more predictors, untraced, not multistate)
+        decomposes by application instead of (application × predictor):
+        each cell decodes its trace once and evaluates every predictor
+        against it (:mod:`repro.sim.fused`), with bit-identical results.
         """
+        from repro.sim.fused import fused_eligible
+
         if mode not in ("global", "local"):
             raise ValueError(f"unknown mode {mode!r}")
         apps = list(applications) if applications else self.applications
         names = list(predictors)
-        if self._fused_eligible(fused, mode=mode, multistate=multistate):
+        if fused_eligible(self, len(names), mode=mode, multistate=multistate):
             return self._run_matrix_fused(names, apps, jobs=jobs)
         cells = [
             ExperimentCell(
@@ -399,7 +400,6 @@ class ParallelExperimentRunner(ExperimentRunner):
         jobs: Optional[int] = None,
         policy=None,
         checkpoint=None,
-        fused: Optional[bool] = None,
     ):
         """A matrix run that survives crashed, hung, or failing cells.
 
@@ -413,19 +413,21 @@ class ParallelExperimentRunner(ExperimentRunner):
         re-runs.  On the all-success path the matrix is bit-identical
         to :meth:`run_matrix`.
 
-        With ``fused``, retries/checkpoints apply per fused cell (one
-        per application, spanning every predictor); checkpoint keys
-        embed the variant-set fingerprint, so adding or removing a
-        predictor never resumes from stale journal entries.  A failed
-        fused cell drops its whole application row from the matrix.
+        On the fused path (see :meth:`run_matrix`) retries apply per
+        fused cell, one per application and spanning every predictor,
+        so a failed cell drops its whole application row from the
+        matrix.  Either path journals one record per (application,
+        predictor) under the same key, so a journal resumes under
+        either path: adding a predictor re-runs only the new lanes.
         """
+        from repro.sim.fused import fused_eligible
         from repro.sim.resilience import MatrixReport, cell_key, run_cells
 
         if mode not in ("global", "local"):
             raise ValueError(f"unknown mode {mode!r}")
         apps = list(applications) if applications else self.applications
         names = list(predictors)
-        if self._fused_eligible(fused, mode=mode, multistate=multistate):
+        if fused_eligible(self, len(names), mode=mode, multistate=multistate):
             return self._run_matrix_fused(
                 names,
                 apps,
@@ -472,31 +474,16 @@ class ParallelExperimentRunner(ExperimentRunner):
             progress=self.progress,
             checkpoint=checkpoint,
             cell_keys=keys,
-            # Classic cells are keyed per predictor, so the variant set
-            # is free to differ between resumes; only the run *shape*
-            # (per-cell vs fused, mode, multistate) must match.
-            provenance={
-                "fused": False, "mode": mode, "multistate": bool(multistate)
-            },
+            # Cells are keyed per predictor, so the predictor list is
+            # free to differ between resumes; only the run *shape*
+            # (mode, multistate) must match.
+            provenance={"mode": mode, "multistate": bool(multistate)},
         )
         matrix: dict[str, dict[str, ApplicationResult]] = {}
         for item in ledger.results:
             row = matrix.setdefault(item.cell.application, {})
             row[item.cell.predictor] = item.result
         return MatrixReport(matrix=matrix, ledger=ledger)
-
-    def _fused_eligible(
-        self, fused: Optional[bool], *, mode: str, multistate: bool
-    ) -> bool:
-        """Whether this matrix run should take the fused path."""
-        from repro.config import resolve_fused
-        from repro.sim.fused import fused_supported
-
-        return (
-            resolve_fused(fused)
-            and mode == "global"
-            and fused_supported(self, multistate=multistate)
-        )
 
     def _run_matrix_fused(
         self,

@@ -73,10 +73,13 @@ from repro.sim.parallel import (
 #: job: one worker crash that exhausts every retry (a terminal cell
 #: failure), one hung cell recovered by the timeout+retry path, one
 #: corrupted artifact-cache entry recovered by quarantine+recompute, and
-#: one malformed trace line surfacing a parse error.
+#: one malformed trace line surfacing a parse error.  ``repro faults``
+#: runs two predictors over the six applications, which the fused path
+#: decomposes into one cell per application, so the worker faults
+#: target cells 3 and 5 of cells 0-5.
 CANNED_CHAOS_PLAN = (
     "worker.crash,cell=3,attempts=99;"
-    "worker.hang,cell=7,seconds=15;"
+    "worker.hang,cell=5,seconds=15;"
     "cache.corrupt-read,at=1;"
     "trace.malformed-line,at=5"
 )
@@ -164,6 +167,10 @@ class CellFailure:
 
 #: One executed cell's terminal outcome.
 CellOutcome = Union[CellResult, CellFailure]
+
+#: Checkpoint key of one cell: one key, or one key per result of a cell
+#: that returns a sequence of results (a fused cell's lanes).
+CellKey = Union[str, tuple[str, ...]]
 
 
 @dataclass(slots=True)
@@ -291,13 +298,17 @@ class CellCheckpoint:
     by the resumed run's appends.
 
     A journal optionally opens with one ``type: "provenance"`` record
-    describing the run shape that wrote it (fused flag, variant-set
-    fingerprint, execution mode).  :meth:`declare_provenance` compares a
-    resuming run's shape against that header and refuses a mismatched
-    resume with :class:`~repro.errors.CheckpointError` — a journal of
-    fused outcomes must never be replayed into a classic run (or vice
-    versa), even if cell keys were ever to collide.  Journals written
-    before this record existed carry no header and resume as before.
+    describing the run shape that wrote it (execution mode, multistate;
+    the fleet's shared-table mode adds its variant-set fingerprint).
+    :meth:`declare_provenance` compares a resuming run's shape against
+    that header and refuses a mismatched resume with
+    :class:`~repro.errors.CheckpointError`.  Matrix runs and sweeps
+    journal one record per (application, predictor) on either
+    execution path, so they no longer declare which path wrote them;
+    older journals whose header still carries ``fused`` and
+    ``variant_set`` keys load and resume, because only keys present in
+    both headers are compared.  Journals written before this record
+    existed carry no header and resume as before.
     """
 
     def __init__(
@@ -394,10 +405,11 @@ class CellCheckpoint:
         """Declare the resuming run's shape; refuse a mismatched journal.
 
         Only the keys present in *both* the declared and the journalled
-        provenance are compared, so a classic per-cell run (which leaves
-        ``variant_set`` unset — its cell keys embed the predictor label
-        directly) never conflicts with another classic run over a
-        different predictor list.  Worker count is deliberately not
+        provenance are compared, so a matrix run (which declares no
+        ``variant_set`` — its cell keys embed the predictor label
+        directly) never conflicts with a run over a different predictor
+        list, nor with an older journal that also recorded which
+        execution path wrote it.  Worker count is deliberately not
         validated: results are bit-identical at any ``--jobs``, so a
         journal may be resumed with a different pool size.
         """
@@ -555,7 +567,7 @@ class _Executor:
         policy: ResiliencePolicy,
         progress: Optional[ProgressHook],
         checkpoint: Optional[CellCheckpoint],
-        keys: Optional[Sequence[str]],
+        keys: Optional[Sequence[CellKey]],
     ) -> None:
         self.cells = cells
         self.run_cell = run_cell
@@ -581,12 +593,26 @@ class _Executor:
                 attempt=attempt, outcome=outcome, degraded=self.degraded,
             ))
 
+    def _restore(self, key: CellKey) -> Optional[tuple[Any, float]]:
+        """``(result, wall)`` of a journalled cell; a multi-key cell is
+        restored only when every one of its keys is journalled."""
+        assert self.checkpoint is not None
+        if isinstance(key, str):
+            return self.checkpoint.get(key)
+        entries = [self.checkpoint.get(part) for part in key]
+        if any(entry is None for entry in entries):
+            return None
+        return (
+            [result for result, _ in entries],  # type: ignore[misc]
+            sum(wall for _, wall in entries),  # type: ignore[misc]
+        )
+
     def resume_from_checkpoint(self) -> list[_Pending]:
         """Terminal outcomes for checkpointed cells; the rest as pending."""
         pending: list[_Pending] = []
         for position, cell in enumerate(self.cells):
             if self.checkpoint is not None and self.keys is not None:
-                entry = self.checkpoint.get(self.keys[position])
+                entry = self._restore(self.keys[position])
                 if entry is not None:
                     result, wall = entry
                     self.outcomes[position] = CellResult(
@@ -605,9 +631,16 @@ class _Executor:
             cell=item.cell, result=result, wall_time=wall
         )
         if self.checkpoint is not None and self.keys is not None:
-            self.checkpoint.record(
-                self.keys[item.position], item.cell, result, wall
-            )
+            key = self.keys[item.position]
+            if isinstance(key, str):
+                self.checkpoint.record(key, item.cell, result, wall)
+            else:
+                # One record per key, each carrying its share of the
+                # cell's wall time.
+                for part, value in zip(key, result, strict=True):
+                    self.checkpoint.record(
+                        part, item.cell, value, wall / len(key)
+                    )
         self.completed += 1
         self._emit(item.cell, wall, attempt=item.attempt, outcome="ok")
 
@@ -878,7 +911,7 @@ def run_cells(
     checkpoint: Optional[
         Union[CellCheckpoint, str, os.PathLike[str]]
     ] = None,
-    cell_keys: Optional[Sequence[str]] = None,
+    cell_keys: Optional[Sequence[CellKey]] = None,
     provenance: Optional[dict] = None,
 ) -> RunLedger:
     """Execute every cell resiliently; outcomes come back in cell order.
@@ -889,11 +922,13 @@ def run_cells(
     under ``policy`` and terminal failures become :class:`CellFailure`
     entries instead of aborting the run.  ``checkpoint`` (a
     :class:`CellCheckpoint` or a path) with ``cell_keys`` enables
-    journalling and resume; ``provenance`` describes the run shape
-    (fused flag, variant-set fingerprint, mode) and makes a resume from
-    a journal written by an incompatible run fail with
-    :class:`~repro.errors.CheckpointError` instead of silently mixing
-    result shapes.
+    journalling and resume.  A cell whose key is a tuple returns one
+    result per key: each is journalled under its own key, and the cell
+    is restored (as the list of those results) only when every key is
+    journalled.  ``provenance`` describes the run shape (execution
+    mode, multistate) and makes a resume from a journal written by an
+    incompatible run fail with :class:`~repro.errors.CheckpointError`
+    instead of silently mixing result shapes.
     """
     cell_list = list(cells)
     policy = policy or ResiliencePolicy()

@@ -16,6 +16,8 @@ them through
 :func:`repro.sim.parallel.execute_cells`.  With ``jobs`` > 1 the cells
 run on a process pool; the fold over per-cell results is in fixed cell
 order either way, so parallel sweeps are bit-identical to serial ones.
+A sweep under one configuration with two or more lanes runs one fused
+cell per application instead (:func:`sweep`).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
-from repro.config import SimulationConfig, resolve_fused
+from repro.config import SimulationConfig
 from repro.predictors.registry import PredictorSpec
 from repro.sim.experiment import ApplicationResult, ExperimentRunner
 from repro.sim.metrics import PredictionStats
@@ -83,7 +85,6 @@ def sweep(
     progress: Optional[ProgressHook] = None,
     resilience=None,
     checkpoint=None,
-    fused: Optional[bool] = None,
 ) -> list[SweepPoint]:
     """Run one predictor across the suite for each parameter value.
 
@@ -109,26 +110,27 @@ def sweep(
     the cell label) and the point's full configuration, so a changed
     sweep never resumes from stale entries.
 
-    ``fused`` (``None`` defers to the ``REPRO_FUSED`` environment
-    variable) evaluates every point's predictor — and the shared Base
-    baseline — in one streaming pass per application via
-    :mod:`repro.sim.fused` instead of one cell per (point ×
-    application).  Results are bit-identical either way; fused is
-    purely an execution strategy.  Sweeps that rebuild the
-    configuration per point (``make_config``) or record structured
-    traces replay the trace per variant anyway, so they keep the
-    classic decomposition regardless of ``fused``.
+    A sweep under the runner's configuration (no ``make_config``)
+    whose lanes — one per point plus the shared Base baseline —
+    :func:`~repro.sim.fused.fused_eligible` admits evaluates every lane
+    in one streaming pass per application via :mod:`repro.sim.fused`
+    instead of one cell per (point × application).  Results are
+    bit-identical either way.  Sweeps that rebuild the configuration
+    per point, record structured traces, or have a single lane keep the
+    per-cell decomposition.
     """
+    from repro.sim.fused import fused_eligible
+
     if make_config is not None and make_spec is not None:
         raise ValueError("pass make_config or make_spec, not both")
     apps = list(applications) if applications else runner.applications
     point_values = list(values)
+    # When the swept predictor *is* the baseline, every point doubles as
+    # its own baseline (see _sweep_fused and the baseline cells below).
+    sweeping_base = make_spec is None and predictor == "Base"
+    lanes = len(point_values) + (0 if sweeping_base else 1)
 
-    if (
-        resolve_fused(fused)
-        and make_config is None
-        and not runner.tracing
-    ):
+    if make_config is None and fused_eligible(runner, lanes):
         return _sweep_fused(
             runner,
             point_values,
@@ -171,7 +173,6 @@ def sweep(
     #: (baseline-relevant config fields, application) → cell position of
     #: its baseline (see _baseline_key).
     baseline_cells: dict[tuple[tuple, str], int] = {}
-    sweeping_base = make_spec is None and predictor == "Base"
     for point, point_runner in enumerate(point_runners):
         for position, application in enumerate(apps):
             key = (_baseline_key(point_runner.config), application)
@@ -228,9 +229,7 @@ def sweep(
             progress=progress,
             checkpoint=checkpoint,
             cell_keys=keys,
-            provenance={
-                "fused": False, "mode": "global", "multistate": False
-            },
+            provenance={"mode": "global", "multistate": False},
         )
         raise_on_failures(ledger, "sweep")
         results = ledger.results

@@ -122,3 +122,58 @@ def two_process_execution(
     ).sorted()
     execution.validate()
     return execution
+
+
+# ---------------------------------------------------------------------------
+# Classic references: one run_global call per (application, variant)
+# ---------------------------------------------------------------------------
+
+
+def classic_matrix(runner, names, applications=None):
+    """``{application: {name: result}}`` from one ``run_global`` per
+    cell — the per-cell reference every fused matrix must equal."""
+    apps = list(applications) if applications else runner.applications
+    return {
+        app: {name: runner.run_global(app, name) for name in names}
+        for app in apps
+    }
+
+
+def classic_sweep(runner, values, make_spec, applications=None):
+    """Sweep points folded from one ``run_global`` per (value,
+    application) plus one Base run per application, in the fold order
+    of :func:`repro.sim.sweep.sweep` — its per-cell reference."""
+    from repro.sim.metrics import PredictionStats
+    from repro.sim.sweep import SweepPoint
+
+    apps = list(applications) if applications else runner.applications
+    base = {app: runner.run_global(app, "Base") for app in apps}
+    points = []
+    for value in values:
+        stats = PredictionStats()
+        energy = base_energy = 0.0
+        shutdowns = delayed = irritating = accesses = 0
+        for app in apps:
+            result = runner.run_global(app, make_spec(value, runner.config))
+            stats.merge(result.stats)
+            energy += result.energy
+            shutdowns += result.shutdowns
+            delayed += result.delayed_requests
+            irritating += result.irritating_delays
+            accesses += result.total_disk_accesses
+            base_energy += base[app].energy
+        points.append(SweepPoint(
+            value=value,
+            hit_fraction=stats.hit_fraction,
+            miss_fraction=stats.miss_fraction,
+            hit_primary_fraction=stats.hit_primary_fraction,
+            hit_backup_fraction=stats.hit_backup_fraction,
+            energy=energy,
+            savings=1.0 - energy / base_energy if base_energy else 0.0,
+            shutdowns=shutdowns,
+            delayed_requests=delayed,
+            irritating_delays=irritating,
+            opportunities=stats.opportunities,
+            disk_accesses=accesses,
+        ))
+    return points

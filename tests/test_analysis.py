@@ -32,9 +32,16 @@ from repro.analysis.report import (
     render_table2,
     render_table3,
 )
-from repro.analysis.tables import build_table1, build_table2, build_table3
+from repro.analysis.tables import (
+    TABLE3_VARIANTS,
+    build_table1,
+    build_table2,
+    build_table3,
+)
 from repro.config import SimulationConfig
+from repro.sim import experiment as experiment_module
 from repro.sim.experiment import ExperimentRunner
+from repro.sim.parallel import ParallelExperimentRunner
 from repro.traces.trace import ApplicationTrace
 from tests.helpers import single_process_execution
 
@@ -175,3 +182,46 @@ def test_paper_data_self_consistency():
     assert set(PAPER_TABLE1) == set(PAPER_TABLE3)
     for entries in PAPER_TABLE3.values():
         assert entries["PCAPfh"] >= entries["PCAP"]
+
+
+# ---------------------------------------------------------------------------
+# Figures 7-10 and Table 3 run through the fused matrix
+# ---------------------------------------------------------------------------
+
+
+def test_table3_equals_run_global_table_sizes(small_suite):
+    runner = ParallelExperimentRunner(small_suite, SimulationConfig())
+    rows = build_table3(runner)
+    assert [row.application for row in rows] == runner.applications
+    for row in rows:
+        for variant in TABLE3_VARIANTS:
+            expected = runner.run_global(row.application, variant)
+            assert row.entries[variant] == expected.table_size, (
+                row.application, variant,
+            )
+
+
+@pytest.mark.parametrize(
+    "runner_class", [ExperimentRunner, ParallelExperimentRunner]
+)
+def test_untraced_global_builders_make_no_per_cell_replays(
+    small_suite, monkeypatch, runner_class
+):
+    """Figures 7-10 and Table 3 compare several predictors each, so they
+    must run fused: a silent fallback to per-cell replays fails here."""
+    calls = []
+    replay = experiment_module.run_global_execution
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return replay(*args, **kwargs)
+
+    monkeypatch.setattr(experiment_module, "run_global_execution", counting)
+    runner = runner_class(small_suite, SimulationConfig())
+    apps = ("mozilla", "nedit")
+    for build in (build_fig7, build_fig8, build_fig9, build_fig10,
+                  build_table3):
+        build(runner, applications=apps)
+    assert calls == []
+    runner.run_global("nedit", "TP")  # the probe sees per-cell replays
+    assert calls

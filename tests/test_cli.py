@@ -246,4 +246,5 @@ def test_faults_subcommand_in_process(capsys, monkeypatch):
     assert code == 0
     assert "chaos verdict: OK" in out
     assert "[PASS] healthy cells bit-identical" in out
+    assert "[PASS] every planned worker fault fired" in out
     assert "FAILED after 2 attempt(s)" in out

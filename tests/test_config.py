@@ -49,13 +49,12 @@ def test_config_is_immutable():
         config.timeout = 5.0
 
 
-# --- environment-variable resolution (REPRO_JOBS / REPRO_FUSED) ------------
+# --- environment-variable resolution (REPRO_JOBS) ---------------------------
 #
 # Malformed values used to fall back silently (not-a-number meant
-# "serial", a typo like REPRO_FUSED=ture meant "classic path"), which
-# turned configuration mistakes into wrong execution strategies without
-# a word.  Both resolvers now raise ConfigurationError with the
-# offending value spelled out.
+# "serial"), which turned configuration mistakes into wrong execution
+# strategies without a word.  The resolver now raises ConfigurationError
+# with the offending value spelled out.
 
 
 def test_default_jobs_strict_env(monkeypatch):
@@ -85,31 +84,3 @@ def test_default_jobs_strict_env(monkeypatch):
     with pytest.raises(ConfigurationError, match="negative"):
         default_jobs()
 
-
-def test_default_fused_strict_env(monkeypatch):
-    from repro.config import FUSED_ENV_VAR, default_fused
-
-    monkeypatch.delenv(FUSED_ENV_VAR, raising=False)
-    assert default_fused() is False
-
-    for raw in ("1", "true", "YES", "On"):
-        monkeypatch.setenv(FUSED_ENV_VAR, raw)
-        assert default_fused() is True, raw
-
-    for raw in ("0", "false", "NO", "off", ""):
-        monkeypatch.setenv(FUSED_ENV_VAR, raw)
-        assert default_fused() is False, raw
-
-    monkeypatch.setenv(FUSED_ENV_VAR, "ture")
-    with pytest.raises(ConfigurationError, match="REPRO_FUSED='ture'"):
-        default_fused()
-
-
-def test_resolve_fused_explicit_beats_env(monkeypatch):
-    from repro.config import FUSED_ENV_VAR, resolve_fused
-
-    monkeypatch.setenv(FUSED_ENV_VAR, "garbage")
-    assert resolve_fused(True) is True  # explicit skips the environment
-    assert resolve_fused(False) is False
-    with pytest.raises(ConfigurationError):
-        resolve_fused(None)  # None defers to the (malformed) env

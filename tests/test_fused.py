@@ -5,9 +5,11 @@ strategy* — for every registered predictor, every entry point
 (``run_fused_application``, the fused ``sweep()`` path, the fused
 matrix), and every execution substrate (serial, fork pool, store-backed
 streaming traces, the resilient executor with injected worker crashes),
-its results are bit-identical to the classic one-simulation-per-cell
-path.  The kernel earns its keep on speed and memory, never on changed
-numbers.
+its results are bit-identical to the classic reference: one
+``ExperimentRunner.run_global`` call per (application, variant).  The
+kernel earns its keep on speed and memory, never on changed numbers.
+Every multi-predictor matrix and sweep takes the fused path; a
+single-predictor matrix stays per cell.
 """
 
 from __future__ import annotations
@@ -26,9 +28,11 @@ from repro.sim.artifact_cache import (
     fused_key,
     variant_set_fingerprint,
 )
+from repro.sim import fused as fused_module
 from repro.sim.experiment import ExperimentRunner
 from repro.sim.fused import (
     FusedCellOutcome,
+    fused_eligible,
     fused_supported,
     run_fused_application,
     run_fused_cells,
@@ -37,6 +41,7 @@ from repro.sim.parallel import ParallelExperimentRunner, fork_available
 from repro.sim.resilience import ResiliencePolicy
 from repro.sim.sweep import sweep
 from repro.workloads import build_suite, pack_generated
+from tests.helpers import classic_matrix, classic_sweep
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="pool path needs the fork start method"
@@ -113,6 +118,33 @@ def test_fused_supported_excludes_multistate(runner):
     assert not fused_supported(runner, multistate=True)
 
 
+def test_fused_eligible_needs_two_global_lanes(runner):
+    assert fused_eligible(runner, 2)
+    assert not fused_eligible(runner, 1)
+    assert not fused_eligible(runner, 3, mode="local")
+    assert not fused_eligible(runner, 3, multistate=True)
+
+
+def test_single_predictor_matrix_stays_per_cell(
+    runner, parallel_runner, monkeypatch
+):
+    """One lane cannot pay for building the tape, so a one-predictor
+    matrix — ``repro run``'s default — never enters the kernel."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-predictor matrix took the fused path")
+
+    monkeypatch.setattr(fused_module, "run_fused_application", refuse)
+    expected = classic_matrix(runner, ["TP"], APPS)
+    assert runner.run_matrix(["TP"], applications=APPS) == expected
+    assert parallel_runner.run_matrix(
+        ["TP"], applications=APPS, jobs=1
+    ) == expected
+    report = parallel_runner.run_matrix_resilient(
+        ["TP"], applications=APPS, jobs=1, policy=QUICK
+    )
+    assert report.matrix == expected
+
+
 # ---------------------------------------------------------------------------
 # Sweep and matrix equivalence
 # ---------------------------------------------------------------------------
@@ -124,31 +156,26 @@ def test_sweep_fused_matches_classic(runner):
     def timeout_spec(value, cfg):
         return tp_spec(cfg, timeout=value, name=f"TP({value:g}s)")
 
-    kwargs = dict(make_spec=timeout_spec, applications=APPS, jobs=1)
-    fused = sweep(runner, values, fused=True, **kwargs)
-    classic = sweep(runner, values, fused=False, **kwargs)
-    assert fused == classic
+    fused = sweep(
+        runner, values, make_spec=timeout_spec, applications=APPS, jobs=1
+    )
+    assert fused == classic_sweep(runner, values, timeout_spec, APPS)
 
 
 def test_sweep_fused_named_predictors(runner):
     """Sweeping registry names (the Figure-7 shape) is fused-eligible
     and identical, including the shared Base baseline per point."""
     names = ("TP", "PCAP", "PCAPfh")
-    kwargs = dict(
-        make_spec=lambda name, cfg: make_spec(name, cfg),
-        applications=APPS,
-        jobs=1,
-    )
-    fused = sweep(runner, names, fused=True, **kwargs)
-    classic = sweep(runner, names, fused=False, **kwargs)
-    assert fused == classic
+    by_name = lambda name, cfg: make_spec(name, cfg)  # noqa: E731
+    fused = sweep(runner, names, make_spec=by_name, applications=APPS, jobs=1)
+    assert fused == classic_sweep(runner, names, by_name, APPS)
 
 
 def test_matrix_fused_matches_classic_serial(parallel_runner):
-    kwargs = dict(applications=APPS, jobs=1)
-    fused = parallel_runner.run_matrix(MATRIX_NAMES, fused=True, **kwargs)
-    classic = parallel_runner.run_matrix(MATRIX_NAMES, fused=False, **kwargs)
-    assert fused == classic
+    fused = parallel_runner.run_matrix(
+        MATRIX_NAMES, applications=APPS, jobs=1
+    )
+    assert fused == classic_matrix(parallel_runner, MATRIX_NAMES, APPS)
     # Rows are keyed by the *requested* registry names, like classic.
     assert set(fused["mozilla"]) == set(MATRIX_NAMES)
 
@@ -156,18 +183,14 @@ def test_matrix_fused_matches_classic_serial(parallel_runner):
 @needs_fork
 def test_matrix_fused_matches_classic_pooled(parallel_runner):
     fused = parallel_runner.run_matrix(
-        MATRIX_NAMES, applications=APPS, jobs=2, fused=True
+        MATRIX_NAMES, applications=APPS, jobs=2
     )
-    classic = parallel_runner.run_matrix(
-        MATRIX_NAMES, applications=APPS, jobs=1, fused=False
-    )
-    assert fused == classic
+    assert fused == classic_matrix(parallel_runner, MATRIX_NAMES, APPS)
 
 
 def test_serial_runner_matrix_fused(runner):
-    fused = runner.run_matrix(MATRIX_NAMES, applications=APPS, fused=True)
-    classic = runner.run_matrix(MATRIX_NAMES, applications=APPS, fused=False)
-    assert fused == classic
+    fused = runner.run_matrix(MATRIX_NAMES, applications=APPS)
+    assert fused == classic_matrix(runner, MATRIX_NAMES, APPS)
 
 
 # ---------------------------------------------------------------------------
@@ -205,24 +228,23 @@ def test_resilient_fused_survives_worker_crash(parallel_runner):
             applications=APPS,
             jobs=2,
             policy=QUICK,
-            fused=True,
         )
     assert report.complete
     assert [e.kind for e in report.ledger.retries] == ["crash"]
-    classic = parallel_runner.run_matrix(
-        MATRIX_NAMES, applications=APPS, jobs=1, fused=False
+    assert report.matrix == classic_matrix(
+        parallel_runner, MATRIX_NAMES, APPS
     )
-    assert report.matrix == classic
 
 
 @needs_fork
 def test_resilient_fused_all_success_path(parallel_runner):
     report = parallel_runner.run_matrix_resilient(
-        MATRIX_NAMES, applications=APPS, jobs=2, policy=QUICK, fused=True
+        MATRIX_NAMES, applications=APPS, jobs=2, policy=QUICK
     )
     assert report.complete
-    assert report.matrix == parallel_runner.run_matrix(
-        MATRIX_NAMES, applications=APPS, jobs=1, fused=False
+    assert len(report.ledger.outcomes) == len(APPS)  # one cell per app
+    assert report.matrix == classic_matrix(
+        parallel_runner, MATRIX_NAMES, APPS
     )
 
 

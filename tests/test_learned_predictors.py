@@ -46,6 +46,7 @@ from repro.sim.parallel import ParallelExperimentRunner, fork_available
 from repro.sim.resilience import ResiliencePolicy
 from repro.workloads import build_suite, pack_generated
 from repro.workloads.extremes import build_clockwork
+from tests.helpers import classic_matrix
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="pool path needs the fork start method"
@@ -211,7 +212,7 @@ def test_learned_fused_matches_classic(runner, config):
 def test_learned_pooled_matches_serial(parallel_runner):
     pooled = parallel_runner.run_matrix(LEARNED, applications=APPS, jobs=2)
     serial = parallel_runner.run_matrix(LEARNED, applications=APPS, jobs=1)
-    assert pooled == serial
+    assert pooled == serial == classic_matrix(parallel_runner, LEARNED, APPS)
 
 
 def test_learned_store_backed_matches_in_memory(tmp_path, runner, config):
@@ -230,13 +231,11 @@ def test_learned_resilient_crash_retry_identical(parallel_runner):
     plan = FaultPlan([FaultSpec(site="worker.crash", cell=0, attempts=1)])
     with faults.injected(plan):
         report = parallel_runner.run_matrix_resilient(
-            LEARNED, applications=APPS, jobs=2, policy=QUICK, fused=True
+            LEARNED, applications=APPS, jobs=2, policy=QUICK
         )
     assert report.complete
     assert [e.kind for e in report.ledger.retries] == ["crash"]
-    assert report.matrix == parallel_runner.run_matrix(
-        LEARNED, applications=APPS, jobs=1, fused=False
-    )
+    assert report.matrix == classic_matrix(parallel_runner, LEARNED, APPS)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,10 @@ from repro.sim.resilience import (
     raise_on_failures,
     run_cells,
 )
+from repro.sim import experiment as experiment_module
+from repro.sim import fused as fused_module
 from repro.sim.sweep import sweep
+from tests.helpers import classic_matrix, classic_sweep
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="pool path needs the fork start method"
@@ -571,6 +574,7 @@ def test_sweep_checkpoint_resumes(small_suite, tmp_path):
     plain = sweep(runner, (2.0, 5.0), make_spec=make,
                   applications=("mozilla",))
     assert plain == first
+    assert first == classic_sweep(runner, (2.0, 5.0), make, ("mozilla",))
 
 
 def test_run_suite_resilience_reports_failures(small_suite):
@@ -584,42 +588,49 @@ def test_run_suite_resilience_reports_failures(small_suite):
 
 def test_chaos_scenario_partial_suite_bit_identical(small_suite):
     """The acceptance shape: under injected faults the run completes,
-    the poisoned cell is a terminal CellFailure with retry history, and
-    every healthy cell is bit-identical to a fault-free serial run."""
+    the poisoned cell is a terminal CellFailure with retry history, the
+    transiently faulted cell recovers, and every healthy row is
+    bit-identical to the classic fault-free reference.  Two predictors
+    run fused, one cell per application, so the terminal failure drops
+    one whole application row."""
     runner = ParallelExperimentRunner(small_suite, SimulationConfig())
     predictors = ["TP", "PCAP"]
-    baseline = runner.run_matrix(predictors, applications=APPS, jobs=1)
+    baseline = classic_matrix(runner, predictors, APPS)
     plan = FaultPlan([
         FaultSpec(site="worker.fail", cell=1, attempts=99),
-        FaultSpec(site="worker.fail", cell=2, attempts=1),
+        FaultSpec(site="worker.fail", cell=0, attempts=1),
     ])
     policy = ResiliencePolicy(max_attempts=2, base_delay=0.001)
     with faults.injected(plan):
         report = runner.run_matrix_resilient(
             predictors, applications=APPS, jobs=1, policy=policy
         )
+    assert len(report.ledger.outcomes) == len(APPS)
     (failure,) = report.ledger.failures
     assert failure.cell.index == 1
+    assert failure.cell.application == APPS[1]
     assert len(failure.attempts) == 2
     assert not report.complete
-    # Cell 2 recovered after its transient fault; cell 1 is absent.
+    # Cell 0 recovered after its transient fault; cell 1's row is absent.
+    assert [e.cell.index for e in report.ledger.retries] == [0, 1, 1]
+    assert list(report.matrix) == [APPS[0]]
     healthy = 0
     for application, row in report.matrix.items():
         for name, result in row.items():
             assert result == baseline[application][name]
             healthy += 1
-    assert healthy == len(APPS) * len(predictors) - 1
+    assert healthy == len(predictors) * (len(APPS) - 1)
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint provenance (fused flag / variant set / mode)
+# Checkpoint provenance (run-shape header)
 # ---------------------------------------------------------------------------
 #
-# Fused journals store one whole variant-lane list per cell; classic
-# journals store one predictor per cell.  Resuming one with the other —
-# or a fused journal with a different lane list — used to serve entries
-# of the wrong shape silently.  A provenance header now pins the
-# journal to its writer's execution strategy.
+# A provenance header pins a journal to the shape of the run that wrote
+# it; a mismatched resume is refused.  The toy headers below use
+# arbitrary keys — older matrix journals carried "fused" and
+# "variant_set", which matrix runs no longer declare, and those
+# journals must keep loading.
 
 
 def test_provenance_mismatch_refuses_resume(tmp_path):
@@ -687,26 +698,82 @@ def test_legacy_headerless_journal_resumes(tmp_path):
     assert ledger.resumed == 2
 
 
-def test_fused_journal_refuses_classic_resume(small_suite, tmp_path):
-    # End-to-end through run_matrix_resilient: a --fused checkpoint
-    # resumed by a --no-fused run (or vice versa) fails loudly instead
-    # of mixing per-lane-list entries with per-predictor entries.
+def test_parent_classic_journal_resumes_under_fused(
+    small_suite, tmp_path, monkeypatch
+):
+    # A journal the per-cell path wrote while it was the default: its
+    # header says "fused": false, and it holds one record per
+    # (application, predictor).  The fused path journals lanes under
+    # the same keys, so a resume restores every cell and re-runs none.
+    path = tmp_path / "per-cell.ckpt"
+    runner = ParallelExperimentRunner(small_suite, SimulationConfig())
+    names = ["TP", "Base"]
+    expected = classic_matrix(runner, names, APPS)
+    header = {"fused": False, "mode": "global", "multistate": False}
+    with CellCheckpoint(path, provenance=header) as journal:
+        pairs = [(app, name) for app in APPS for name in names]
+        for index, (app, name) in enumerate(pairs):
+            journal.record(
+                cell_key(runner.fingerprint(app), name, runner.config),
+                ExperimentCell(index=index, application=app, predictor=name),
+                expected[app][name],
+                0.0,
+            )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a journalled cell was re-run")
+
+    monkeypatch.setattr(fused_module, "run_fused_application", refuse)
+    monkeypatch.setattr(experiment_module, "run_global_execution", refuse)
+    report = runner.run_matrix_resilient(names, applications=APPS,
+                                         checkpoint=path)
+    assert report.ledger.resumed == len(APPS) * len(names)
+    assert not report.ledger.failures
+    assert report.matrix == expected
+
+
+def test_fused_lanes_resume_a_single_predictor_run(
+    small_suite, tmp_path, monkeypatch
+):
+    # The other direction of the shared key scheme: lanes a fused run
+    # journalled restore the per-cell run of one of its predictors.
+    path = tmp_path / "lanes.ckpt"
+    runner = ParallelExperimentRunner(small_suite, SimulationConfig())
+    first = runner.run_matrix_resilient(["TP", "Base"], applications=APPS,
+                                        checkpoint=path)
+    assert len(first.ledger.outcomes) == len(APPS)  # one fused cell per app
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a journalled lane was re-run")
+
+    monkeypatch.setattr(experiment_module, "run_global_execution", refuse)
+    report = runner.run_matrix_resilient(["Base"], applications=APPS,
+                                         checkpoint=path)
+    assert report.ledger.resumed == len(APPS)
+    assert report.matrix == {app: {"Base": first.matrix[app]["Base"]}
+                             for app in APPS}
+
+
+def test_parent_fused_journal_loads_and_reruns(small_suite, tmp_path):
+    # A journal the opt-in fused path wrote: its header carries "fused"
+    # and "variant_set", and its one record per application sits under
+    # a key no run derives any more.  It still loads; its cells re-run.
     path = tmp_path / "fused.ckpt"
     runner = ParallelExperimentRunner(small_suite, SimulationConfig())
-    runner.run_matrix_resilient(["TP", "Base"], applications=APPS,
-                                fused=True, checkpoint=path)
-    with pytest.raises(CheckpointError, match="incompatible run"):
-        runner.run_matrix_resilient(["TP", "Base"], applications=APPS,
-                                    fused=False, checkpoint=path)
-    # A fused resume over a *different* lane list is a different
-    # variant set — also refused.
-    with pytest.raises(CheckpointError, match="variant_set"):
-        runner.run_matrix_resilient(["TP", "PCAP"], applications=APPS,
-                                    fused=True, checkpoint=path)
-    # The matching fused resume restores every cell.
+    header = {"fused": True, "mode": "global", "multistate": False,
+              "variant_set": "0123abcd"}
+    with CellCheckpoint(path, provenance=header) as journal:
+        journal.record(
+            cell_key(runner.fingerprint(APPS[0]), "fused:0123abcd",
+                     runner.config),
+            ExperimentCell(index=0, application=APPS[0], predictor="fused[2]"),
+            None,
+            0.0,
+        )
     report = runner.run_matrix_resilient(["TP", "Base"], applications=APPS,
-                                         fused=True, checkpoint=path)
-    assert report.ledger.resumed == len(APPS)
+                                         checkpoint=path)
+    assert report.ledger.resumed == 0
+    assert report.matrix == classic_matrix(runner, ["TP", "Base"], APPS)
 
 
 def test_classic_journal_allows_new_predictors(small_suite, tmp_path):
@@ -716,8 +783,8 @@ def test_classic_journal_allows_new_predictors(small_suite, tmp_path):
     path = tmp_path / "classic.ckpt"
     runner = ParallelExperimentRunner(small_suite, SimulationConfig())
     runner.run_matrix_resilient(["TP"], applications=APPS,
-                                fused=False, checkpoint=path)
+                                checkpoint=path)
     report = runner.run_matrix_resilient(["TP", "Base"], applications=APPS,
-                                         fused=False, checkpoint=path)
+                                         checkpoint=path)
     assert report.ledger.resumed == len(APPS)  # the TP cells
     assert not report.ledger.failures

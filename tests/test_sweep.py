@@ -7,7 +7,11 @@ from repro.predictors.registry import tp_spec
 from repro.sim.experiment import ExperimentRunner
 from repro.sim.sweep import SweepPoint, render_sweep, sweep
 from repro.traces.trace import ApplicationTrace
-from tests.helpers import single_process_execution
+from tests.helpers import (
+    classic_matrix,
+    classic_sweep,
+    single_process_execution,
+)
 
 
 @pytest.fixture(scope="module")
@@ -117,20 +121,19 @@ def test_render_sweep(runner):
 # ---------------------------------------------------------------------------
 #
 # Lanes and cells are positional, so duplicate swept values (and
-# duplicate predictor names in a matrix) must fold identically on the
-# fused and classic paths — and the variant-set fingerprint must tell
-# apart orderings and duplicates, because a fused checkpoint entry
-# covers the whole positional lane list.
+# duplicate predictor names in a matrix) must fold on the fused path
+# exactly as one run_global call per cell does — and the variant-set
+# fingerprint must tell apart orderings and duplicates, because a fused
+# artifact-cache entry covers the whole positional lane list.
 
 
 def test_sweep_duplicate_values_fused_matches_classic(runner):
     make = lambda t, cfg: tp_spec(cfg, timeout=t)  # noqa: E731
     values = [2.0, 30.0, 2.0]  # the duplicate is a real, separate point
-    classic = sweep(runner, values, make_spec=make, fused=False)
-    fused = sweep(runner, values, make_spec=make, fused=True)
-    assert classic == fused
-    assert len(classic) == 3
-    assert classic[0] == classic[2]  # same knob value, same point
+    fused = sweep(runner, values, make_spec=make)
+    assert fused == classic_sweep(runner, values, make)
+    assert len(fused) == 3
+    assert fused[0] == fused[2]  # same knob value, same point
 
 
 def test_matrix_duplicate_predictor_names_fused_matches_classic():
@@ -140,10 +143,9 @@ def test_matrix_duplicate_predictor_names_fused_matches_classic():
     suite = build_suite(scale=0.2, applications=("mozilla",))
     runner = ParallelExperimentRunner(suite, SimulationConfig())
     names = ["TP", "Base", "TP"]  # shadowed: the dict row keeps one TP
-    classic = runner.run_matrix(names, fused=False)
-    fused = runner.run_matrix(names, fused=True)
-    assert classic == fused
-    assert set(classic["mozilla"]) == {"TP", "Base"}  # last-wins collapse
+    fused = runner.run_matrix(names)
+    assert fused == classic_matrix(runner, names)
+    assert set(fused["mozilla"]) == {"TP", "Base"}  # last-wins collapse
 
 
 def test_variant_set_fingerprint_is_positional():

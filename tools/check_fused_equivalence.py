@@ -1,8 +1,11 @@
 """CI gate: the fused sweep kernel is bit-identical to the per-cell path.
 
-Runs the paper's two sweep shapes both ways — through the fused
-single-pass kernel (``repro.sim.fused``) and through the classic
-one-simulation-per-cell decomposition — and fails loudly if any table
+Runs the paper's two sweep shapes both ways — through ``sweep()`` and
+``run_matrix()``, which take the fused single-pass kernel
+(``repro.sim.fused``) for every multi-predictor run, and through a
+classic reference of one ``ExperimentRunner.run_global`` call per
+(application, variant), folded into sweep points by the same helpers
+the tests use (``tests/helpers.py``) — and fails loudly if any table
 differs by even a bit:
 
 * the TP timeout ladder (the Figure-7 parameter sweep), serial and on a
@@ -39,7 +42,9 @@ import os
 import sys
 from dataclasses import fields
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, ROOT)
 
 from repro.config import SimulationConfig
 from repro.predictors.registry import (
@@ -56,6 +61,7 @@ from repro.sim.fused import replay_execution, run_fused_cells
 from repro.sim.parallel import ParallelExperimentRunner, fork_available
 from repro.sim.sweep import sweep
 from repro.workloads import build_suite
+from tests.helpers import classic_matrix, classic_sweep
 
 TIMEOUTS = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
 PCAP_FAMILY = ("PCAP", "PCAPh", "PCAPf", "PCAPfh", "Base")
@@ -205,91 +211,43 @@ def main() -> int:
         print("note: fork unavailable, pooled runs skipped", file=sys.stderr)
 
     ok = vector_lane_pass(runner, config)
+
+    def tp_timeout(value, cfg):
+        return tp_spec(cfg, timeout=value, name=f"TP({value:g}s)")
+
+    def ski_lambda(value, cfg):
+        return ski_spec(cfg, lam=value)
+
+    def qdpm_seed(value, cfg):
+        return qdpm_spec(cfg, seed=value)
+
+    # (label, fused side at a given worker count, per-cell reference
+    # table); the reference does not depend on the worker count.
+    passes = [
+        ("TP timeout sweep",
+         lambda jobs: sweep_table(
+             sweep(runner, TIMEOUTS, make_spec=tp_timeout, jobs=jobs)),
+         sweep_table(classic_sweep(runner, TIMEOUTS, tp_timeout))),
+        ("PCAP family matrix",
+         lambda jobs: matrix_table(runner.run_matrix(PCAP_FAMILY, jobs=jobs)),
+         matrix_table(classic_matrix(runner, PCAP_FAMILY))),
+        ("full registry matrix",
+         lambda jobs: matrix_table(
+             runner.run_matrix(KNOWN_PREDICTORS, jobs=jobs)),
+         matrix_table(classic_matrix(runner, KNOWN_PREDICTORS))),
+        ("ski-rental lambda sweep",
+         lambda jobs: sweep_table(
+             sweep(runner, SKI_LAMBDAS, make_spec=ski_lambda, jobs=jobs)),
+         sweep_table(classic_sweep(runner, SKI_LAMBDAS, ski_lambda))),
+        ("Q-DPM seed lanes",
+         lambda jobs: sweep_table(
+             sweep(runner, QDPM_SEEDS, make_spec=qdpm_seed, jobs=jobs)),
+         sweep_table(classic_sweep(runner, QDPM_SEEDS, qdpm_seed))),
+    ]
     for jobs in job_counts:
-        fused_points = sweep(
-            runner,
-            TIMEOUTS,
-            make_spec=lambda value, cfg: tp_spec(
-                cfg, timeout=value, name=f"TP({value:g}s)"
-            ),
-            jobs=jobs,
-            fused=True,
-        )
-        classic_points = sweep(
-            runner,
-            TIMEOUTS,
-            make_spec=lambda value, cfg: tp_spec(
-                cfg, timeout=value, name=f"TP({value:g}s)"
-            ),
-            jobs=jobs,
-            fused=False,
-        )
-        ok &= check(
-            f"TP timeout sweep (jobs={jobs})",
-            sweep_table(fused_points),
-            sweep_table(classic_points),
-        )
-
-        fused_matrix = runner.run_matrix(PCAP_FAMILY, jobs=jobs, fused=True)
-        classic_matrix = runner.run_matrix(PCAP_FAMILY, jobs=jobs, fused=False)
-        ok &= check(
-            f"PCAP family matrix (jobs={jobs})",
-            matrix_table(fused_matrix),
-            matrix_table(classic_matrix),
-        )
-
-        fused_registry = runner.run_matrix(
-            KNOWN_PREDICTORS, jobs=jobs, fused=True
-        )
-        classic_registry = runner.run_matrix(
-            KNOWN_PREDICTORS, jobs=jobs, fused=False
-        )
-        ok &= check(
-            f"full registry matrix (jobs={jobs})",
-            matrix_table(fused_registry),
-            matrix_table(classic_registry),
-        )
-
-        fused_ski = sweep(
-            runner,
-            SKI_LAMBDAS,
-            make_spec=lambda value, cfg: ski_spec(cfg, lam=value),
-            jobs=jobs,
-            fused=True,
-        )
-        classic_ski = sweep(
-            runner,
-            SKI_LAMBDAS,
-            make_spec=lambda value, cfg: ski_spec(cfg, lam=value),
-            jobs=jobs,
-            fused=False,
-        )
-        ok &= check(
-            f"ski-rental lambda sweep (jobs={jobs})",
-            sweep_table(fused_ski),
-            sweep_table(classic_ski),
-        )
-
-        fused_qdpm = sweep(
-            runner,
-            QDPM_SEEDS,
-            make_spec=lambda value, cfg: qdpm_spec(cfg, seed=value),
-            jobs=jobs,
-            fused=True,
-        )
-        classic_qdpm = sweep(
-            runner,
-            QDPM_SEEDS,
-            make_spec=lambda value, cfg: qdpm_spec(cfg, seed=value),
-            jobs=jobs,
-            fused=False,
-        )
-        ok &= check(
-            f"Q-DPM seed lanes (jobs={jobs})",
-            sweep_table(fused_qdpm),
-            sweep_table(classic_qdpm),
-        )
-
+        for label, fused_side, classic_lines in passes:
+            ok &= check(f"{label} (jobs={jobs})", fused_side(jobs),
+                        classic_lines)
         ok &= adversarial_pass(runner, config, jobs)
 
     if not ok:
