@@ -165,7 +165,6 @@ BENCHMARK_NAMES = (
     "global_simulation",
     "learned_predictors",
     "tape_build",
-    "fused_vector_lanes",
     "sweep_per_cell",
     "fused_sweep",
     "fleet_sim",
@@ -195,7 +194,6 @@ def run_benchmarks(
     from repro.config import SimulationConfig
     from repro.predictors.registry import make_spec
     from repro.sim.engine import build_replay_tape, run_global_execution
-    from repro.sim.fused import replay_execution
     from repro.workloads import build_application
 
     if only is not None:
@@ -268,9 +266,8 @@ def run_benchmarks(
         )
 
     if want("tape_build"):
-        # One columnar-tape construction (the vectorized builder on this
-        # trace) — the per-execution cost every fused pass pays once and
-        # the tape cache then amortizes away.
+        # One columnar-tape construction — the per-execution cost every
+        # fused pass pays once and the tape cache then amortizes away.
 
         def bench_tape_build() -> None:
             build_replay_tape(execution, filtered, config)
@@ -282,31 +279,6 @@ def run_benchmarks(
             best_s=best_s,
             rounds=rounds,
             items=len(filtered.accesses),
-        )
-
-    if want("fused_vector_lanes"):
-        # The whole-tape array programs alone: every constant-intent and
-        # omniscient lane of the sweep set replayed over one prebuilt
-        # tape (the stateful lanes keep the generic loop and are covered
-        # by fused_sweep).
-        tape = build_replay_tape(execution, filtered, config)
-        vector_specs = [
-            spec
-            for spec in sweep_variant_specs(config)
-            if spec.is_omniscient or spec.constant_intent_delay is not None
-        ]
-
-        def bench_vector_lanes() -> None:
-            for spec in vector_specs:
-                replay_execution(tape, spec, config)
-
-        mean_s, best_s = _measure(bench_vector_lanes, rounds=rounds)
-        report.results["fused_vector_lanes"] = BenchResult(
-            name="fused_vector_lanes",
-            mean_s=mean_s,
-            best_s=best_s,
-            rounds=rounds,
-            items=len(vector_specs) * len(filtered.accesses),
         )
 
     sweep_rounds = max(5, rounds // 4)
@@ -532,7 +504,6 @@ GATED_BENCHMARKS = (
     "global_simulation",
     "learned_predictors",
     "tape_build",
-    "fused_vector_lanes",
     "sweep_per_cell",
     "fused_sweep",
     "fleet_sim",

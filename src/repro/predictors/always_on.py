@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.cache.filter import DiskAccess
 from repro.predictors.base import LocalPredictor, OmniscientPolicy, ShutdownIntent
 
@@ -31,7 +29,3 @@ class AlwaysOnPolicy(OmniscientPolicy):
 
     def shutdown_offset(self, gap_length: float) -> Optional[float]:
         return None
-
-    def shutdown_offsets(self, gap_lengths: np.ndarray) -> np.ndarray:
-        """Vectorized form: never shut down (all NaN)."""
-        return np.full(len(gap_lengths), np.nan)

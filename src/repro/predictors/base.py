@@ -122,18 +122,6 @@ class OmniscientPolicy(ABC):
     def shutdown_offset(self, gap_length: float) -> Optional[float]:
         """Offset from the gap start at which to shut down, or ``None``."""
 
-    def shutdown_offsets(self, gap_lengths):
-        """Vectorized :meth:`shutdown_offset` over an array of gaps.
-
-        Returns a float64 array aligned with ``gap_lengths`` where NaN
-        encodes the scalar hook's ``None``, or ``None`` when the policy
-        has no vectorized form — the fused kernel then replays the
-        scalar loop lane instead.  Implementations must mirror
-        :meth:`shutdown_offset`'s float expressions exactly (the fused
-        bit-identity contract, DESIGN §10).
-        """
-        return None
-
 
 class LocalPredictor(ABC):
     """Per-process shutdown predictor.

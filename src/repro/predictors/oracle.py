@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.predictors.base import OmniscientPolicy
 
@@ -31,7 +29,3 @@ class OraclePolicy(OmniscientPolicy):
         if gap_length > self.breakeven:
             return 0.0
         return None
-
-    def shutdown_offsets(self, gap_lengths: np.ndarray) -> np.ndarray:
-        """Vectorized form: 0.0 past breakeven, NaN (= never) below."""
-        return np.where(gap_lengths > self.breakeven, 0.0, np.nan)

@@ -21,6 +21,13 @@ per replay.
 * per-process index groupings for the local (Figure 6) evaluation;
 * the raw arrays for vectorized analytics (gap statistics, reductions).
 
+Two more column stores live here: :class:`ColumnarTape`, the
+predictor-independent replay skeleton that
+:func:`repro.sim.engine.build_replay_tape` fills in one sequential pass
+and whose per-step views every fused lane (:mod:`repro.sim.fused`)
+walks, and :class:`DeviceStateColumns`, the fleet engine's per-device
+accumulators.
+
 **Bit-identity contract:** every value handed back to the simulation is
 numerically identical — same bits — to what the row-oriented code
 computed.  Durations use only elementwise ``service_time +
@@ -44,7 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
 #: Replay-tape opcodes — the values of :class:`ColumnarTape`'s ``op``
 #: column and the first element of every replay-view step.  Defined here
-#: so the tape, its builders (:func:`repro.sim.engine.build_replay_tape`)
+#: so the tape, its builder (:func:`repro.sim.engine.build_replay_tape`)
 #: and its consumers (:mod:`repro.sim.fused`) share one source.
 TAPE_SIMPLE = 0  #: access with no actionable gap (back-to-back or <= EPS)
 TAPE_GAP = 1  #: access ending a gap a shutdown could fire in
@@ -133,9 +140,7 @@ class ColumnarTape:
     the trailing-gap state exactly like the historical tuple tape.
 
     Tapes are built by :func:`repro.sim.engine.build_replay_tape` and
-    replayed by :mod:`repro.sim.fused` — the constant-intent and
-    omniscient lanes read the columns directly as whole-tape array
-    programs, while the generic per-process lane iterates
+    replayed by :mod:`repro.sim.fused`, whose lanes all iterate
     :meth:`replay_views`.  Tapes pickle compactly (the memoized views
     and the bound access stream are dropped), which is what lets the
     artifact cache persist them per
@@ -145,13 +150,11 @@ class ColumnarTape:
     __slots__ = _TAPE_ARRAY_FIELDS + _TAPE_SCALAR_FIELDS + (
         "_accesses",
         "_views",
-        "_gap_memo",
     )
 
     def __init__(self) -> None:
         self._accesses = None
         self._views = None
-        self._gap_memo = None
 
     def __len__(self) -> int:
         return len(self.op)
@@ -172,7 +175,6 @@ class ColumnarTape:
             setattr(self, name, state[name])
         self._accesses = None
         self._views = None
-        self._gap_memo = None
 
     def bind_accesses(self, accesses: Sequence["DiskAccess"]) -> None:
         """Attach the filtered access stream the tape was built from.
@@ -187,37 +189,13 @@ class ColumnarTape:
             self._accesses = accesses
             self._views = None
 
-    def gap_columns(self) -> dict:
-        """Gap-sliced column views shared by the vectorized lanes
-        (memoized): the :data:`TAPE_GAP` positions, their per-gap
-        scalars, and the full-length ``simple_idle`` contribution
-        stream."""
-        memo = self._gap_memo
-        if memo is None:
-            op = self.op
-            gp = np.flatnonzero(op == TAPE_GAP)
-            memo = {
-                "gp": gp,
-                "busy_until": self.busy_until[gp],
-                "gap_end": self.gap_end[gp],
-                "gap_length": self.gap_length[gp],
-                "idle_full": self.idle_full[gp],
-                "long": self.long_period[gp],
-                "record": self.record[gp],
-                "simple_idle": np.where(
-                    op == TAPE_SIMPLE, self.idle_full, 0.0
-                ),
-            }
-            self._gap_memo = memo
-        return memo
-
     def replay_views(self) -> list:
-        """Per-step tuples for the loop lanes (memoized).
+        """Per-step tuples for the replay lanes (memoized).
 
         Runs of consecutive :data:`TAPE_SIMPLE` steps are grouped into a
         single ``(TAPE_SIMPLE, items)`` entry — ``items`` being ``(pid,
         access, feedback, busy_after, register, idle_full)`` tuples — so
-        the loop lanes dispatch once per run instead of once per step.
+        the lanes dispatch once per run instead of once per step.
         :data:`TAPE_GAP` / :data:`TAPE_FORK` / :data:`TAPE_EXIT` entries
         carry the historical tuple layout, with prebuilt (shared,
         immutable) :class:`~repro.predictors.base.IdleFeedback` objects

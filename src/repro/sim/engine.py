@@ -1,6 +1,6 @@
 """The trace-driven simulation engine (paper §6).
 
-Two entry points:
+Three entry points:
 
 * :func:`evaluate_local_stream` — drive one predictor over one process's
   own disk-access stream and score it (the *local* evaluation of
@@ -8,7 +8,14 @@ Two entry points:
 * :func:`run_global_execution` — replay one execution's merged disk
   stream against the system-wide predictor (Global Shutdown Predictor
   over per-process locals, or an omniscient Ideal/Base policy), driving
-  the simulated disk for energy accounting (Figures 7–10).
+  the simulated disk for energy accounting (Figures 7–10).  This is the
+  readable reference every fused lane is checked against, and the
+  tracing, multistate and serve path;
+* :func:`build_replay_tape` — one sequential pass over an execution's
+  merged schedule that records the predictor-independent part of
+  :func:`run_global_execution` as a
+  :class:`~repro.sim.columnar.ColumnarTape`, which the fused kernel
+  (:mod:`repro.sim.fused`) replays once per predictor.
 
 Decision semantics: after each access a process's predictor leaves a
 standing :class:`~repro.predictors.base.ShutdownIntent`; the disk is shut
@@ -41,6 +48,7 @@ from repro.disk.multistate import MultiStateDisk
 from repro.disk.energy import EnergyBreakdown
 from repro.errors import SimulationError
 from repro.predictors.base import (
+    IdleClass,
     IdleFeedback,
     LocalPredictor,
     PredictorSource,
@@ -154,86 +162,7 @@ def merged_schedule(
 # energy).  Every boundary predicate and every float expression matches
 # the classic loop exactly, which is what makes fused results
 # bit-identical.
-#
-# Two builders produce byte-identical columns: ``_build_tape_vectorized``
-# computes the access columns as whole-array expressions over the
-# columnar access view (falling back to a minimal scalar recurrence for
-# the busy clock only when back-to-back serialization occurs) with a
-# small boundary loop at liveness events, and ``_build_tape_sequential``
-# is the straight-line port of the historical per-step builder, kept as
-# the fallback for shapes the vector pass declines (and as the oracle
-# the test suite byte-diffs the vector builder against).
 # ---------------------------------------------------------------------------
-
-
-#: Historical name of the tape type (pre-columnar tuple-list API); the
-#: columnar tape replaced it in place, so the alias keeps imports alive.
-ReplayTape = ColumnarTape
-
-
-class _VectorUnsupported(Exception):
-    """Internal: the vectorized tape builder declines this execution."""
-
-
-#: Access count below which :func:`build_replay_tape` skips the
-#: vectorized builder (measured crossover vs the sequential one).
-_VECTOR_BUILD_MIN_ACCESSES = 256
-
-
-def build_replay_tape(
-    execution: ExecutionLike,
-    filtered: FilterResult,
-    config: SimulationConfig,
-) -> ColumnarTape:
-    """Build the shared replay skeleton of one execution (see
-    :class:`~repro.sim.columnar.ColumnarTape`): one vectorized pass over
-    the columnar access view, mirroring ``_run_local_based`` +
-    :class:`~repro.disk.disk.SimulatedDisk` expression for expression.
-    The returned tape is bound to ``filtered.accesses`` (the generic
-    replay lane resolves ``access_index`` through it).
-
-    Short executions take the sequential builder directly: the
-    vectorized pass carries a fixed NumPy dispatch cost that only pays
-    for itself past a few hundred accesses (the same crossover as the
-    replay lanes' :data:`~repro.sim.fused.VECTOR_MIN_STEPS`).  Both
-    builders emit byte-identical tapes, so the cutoff is purely a
-    performance knob."""
-    tape = None
-    if len(filtered.accesses) >= _VECTOR_BUILD_MIN_ACCESSES:
-        try:
-            tape = _build_tape_vectorized(execution, filtered, config)
-        except _VectorUnsupported:
-            tape = None
-    if tape is None:
-        tape = _build_tape_sequential(execution, filtered, config)
-    tape.bind_accesses(filtered.accesses)
-    return tape
-
-
-def _set_tape_finals(
-    tape: ColumnarTape,
-    config: SimulationConfig,
-    end: float,
-    busy_until: float,
-    window_start: float,
-    anchors: dict,
-) -> None:
-    """Fill the trailing-gap scalars shared by both tape builders."""
-    idle_power = config.disk.idle_power
-    breakeven = config.breakeven
-    tape.end_can_fire = end > busy_until + _EPS
-    trailing = end - busy_until
-    tape.end_record = trailing > _EPS
-    tape.trailing = trailing
-    tape.final_window_start = window_start
-    tape.final_busy_until = busy_until
-    gap_end = end if end > busy_until else busy_until
-    tape.final_gap_end = gap_end
-    tape.final_idle_full = idle_power * (gap_end - busy_until)
-    tape.final_long = gap_end - busy_until > breakeven
-    tape.final_anchor_max = (
-        max(anchors.values()) if (tape.end_can_fire and anchors) else None
-    )
 
 
 def _classify_code(
@@ -254,21 +183,22 @@ def _classify_code(
     return -1
 
 
-def _build_tape_sequential(
+def build_replay_tape(
     execution: ExecutionLike,
     filtered: FilterResult,
     config: SimulationConfig,
 ) -> ColumnarTape:
-    """Column-filling port of the historical per-step tape builder.
+    """Build the shared replay skeleton of one execution (see
+    :class:`~repro.sim.columnar.ColumnarTape`).
 
-    The same pass also assembles the loop lanes' step views (see
-    :meth:`~repro.sim.columnar.ColumnarTape.replay_views`) — every
-    per-step value is already in a local, so building the tuples here
-    costs a fraction of a second post-build pass over the columns, and
-    short executions (the ones routed to this builder) replay mostly
-    through those views."""
-    from repro.predictors.base import IdleClass, IdleFeedback
-
+    One pass over the merged schedule, mirroring ``_run_local_based`` +
+    :class:`~repro.disk.disk.SimulatedDisk` expression for expression,
+    fills the tape columns.  The same pass assembles the lanes' step
+    views (see :meth:`~repro.sim.columnar.ColumnarTape.replay_views`):
+    every per-step value is already in a local, so building the tuples
+    here costs a fraction of a post-build pass over the columns.  The
+    returned tape is bound to ``filtered.accesses`` (the generic replay
+    lane resolves ``access_index`` through it)."""
     fb_classes = (IdleClass.SUB_WINDOW, IdleClass.SHORT, IdleClass.LONG)
     schedule = merged_schedule(execution, filtered)
     durations = filtered.columnar().durations_list(config)
@@ -501,278 +431,19 @@ def _build_tape_sequential(
     # keeps the memo (a pickled clone still starts unbound).
     tape._accesses = filtered.accesses
     tape._views = views
-    _set_tape_finals(tape, config, end, busy_until, window_start, anchors)
-    return tape
-
-
-def _build_tape_vectorized(
-    execution: ExecutionLike,
-    filtered: FilterResult,
-    config: SimulationConfig,
-) -> Optional[ColumnarTape]:
-    """Whole-array tape builder over ``filtered.columnar()``.
-
-    The per-access columns (gap boundaries, idle energies, try-shutdown
-    gates, feedback classes) are elementwise expressions of the access
-    times and the busy clock; the busy clock itself is ``times +
-    durations`` whenever no access is serialized behind its predecessor,
-    and otherwise falls back to a minimal scalar recurrence (the
-    prefix-sum alternative would reassociate additions and break bit
-    identity).  Liveness events only touch the columns at their schedule
-    positions, so they run as a small boundary loop over contiguous
-    access segments (each segment's ``anchor_max``/``register``/feedback
-    columns vectorize) and the final columns are assembled with one
-    ``np.insert`` per column.  When the execution has no liveness events
-    the access arrays *are* the tape columns — zero copies.
-
-    Raises :class:`_VectorUnsupported` (caught by the caller) for the
-    handful of shapes the sequential builder handles more simply: empty
-    access streams, executions with no initial pids, an access before
-    the execution start, a non-monotone busy clock, or an anchor set
-    that goes empty mid-stream.
-    """
-    cols = filtered.columnar()
-    n = len(cols.times)
-    initial_pids = tuple(execution.initial_pids)
-    if n == 0 or not initial_pids:
-        raise _VectorUnsupported
-    params = config.disk
-    busy_power = params.busy_power
-    idle_power = params.idle_power
-    breakeven = config.breakeven
-    wait_window = config.wait_window
-    start, end = execution.start_time, execution.end_time
-
-    t = cols.times
-    if t[0] < start or np.any(t[1:] < t[:-1]):
-        raise _VectorUnsupported
-    d = np.asarray(cols.durations_list(config), dtype=np.float64)
-
-    # Busy clock: candidate assumes no serialization; keep it if every
-    # access lands at-or-after its predecessor's completion (within EPS —
-    # the engine's back-to-back predicate), else replay the recurrence
-    # scalar (the only sequential dependency in the whole build).
-    busy_cand = t + d
-    prev_cand = np.empty(n, dtype=np.float64)
-    prev_cand[0] = start
-    prev_cand[1:] = busy_cand[:-1]
-    if np.all(t >= prev_cand - _EPS):
-        busy_after = busy_cand
-        prev_busy = prev_cand
-    else:
-        t_l = t.tolist()
-        d_l = d.tolist()
-        prev_l = []
-        busy = start
-        for i in range(n):
-            prev_l.append(busy)
-            ti = t_l[i]
-            if ti < busy - _EPS:
-                busy = busy + d_l[i]
-            else:
-                busy = ti + d_l[i]
-        prev_busy = np.array(prev_l, dtype=np.float64)
-        busy_after = np.where(t < prev_busy - _EPS, prev_busy + d, t + d)
-    if np.any(busy_after[1:] < busy_after[:-1]):
-        raise _VectorUnsupported
-
-    # Elementwise access columns (uniform formulas — for back-to-back
-    # steps gap_end - prev_busy is exactly +0.0, so idle_full and
-    # long_period reduce to the scalar builder's hardcoded 0.0/False).
-    can_fire = t > prev_busy + _EPS
-    gap_length = t - prev_busy
-    record = gap_length > _EPS
-    gap_end = np.where(t > prev_busy, t, prev_busy)
-    rel = gap_end - prev_busy
-    idle_full = idle_power * rel
-    long_period = rel > breakeven
-    op_col = np.where(can_fire | record, TAPE_GAP, TAPE_SIMPLE).astype(
-        np.uint8
-    )
-    pids = cols.pids
-
-    # Per-process predecessor (within the access stream): feedback gaps
-    # start at the previous access's completion.
-    prev_same = np.full(n, -1, dtype=np.int64)
-    for idx in cols.per_process_indices().values():
-        prev_same[idx[1:]] = idx[:-1]
-    anchor_val = np.where(
-        prev_same >= 0, busy_after[np.maximum(prev_same, 0)], np.nan
-    )
-
-    # Liveness events, sorted exactly like merged_schedule (stable on
-    # (time, rank)), with each event's schedule position in the access
-    # stream: forks precede same-time accesses, exits follow them.
-    liv_entries: list[tuple[float, int, int, object]] = []
-    for order, event in enumerate(execution.liveness_events()):
-        if isinstance(event, ForkEvent):
-            liv_entries.append((event.time, 0, order, event))
-        elif isinstance(event, ExitEvent):
-            liv_entries.append((event.time, 2, order, event))
-    liv_entries.sort(key=lambda item: (item[0], item[1], item[2]))
-    l_pos = [
-        int(np.searchsorted(t, T, side="left" if rank == 0 else "right"))
-        for (T, rank, _order, _event) in liv_entries
-    ]
-
-    anchors: dict[int, float] = dict.fromkeys(initial_pids, start)
-    register = np.zeros(n, dtype=bool)
-    anchor_max = np.full(n, np.nan)
-    ws_col = prev_busy.copy() if liv_entries else prev_busy
-    nan = float("nan")
-
-    # Per-liveness-step column values, in schedule order.
-    lv_op: list[int] = []
-    lv_t: list[float] = []
-    lv_cf: list[bool] = []
-    lv_ws: list[float] = []
-    lv_bu: list[float] = []
-    lv_pid: list[int] = []
-    lv_reg: list[bool] = []
-    lv_am: list[float] = []
-    lv_fs: list[float] = []
-    lv_fe: list[float] = []
-    lv_fc: list[int] = []
-
-    state = {"ws": start}
-
-    def flush_segment(lo: int, hi: int) -> None:
-        """Resolve anchors/register/anchor_max over accesses [lo, hi)."""
-        if lo >= hi:
-            return
-        if not anchors:
-            raise _VectorUnsupported
-        carry = max(anchors.values())
-        seg_prev = prev_busy[lo:hi]
-        am_seg = np.maximum(carry, seg_prev)
-        # Within a segment prev_busy[i] equals busy_after[i-1], which is
-        # the anchor the access at i-1 just wrote, so the running max is
-        # max(carry, prev_busy[i]) — except at the segment head, where
-        # prev_busy may belong to a pid an exit just removed.
-        am_seg[0] = carry
-        anchor_max[lo:hi] = np.where(can_fire[lo:hi], am_seg, np.nan)
-        seg_pids = pids[lo:hi]
-        uniq, first = np.unique(seg_pids, return_index=True)
-        for pid_v, fpos in zip(uniq.tolist(), first.tolist()):
-            i = lo + fpos
-            known = anchors.get(pid_v)
-            if known is None:
-                register[i] = True
-                anchor_val[i] = np.nan
-            else:
-                anchor_val[i] = known
-        anchors.update(
-            zip(seg_pids.tolist(), busy_after[lo:hi].tolist())
-        )
-        state["ws"] = float(busy_after[hi - 1])
-
-    seg_lo = 0
-    for (T, rank, _order, event), a in zip(liv_entries, l_pos):
-        flush_segment(seg_lo, a)
-        seg_lo = a
-        bu = float(prev_busy[a]) if a < n else float(busy_after[-1])
-        cf = T > bu + _EPS
-        pid = event.pid
-        if rank == 0:
-            is_new = pid not in anchors
-            am = max(anchors.values()) if (cf and anchors) else None
-            lv_op.append(TAPE_FORK)
-            lv_reg.append(is_new)
-            lv_fs.append(nan)
-            lv_fe.append(nan)
-            lv_fc.append(-1)
-            if is_new:
-                anchors[pid] = T
-        else:
-            anchor = anchors.get(pid)
-            if anchor is None:
-                raise SimulationError(f"exit of unknown pid {pid}")
-            am = max(anchors.values()) if (cf and anchors) else None
-            del anchors[pid]
-            lv_op.append(TAPE_EXIT)
-            lv_reg.append(False)
-            lv_fs.append(anchor)
-            lv_fe.append(T)
-            lv_fc.append(_classify_code(T - anchor, wait_window, breakeven))
-        lv_t.append(T)
-        lv_cf.append(cf)
-        lv_ws.append(state["ws"])
-        lv_bu.append(bu)
-        lv_pid.append(pid)
-        lv_am.append(nan if am is None else am)
-        if T > state["ws"]:
-            state["ws"] = T
-        if a < n:
-            ws_col[a] = state["ws"]
-    flush_segment(seg_lo, n)
-
-    # Feedback columns for accesses (NaN anchors compare False, which
-    # the has-feedback mask already excludes).
-    with np.errstate(invalid="ignore"):
-        fb_len = t - anchor_val
-        has_fb = (~register) & (fb_len > 1e-9)
-        fb_code = np.where(
-            fb_len > breakeven,
-            FB_LONG,
-            np.where(fb_len > wait_window, FB_SHORT, FB_SUB_WINDOW),
-        )
-    fb_class = np.where(has_fb, fb_code, -1).astype(np.int8)
-
-    tape = ColumnarTape()
-    tape.start = start
-    tape.end = end
-    tape.initial_pids = initial_pids
-    tape.n_accesses = n
-    if liv_entries:
-        pos = l_pos
-        tape.op = np.insert(op_col, pos, np.asarray(lv_op, dtype=np.uint8))
-        tape.times = np.insert(t, pos, lv_t)
-        tape.can_fire = np.insert(can_fire, pos, lv_cf)
-        tape.record = np.insert(record, pos, False)
-        tape.window_start = np.insert(ws_col, pos, lv_ws)
-        tape.busy_until = np.insert(prev_busy, pos, lv_bu)
-        tape.gap_length = np.insert(gap_length, pos, 0.0)
-        tape.idle_full = np.insert(idle_full, pos, 0.0)
-        tape.long_period = np.insert(long_period, pos, False)
-        tape.gap_end = np.insert(gap_end, pos, 0.0)
-        tape.busy_after = np.insert(busy_after, pos, 0.0)
-        tape.register = np.insert(register, pos, lv_reg)
-        tape.pids = np.insert(pids, pos, lv_pid)
-        tape.access_index = np.insert(
-            np.arange(n, dtype=np.int64), pos, -1
-        )
-        tape.anchor_max = np.insert(anchor_max, pos, lv_am)
-        tape.fb_start = np.insert(anchor_val, pos, lv_fs)
-        tape.fb_end = np.insert(t, pos, lv_fe)
-        tape.fb_class = np.insert(
-            fb_class, pos, np.asarray(lv_fc, dtype=np.int8)
-        )
-    else:
-        # No liveness: the access arrays ARE the tape columns
-        # (times/pids stay zero-copy views of the columnar access view).
-        tape.op = op_col
-        tape.times = t
-        tape.can_fire = can_fire
-        tape.record = record
-        tape.window_start = ws_col
-        tape.busy_until = prev_busy
-        tape.gap_length = gap_length
-        tape.idle_full = idle_full
-        tape.long_period = long_period
-        tape.gap_end = gap_end
-        tape.busy_after = busy_after
-        tape.register = register
-        tape.pids = pids
-        tape.access_index = np.arange(n, dtype=np.int64)
-        tape.anchor_max = anchor_max
-        tape.fb_start = anchor_val
-        tape.fb_end = t
-        tape.fb_class = fb_class
-    tape.busy_energy = (
-        float(np.add.accumulate(busy_power * d)[-1]) if n else 0.0
-    )
-    _set_tape_finals(
-        tape, config, end, float(busy_after[-1]), state["ws"], anchors
+    # Trailing gap: the final try-point and the finalize ledger's gap.
+    tape.end_can_fire = end > busy_until + _EPS
+    trailing = end - busy_until
+    tape.end_record = trailing > _EPS
+    tape.trailing = trailing
+    tape.final_window_start = window_start
+    tape.final_busy_until = busy_until
+    gap_end = end if end > busy_until else busy_until
+    tape.final_gap_end = gap_end
+    tape.final_idle_full = idle_power * (gap_end - busy_until)
+    tape.final_long = gap_end - busy_until > breakeven
+    tape.final_anchor_max = (
+        max(anchors.values()) if (tape.end_can_fire and anchors) else None
     )
     return tape
 

@@ -3,11 +3,10 @@
 The tape is the shared per-execution skeleton every fused lane replays;
 its contract has three legs, all exercised here at the edges:
 
-* the vectorized builder and the sequential (historical-loop) builder
-  produce byte-identical columns and scalars for every shape the
-  vectorized path accepts, and replaying either tape matches the
-  classic engine bit for bit — including empty executions, zero-gap
-  (all ``TAPE_SIMPLE``) streams, and single-access processes;
+* the tape :func:`~repro.sim.engine.build_replay_tape` builds replays
+  bit-identically to the classic engine for one lane of each kind —
+  including empty executions, fork/exit boundaries, zero-gap (all
+  ``TAPE_SIMPLE``) streams, and single-access processes;
 * store-backed builds are identical across degenerate chunk sizes
   (1–3 rows) and never decode event objects — the page-cache filter
   and the tape builder both run off the memmapped columns; and
@@ -32,13 +31,7 @@ from repro.sim.columnar import (
     TAPE_SIMPLE,
     ColumnarTape,
 )
-from repro.sim.engine import (
-    _build_tape_sequential,
-    _build_tape_vectorized,
-    _VectorUnsupported,
-    build_replay_tape,
-    run_global_execution,
-)
+from repro.sim.engine import build_replay_tape, run_global_execution
 from repro.sim.fused import replay_execution
 from repro.traces.store import StoreWriter, TraceStore, pack_trace
 from repro.traces.trace import ExecutionTrace
@@ -50,14 +43,10 @@ from .helpers import single_process_execution, two_process_execution
 LANES = ("TP", "Base", "Ideal", "PCAP")
 
 
-def build_both(execution, config):
-    """(vectorized tape or None, sequential tape) for one execution."""
+def build(execution, config):
+    """(tape, filter result) of one execution."""
     filtered = filter_execution(execution)
-    try:
-        vector = _build_tape_vectorized(execution, filtered, config)
-    except _VectorUnsupported:
-        vector = None
-    return vector, _build_tape_sequential(execution, filtered, config), filtered
+    return build_replay_tape(execution, filtered, config), filtered
 
 
 def assert_tapes_bitwise_equal(a: ColumnarTape, b: ColumnarTape) -> None:
@@ -79,30 +68,31 @@ def assert_tapes_bitwise_equal(a: ColumnarTape, b: ColumnarTape) -> None:
 
 
 def assert_replay_matches_classic(execution, filtered, tape, config):
-    """Tape replay (vector and loop) equals the classic engine per lane."""
+    """Each lane's tape replay equals the classic engine bit for bit.
+
+    ``repr`` spells every float in its shortest round-trip form, so
+    equal strings mean equal bits (signed zeros included).
+    """
     for name in LANES:
         classic = run_global_execution(
             execution, filtered, make_spec(name, config), config
         )
-        for vectorized in (True, False):
-            replayed = replay_execution(
-                tape, make_spec(name, config), config, vectorized=vectorized
-            )
-            assert replayed == classic, (name, vectorized)
+        replayed = replay_execution(tape, make_spec(name, config), config)
+        assert repr(replayed) == repr(classic), name
 
 
 class TestBuilderEquivalence:
+    """The built tape replays like ``run_global_execution``."""
+
     def test_single_process_trace(self):
         config = SimulationConfig()
         execution = single_process_execution(
             [(1.0, 0x10), (9.0, 0x20), (40.0, 0x30), (41.0, 0x10)],
             end_time=90.0,
         )
-        vector, sequential, filtered = build_both(execution, config)
-        assert vector is not None
-        assert_tapes_bitwise_equal(vector, sequential)
-        vector.bind_accesses(filtered.accesses)
-        assert_replay_matches_classic(execution, filtered, vector, config)
+        tape, filtered = build(execution, config)
+        assert tape.n_accesses == 4
+        assert_replay_matches_classic(execution, filtered, tape, config)
 
     def test_fork_exit_trace(self):
         config = SimulationConfig()
@@ -111,11 +101,10 @@ class TestBuilderEquivalence:
             [(2.0, 0x40), (31.0, 0x50)],
             end_time=100.0,
         )
-        vector, sequential, filtered = build_both(execution, config)
-        assert vector is not None
-        assert_tapes_bitwise_equal(vector, sequential)
-        vector.bind_accesses(filtered.accesses)
-        assert_replay_matches_classic(execution, filtered, vector, config)
+        tape, filtered = build(execution, config)
+        liveness = tape.access_index < 0
+        assert int(liveness.sum()) == 3  # one fork, two exits
+        assert_replay_matches_classic(execution, filtered, tape, config)
 
     def test_generated_workloads(self):
         """Every execution of two representative generated apps."""
@@ -124,18 +113,11 @@ class TestBuilderEquivalence:
             trace = build_application_trace(
                 application_spec(name), scale=0.25
             )
-            vectorized_builds = 0
             for execution in trace:
-                vector, sequential, filtered = build_both(execution, config)
-                if vector is not None:
-                    vectorized_builds += 1
-                    assert_tapes_bitwise_equal(vector, sequential)
-                sequential.bind_accesses(filtered.accesses)
+                tape, filtered = build(execution, config)
                 assert_replay_matches_classic(
-                    execution, filtered, sequential, config
+                    execution, filtered, tape, config
                 )
-            # The fast path must actually engage on realistic traces.
-            assert vectorized_builds > 0
 
 
 class TestEdgeCases:
@@ -147,11 +129,8 @@ class TestEdgeCases:
             events=[],
             initial_pids=frozenset({100}),
         )
-        filtered = filter_execution(execution)
+        tape, filtered = build(execution, config)
         assert filtered.accesses == []
-        with pytest.raises(_VectorUnsupported):
-            _build_tape_vectorized(execution, filtered, config)
-        tape = build_replay_tape(execution, filtered, config)
         assert len(tape) == 0
         assert tape.n_accesses == 0
         assert tape.busy_energy == 0.0
@@ -165,30 +144,29 @@ class TestEdgeCases:
         execution = single_process_execution(
             [(time, 0x10) for time in times], end_time=times[-1] + step
         )
-        vector, sequential, filtered = build_both(execution, config)
-        assert vector is not None
-        assert_tapes_bitwise_equal(vector, sequential)
-        access_steps = vector.access_index >= 0
-        assert (vector.op[access_steps] == TAPE_SIMPLE).all()
-        assert not vector.can_fire[access_steps].any()
-        assert not vector.record[access_steps].any()
-        vector.bind_accesses(filtered.accesses)
-        assert_replay_matches_classic(execution, filtered, vector, config)
+        tape, filtered = build(execution, config)
+        access_steps = tape.access_index >= 0
+        assert (tape.op[access_steps] == TAPE_SIMPLE).all()
+        assert not tape.can_fire[access_steps].any()
+        assert not tape.record[access_steps].any()
+        assert_replay_matches_classic(execution, filtered, tape, config)
 
     def test_single_access_processes(self):
-        """Each process touches the disk exactly once: every access is
-        the first of its pid (register=True, no feedback)."""
+        """Each process touches the disk exactly once: every access's
+        feedback gap starts at its process's creation (the execution
+        start for the initial pid, the fork for the helper)."""
         config = SimulationConfig()
         execution = two_process_execution(
             [(1.0, 0x10)], [(50.0, 0x20)], end_time=120.0
         )
-        vector, sequential, filtered = build_both(execution, config)
-        assert vector is not None
-        assert_tapes_bitwise_equal(vector, sequential)
-        access_pids = vector.pids[vector.access_index >= 0]
-        assert sorted(access_pids.tolist()) == [100, 101]
-        vector.bind_accesses(filtered.accesses)
-        assert_replay_matches_classic(execution, filtered, vector, config)
+        tape, filtered = build(execution, config)
+        access_steps = tape.access_index >= 0
+        assert sorted(tape.pids[access_steps].tolist()) == [100, 101]
+        assert not tape.register[access_steps].any()
+        assert tape.fb_start[access_steps].tolist() == [
+            execution.start_time, 0.01,
+        ]
+        assert_replay_matches_classic(execution, filtered, tape, config)
 
 
 class TestStoreBackedBuilds:
@@ -230,8 +208,7 @@ class TestStoreBackedBuilds:
         built = 0
         for execution in store.trace("nedit"):
             filtered = filter_execution(execution)
-            tape = _build_tape_vectorized(execution, filtered, config)
-            assert tape is not None
+            build_replay_tape(execution, filtered, config)
             built += 1
         assert built > 0
 
@@ -300,7 +277,7 @@ class TestTapeValueSemantics:
         )
         filtered = filter_execution(execution)
         tape = pickle.loads(
-            pickle.dumps(_build_tape_sequential(execution, filtered, config))
+            pickle.dumps(build_replay_tape(execution, filtered, config))
         )
         with pytest.raises(ValueError, match="bind_accesses"):
             tape.replay_views()
@@ -308,8 +285,8 @@ class TestTapeValueSemantics:
         assert tape.replay_views()
 
     def test_inline_views_match_column_rebuild(self):
-        """The sequential builder's inline step views equal the tuples a
-        memo-free clone rebuilds from the columns."""
+        """The builder's inline step views equal the tuples a memo-free
+        clone rebuilds from the columns."""
         config = SimulationConfig()
         execution = two_process_execution(
             [(1.0, 0x10), (30.0, 0x20), (75.0, 0x30)],
@@ -317,7 +294,7 @@ class TestTapeValueSemantics:
             end_time=100.0,
         )
         filtered = filter_execution(execution)
-        tape = _build_tape_sequential(execution, filtered, config)
+        tape = build_replay_tape(execution, filtered, config)
         clone = pickle.loads(pickle.dumps(tape))
         clone.bind_accesses(filtered.accesses)
         assert tape.replay_views() == clone.replay_views()

@@ -22,10 +22,10 @@ differs by even a bit:
 * adversarial duplicate/shadowed lane sets — the same lane twice, and
   distinct lanes hiding behind one label — each fused lane diffed
   against an independent classic run of an equivalent fresh spec, and
-* the vectorized lanes themselves: every registry predictor replayed
-  over the shared columnar tape with ``vectorized=True`` and
-  ``vectorized=False`` (the scalar loop lanes), execution by
-  execution.
+* the lanes themselves, execution by execution: every registry
+  predictor's ``replay_execution`` over each execution's shared tape
+  against ``run_global_execution`` on that execution, each side with
+  its own fresh spec and ``on_execution_end`` hooks in the same order.
 
 On mismatch the script prints a unified diff of the two result tables
 (one line per application × variant, every result field) and exits
@@ -56,7 +56,7 @@ from repro.predictors.registry import (
     ski_spec,
     tp_spec,
 )
-from repro.sim.engine import build_replay_tape
+from repro.sim.engine import build_replay_tape, run_global_execution
 from repro.sim.fused import replay_execution, run_fused_cells
 from repro.sim.parallel import ParallelExperimentRunner, fork_available
 from repro.sim.sweep import sweep
@@ -160,18 +160,18 @@ def adversarial_pass(runner, config, jobs: int) -> bool:
     )
 
 
-def vector_lane_pass(runner, config) -> bool:
-    """Vectorized array-program lanes vs the scalar loop lanes.
+def lane_pass(runner, config) -> bool:
+    """Each lane's per-execution replay vs the classic engine.
 
     Replays every execution's shared tape under every registry
-    predictor twice — ``vectorized=True`` and ``vectorized=False`` —
-    with independent fresh specs, and byte-diffs the per-execution
-    results.  This is the direct DESIGN §10 contract check for the
-    constant-intent and omniscient array programs (generic lanes take
-    the same loop either way and double as a determinism check).
+    predictor and runs ``run_global_execution`` on the same execution
+    with an independent fresh spec, calling ``on_execution_end`` on
+    both specs in the same order, and byte-diffs the per-execution
+    results.  This is the direct DESIGN §10 contract check for each
+    lane, at a finer grain than the application-level passes below.
     """
-    vector_lines = []
-    loop_lines = []
+    fused_lines = []
+    classic_lines = []
     for application in runner.applications:
         lanes = [
             (name, make_spec(name, config), make_spec(name, config))
@@ -179,25 +179,24 @@ def vector_lane_pass(runner, config) -> bool:
         ]
         for execution, filtered in runner.iter_filtered(application):
             tape = build_replay_tape(execution, filtered, config)
-            for name, spec_vector, spec_loop in lanes:
+            for name, spec_fused, spec_classic in lanes:
                 prefix = (
                     f"{application}[{execution.execution_index}] × {name}: "
                 )
-                result = replay_execution(
-                    tape, spec_vector, config, vectorized=True
+                result = replay_execution(tape, spec_fused, config)
+                fused_lines.append(prefix + describe_result(result))
+                result = run_global_execution(
+                    execution, filtered, spec_classic, config
                 )
-                vector_lines.append(prefix + describe_result(result))
-                result = replay_execution(
-                    tape, spec_loop, config, vectorized=False
-                )
-                loop_lines.append(prefix + describe_result(result))
-            for _, spec_vector, spec_loop in lanes:
-                spec_vector.on_execution_end()
-                spec_loop.on_execution_end()
+                classic_lines.append(prefix + describe_result(result))
+            for _, spec_fused, spec_classic in lanes:
+                spec_fused.on_execution_end()
+                spec_classic.on_execution_end()
     return check(
-        "vectorized lanes vs loop lanes (all registry predictors)",
-        vector_lines,
-        loop_lines,
+        "per-execution lanes vs run_global_execution "
+        "(all registry predictors)",
+        fused_lines,
+        classic_lines,
     )
 
 
@@ -210,7 +209,7 @@ def main() -> int:
     if len(job_counts) == 1:
         print("note: fork unavailable, pooled runs skipped", file=sys.stderr)
 
-    ok = vector_lane_pass(runner, config)
+    ok = lane_pass(runner, config)
 
     def tp_timeout(value, cfg):
         return tp_spec(cfg, timeout=value, name=f"TP({value:g}s)")
