@@ -13,7 +13,7 @@ from conftest import ABLATION_SCALE, JOBS, run_once
 
 from repro.cache.page_cache import CacheConfig
 from repro.config import SimulationConfig
-from repro.sim.parallel import ParallelExperimentRunner
+from repro.sim.experiment import ExperimentRunner
 from repro.sim.sweep import sweep
 from repro.workloads import build_suite
 
@@ -21,7 +21,7 @@ SIZES_KB = (64, 256, 1024, 4096)
 
 
 def test_ablation_cache_size(benchmark):
-    runner = ParallelExperimentRunner(
+    runner = ExperimentRunner(
         build_suite(scale=ABLATION_SCALE), jobs=JOBS
     )
 

@@ -14,7 +14,7 @@ reduced scale to catch API drift quickly.
 Suite-level runs fan out across worker processes by default: the
 ``jobs`` fixture reads ``REPRO_JOBS`` (0 = all cores) and falls back to
 the machine's core count, and both runner fixtures are
-:class:`~repro.sim.parallel.ParallelExperimentRunner` instances, so the
+:class:`~repro.sim.experiment.ExperimentRunner` instances, so the
 figure/table benches and the ablation sweeps all use the parallel
 execution layer.  Results are bit-identical to serial runs (the layer
 merges per-cell results in a fixed order).
@@ -27,7 +27,8 @@ import os
 import pytest
 
 from repro.config import JOBS_ENV_VAR, SimulationConfig
-from repro.sim.parallel import ParallelExperimentRunner, resolve_jobs
+from repro.sim.experiment import ExperimentRunner
+from repro.sim.parallel import resolve_jobs
 from repro.workloads import build_suite
 
 
@@ -59,20 +60,20 @@ def config() -> SimulationConfig:
 
 
 @pytest.fixture(scope="session")
-def full_runner(config) -> ParallelExperimentRunner:
+def full_runner(config) -> ExperimentRunner:
     """Full-scale suite + runner shared by the table/figure benches.
 
     The runner memoizes the cache-filtering pass; predictor state is per
     spec, so benches do not interfere with one another.
     """
-    return ParallelExperimentRunner(
+    return ExperimentRunner(
         build_suite(scale=FULL_SCALE), config, jobs=JOBS
     )
 
 
 @pytest.fixture(scope="session")
-def ablation_runner(config) -> ParallelExperimentRunner:
-    return ParallelExperimentRunner(
+def ablation_runner(config) -> ExperimentRunner:
+    return ExperimentRunner(
         build_suite(scale=ABLATION_SCALE), config, jobs=JOBS
     )
 

@@ -15,7 +15,7 @@ len(TIMEOUTS) × 6 application cells plus 6 shared baseline cells).
 import sys
 import time
 
-from repro import ParallelExperimentRunner, SimulationConfig, build_suite
+from repro import ExperimentRunner, SimulationConfig, build_suite
 from repro.predictors.registry import tp_spec
 from repro.sim.parallel import stderr_progress
 from repro.sim.sweep import render_sweep, sweep
@@ -25,7 +25,7 @@ TIMEOUTS = (2.0, 5.445, 10.0, 20.0, 60.0)
 
 def main() -> None:
     jobs = int(sys.argv[1]) if len(sys.argv) > 1 else 0
-    runner = ParallelExperimentRunner(
+    runner = ExperimentRunner(
         build_suite(scale=0.3), SimulationConfig(), jobs=jobs
     )
     print(f"sweeping TP timeouts {TIMEOUTS} over {len(runner.suite)} "

@@ -14,7 +14,7 @@ across worker processes with results identical to a serial run.
 import sys
 import time
 
-from repro import ParallelExperimentRunner, SimulationConfig, build_suite
+from repro import ExperimentRunner, SimulationConfig, build_suite
 from repro.analysis import (
     all_checks,
     build_fig6,
@@ -40,7 +40,7 @@ def main() -> None:
     config = SimulationConfig()
     started = time.time()
     print(f"generating the six-application suite at scale {scale} ...")
-    runner = ParallelExperimentRunner(
+    runner = ExperimentRunner(
         build_suite(scale=scale), config, jobs=jobs
     )
     if runner.jobs > 1:

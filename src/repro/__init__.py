@@ -52,7 +52,6 @@ from repro.predictors import (
 from repro.sim import (
     ApplicationResult,
     ExperimentRunner,
-    ParallelExperimentRunner,
     PredictionStats,
     SimulationConfig,
     paper_config,
@@ -79,7 +78,6 @@ __all__ = [
     "PCAPPredictor",
     "PCAPVariant",
     "PageCache",
-    "ParallelExperimentRunner",
     "PredictionStats",
     "PredictionTable",
     "PredictorSpec",

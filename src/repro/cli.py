@@ -93,7 +93,7 @@ from repro.sim.artifact_cache import (
     resolve_cache,
 )
 from repro.sim.experiment import ExperimentRunner
-from repro.sim.parallel import ParallelExperimentRunner, stderr_progress
+from repro.sim.parallel import stderr_progress
 from repro.sim.tracing import TraceRecorder, write_jsonl
 from repro.traces.io_format import (
     read_application_trace,
@@ -121,7 +121,7 @@ def _runner(args, applications: Optional[tuple[str, ...]] = None):
         )
         generated = True
     jobs = getattr(args, "jobs", None)
-    runner = ParallelExperimentRunner(
+    runner = ExperimentRunner(
         suite, SimulationConfig(), jobs=jobs, artifact_cache=cache
     )
     if cache is not None and generated:
@@ -132,7 +132,7 @@ def _runner(args, applications: Optional[tuple[str, ...]] = None):
         runner.declare_fingerprints(
             generated_suite_fingerprints(args.scale, tuple(suite))
         )
-    if runner.jobs > 1 and getattr(args, "progress", False):
+    if getattr(args, "progress", False):
         runner.progress = stderr_progress
     return runner
 
@@ -496,8 +496,6 @@ def _cmd_run(args) -> int:
     predictors = args.predictor or ["PCAP"]
     apps = tuple(args.app) if args.app else APPLICATIONS
     runner = _runner(args, applications=apps)
-    if args.progress:
-        runner.progress = stderr_progress
     policy = ResiliencePolicy(
         max_attempts=args.retries + 1,
         cell_timeout=args.cell_timeout,
@@ -536,8 +534,6 @@ def _cmd_fleet(args) -> int:
     predictors = args.predictor or ["PCAP"]
     apps = tuple(args.app) if args.app else APPLICATIONS
     runner = _runner(args, applications=apps)
-    if args.progress:
-        runner.progress = stderr_progress
     devices = replicate_devices(apps, args.devices)
     policy = ResiliencePolicy(
         max_attempts=args.retries + 1,
@@ -554,7 +550,7 @@ def _cmd_fleet(args) -> int:
         tables=args.tables,
         jobs=runner.jobs,
         progress=runner.progress,
-        resilience=policy,
+        policy=policy,
         checkpoint=checkpoint,
     )
     workload = (
@@ -580,8 +576,8 @@ def _cmd_fleet(args) -> int:
                   f"{item.energy:>10.1f} J {delay * 1e3:>8.3f} ms "
                   f"{item.shutdowns:>5d} shutdowns")
     if checkpoint:
-        resumed = result.ledger.resumed if result.ledger is not None else 0
-        print(f"checkpoint: {checkpoint} ({resumed} cell(s) resumed)")
+        print(f"checkpoint: {checkpoint} "
+              f"({result.ledger.resumed} cell(s) resumed)")
     return 0
 
 
@@ -689,8 +685,6 @@ def _cmd_faults(args) -> int:
         else:
             args.jobs = 1
         runner = _runner(args)
-        if args.progress:
-            runner.progress = stderr_progress
         policy = ResiliencePolicy(
             max_attempts=2, cell_timeout=args.cell_timeout
         )
@@ -876,8 +870,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for suite-level runs "
                             "(default: $REPRO_JOBS or 1; 0 = all cores)")
         p.add_argument("--progress", action="store_true",
-                       help="report per-cell progress on stderr when "
-                            "running in parallel")
+                       help="report per-cell progress on stderr")
         p.add_argument("--cache-dir", metavar="DIR", default=None,
                        help="persist generated traces and filter results "
                             "in DIR (default: $REPRO_CACHE_DIR; unset "

@@ -19,8 +19,6 @@ from repro.sim.parallel import (
     CellProgress,
     CellResult,
     ExperimentCell,
-    ParallelExperimentRunner,
-    execute_cells,
     resolve_jobs,
     stderr_progress,
 )
@@ -49,13 +47,11 @@ __all__ = [
     "ExecutionRunResult",
     "ExperimentCell",
     "ExperimentRunner",
-    "ParallelExperimentRunner",
     "PredictionStats",
     "SweepPoint",
     "SimulationConfig",
     "count_opportunities",
     "evaluate_local_stream",
-    "execute_cells",
     "paper_config",
     "render_sweep",
     "resolve_jobs",

@@ -7,6 +7,17 @@ variant discards it.  :class:`ExperimentRunner` owns that loop, caches
 the (deterministic, relatively expensive) cache-filtering step per
 application, and aggregates per-execution results.
 
+It is also the one runner of the batch entry points.  A matrix
+(:meth:`ExperimentRunner.run_matrix_resilient`) is decomposed into
+cells — one fused cell per application when
+:func:`~repro.sim.fused.fused_eligible` admits it, one cell per
+(application × predictor) otherwise — and executed by the one cell
+executor, :func:`repro.sim.resilience.run_cells`, on ``jobs`` workers.
+:meth:`~ExperimentRunner.run_matrix` is that call with one attempt per
+cell that raises on any failure, and :meth:`~ExperimentRunner.run_suite`
+is one row of it.  Results fold in cell order, so they are
+bit-identical at any worker count.
+
 Suites may mix in-memory :class:`~repro.traces.trace.ApplicationTrace`
 objects and store-backed :class:`~repro.traces.store.StoreBackedTrace`
 objects (``streaming = True``).  For streaming traces the runner filters
@@ -28,6 +39,7 @@ from repro.predictors.registry import PredictorSpec, make_spec
 from repro.config import SimulationConfig
 from repro.sim.engine import evaluate_local_stream, run_global_execution
 from repro.sim.metrics import PredictionStats
+from repro.sim.parallel import ExperimentCell, ProgressHook, resolve_jobs
 from repro.sim.tracing import SimTraceEvent, TraceRecorder, Tracer
 from repro.traces.trace import ApplicationTrace
 
@@ -65,19 +77,37 @@ class ApplicationResult:
 
 
 class ExperimentRunner:
-    """Runs predictors over a suite of application traces."""
+    """Runs predictors over a suite of application traces.
+
+    Single-cell calls (:meth:`run_global`, :meth:`run_local`) run
+    in-process; the matrix entry points fan their cells out across
+    ``jobs`` workers (default: ``REPRO_JOBS``, or 1) and report each
+    finished cell to ``progress``.  With ``tracing`` enabled each cell
+    records its structured event stream (:mod:`repro.sim.tracing`) and
+    the (picklable) events travel back attached to the cell's
+    :class:`ApplicationResult`; because results are folded in cell
+    order, the merged streams are bit-identical at any worker count.
+    """
 
     def __init__(
         self,
         suite: dict[str, ApplicationTrace],
         config: Optional[SimulationConfig] = None,
         *,
+        jobs: Optional[int] = None,
+        progress: Optional[ProgressHook] = None,
         tracing: bool = False,
         trace_capacity: Optional[int] = None,
         artifact_cache=None,
     ) -> None:
         self.suite = suite
         self.config = config or SimulationConfig()
+        #: Worker count of the matrix entry points (per-call ``jobs=``
+        #: overrides it).
+        self.jobs = resolve_jobs(jobs)
+        #: Hook receiving one :class:`~repro.sim.parallel.CellProgress`
+        #: event per finished or failed cell attempt.
+        self.progress = progress
         #: When set, every run records a structured event trace into a
         #: fresh :class:`TraceRecorder` (bounded by ``trace_capacity``)
         #: and attaches it to the :class:`ApplicationResult`.
@@ -107,6 +137,8 @@ class ExperimentRunner:
         clone = ExperimentRunner(
             self.suite,
             config,
+            jobs=self.jobs,
+            progress=self.progress,
             tracing=self.tracing,
             trace_capacity=self.trace_capacity,
             artifact_cache=self.artifact_cache,
@@ -224,6 +256,21 @@ class ExperimentRunner:
                 yield execution, self._filter_one(execution, application)
             return
         yield from zip(trace, self.filtered(application))
+
+    def prewarm(self, applications: Optional[Sequence[str]] = None) -> None:
+        """Run the memoized cache-filtering pass before cells execute,
+        so forked workers inherit it copy-on-write instead of
+        re-filtering.
+
+        Streaming (store-backed) traces are skipped: memoizing them
+        would defeat the store's memory bound, and workers read their
+        chunks straight from the shared on-disk store (with an artifact
+        cache attached, the filter results are shared through it
+        instead).
+        """
+        for application in applications or self.applications:
+            if not getattr(self._trace(application), "streaming", False):
+                self.filtered(application)
 
     def run_global(
         self,
@@ -343,74 +390,41 @@ class ExperimentRunner:
 
     def run_suite(
         self,
-        predictor: str | PredictorSpec,
+        predictor: str,
         *,
         applications: Optional[Sequence[str]] = None,
         multistate: bool = False,
         jobs: Optional[int] = None,
         checkpoint=None,
-        resilience=None,
+        policy=None,
     ) -> dict[str, ApplicationResult]:
-        """One predictor's global run over many applications.
-
-        ``jobs`` > 1 hands the (application) cells to the parallel
-        execution layer (:mod:`repro.sim.parallel`); the merged mapping
-        is identical to the serial one either way.
+        """One predictor's global run over many applications: one row of
+        a :meth:`run_matrix_resilient` matrix, raising like
+        :meth:`run_matrix`.
 
         ``checkpoint`` (a :class:`~repro.sim.resilience.CellCheckpoint`
         or a path) journals every completed cell to an append-only JSONL
         file and skips cells already recorded there, so an interrupted
-        suite resumes instead of restarting; ``resilience`` (a
-        :class:`~repro.sim.resilience.ResiliencePolicy`) adds per-cell
-        retries and timeouts.  With either set, terminal cell failures
-        raise :class:`~repro.errors.ExecutionError` *after* the
-        completed cells were journalled — use
-        :meth:`~repro.sim.parallel.ParallelExperimentRunner.run_suite_resilient`
-        for a partial report instead of an exception.
+        suite resumes instead of restarting; ``policy`` (a
+        :class:`~repro.sim.resilience.ResiliencePolicy`, default one
+        attempt per cell) adds per-cell retries and timeouts.  Terminal
+        cell failures raise :class:`~repro.errors.ExecutionError` once
+        the other cells have finished and been journalled — use
+        :meth:`run_matrix_resilient` for a partial report instead of an
+        exception.
         """
-        apps = list(applications) if applications else self.applications
-        resilient = checkpoint is not None or resilience is not None
-        if resilient or (jobs is not None and jobs != 1):
-            # Imported lazily: repro.sim.parallel imports this module.
-            from repro.sim.parallel import ParallelExperimentRunner
+        from repro.sim.resilience import ResiliencePolicy, raise_on_failures
 
-            clone = ParallelExperimentRunner(
-                self.suite,
-                self.config,
-                jobs=1 if jobs is None else jobs,
-                tracing=self.tracing,
-                trace_capacity=self.trace_capacity,
-                artifact_cache=self.artifact_cache,
-            )
-            clone._filtered = self._filtered
-            clone._fingerprints = self._fingerprints
-            if isinstance(predictor, PredictorSpec):
-                raise SimulationError(
-                    "parallel or resilient run_suite needs a predictor "
-                    "name (specs are stateful and cannot be shared "
-                    "across workers)"
-                )
-            if resilient:
-                from repro.sim.resilience import raise_on_failures
-
-                report = clone.run_suite_resilient(
-                    predictor,
-                    applications=apps,
-                    multistate=multistate,
-                    policy=resilience,
-                    checkpoint=checkpoint,
-                )
-                raise_on_failures(report.ledger, "suite run")
-                return report.results
-            return clone.run_suite(
-                predictor, applications=apps, multistate=multistate
-            )
-        return {
-            application: self.run_global(
-                application, predictor, multistate=multistate
-            )
-            for application in apps
-        }
+        report = self.run_matrix_resilient(
+            [predictor],
+            applications=applications,
+            multistate=multistate,
+            jobs=jobs,
+            policy=policy or ResiliencePolicy(max_attempts=1),
+            checkpoint=checkpoint,
+        )
+        raise_on_failures(report.ledger, "suite run")
+        return {app: row[predictor] for app, row in report.matrix.items()}
 
     def run_matrix(
         self,
@@ -418,36 +432,141 @@ class ExperimentRunner:
         *,
         mode: str = "global",
         applications: Optional[Sequence[str]] = None,
+        multistate: bool = False,
+        jobs: Optional[int] = None,
     ) -> dict[str, dict[str, ApplicationResult]]:
         """``{application: {predictor: result}}`` for a whole figure.
 
-        A matrix :func:`~repro.sim.fused.fused_eligible` admits (global
-        mode, two or more predictors, untraced) evaluates every
-        predictor in one streaming pass per application
-        (:mod:`repro.sim.fused`) with bit-identical results; the rest
-        run one :meth:`run_global` or :meth:`run_local` per cell.
+        :meth:`run_matrix_resilient` with one attempt per cell: a failed
+        cell lets the other cells finish, then the run raises one
+        :class:`~repro.errors.ExecutionError` naming every failed cell
+        with its error type and message.
         """
-        # Imported lazily: repro.sim.fused imports this module.
-        from repro.sim.fused import fused_eligible, run_fused_application
+        from repro.sim.resilience import ResiliencePolicy, raise_on_failures
+
+        report = self.run_matrix_resilient(
+            predictors,
+            mode=mode,
+            applications=applications,
+            multistate=multistate,
+            jobs=jobs,
+            policy=ResiliencePolicy(max_attempts=1),
+        )
+        raise_on_failures(report.ledger, "matrix run")
+        return report.matrix
+
+    def run_matrix_resilient(
+        self,
+        predictors: Sequence[str],
+        *,
+        mode: str = "global",
+        applications: Optional[Sequence[str]] = None,
+        multistate: bool = False,
+        jobs: Optional[int] = None,
+        policy=None,
+        checkpoint=None,
+    ):
+        """A matrix run that survives crashed, hung, or failing cells.
+
+        Cells are executed through :func:`repro.sim.resilience.run_cells`
+        under ``policy`` (retries, per-cell timeouts, pool degradation;
+        default :class:`~repro.sim.resilience.ResiliencePolicy`) and the
+        returned :class:`~repro.sim.resilience.MatrixReport` carries the
+        partial matrix plus the failure/retry ledger.  With
+        ``checkpoint`` (a :class:`~repro.sim.resilience.CellCheckpoint`
+        or a path) completed cells are journalled and skipped on
+        re-runs.
+
+        A matrix :func:`~repro.sim.fused.fused_eligible` admits (global
+        mode, two or more predictors, untraced, not multistate) runs one
+        fused cell per application, which decodes the trace once and
+        evaluates every predictor against it (:mod:`repro.sim.fused`);
+        the rest run one :meth:`run_global` or :meth:`run_local` per
+        (application × predictor) cell.  Results are bit-identical
+        either way.  Retries apply per cell, so a failed fused cell
+        drops its whole application row.  Both decompositions journal
+        one record per (application, predictor) under the same key, so
+        a journal resumes under either: adding a predictor re-runs only
+        the new lanes.
+        """
+        # Imported lazily: both modules import this one.
+        from repro.sim.fused import fused_eligible, run_fused_cells
+        from repro.sim.resilience import MatrixReport, cell_key, run_cells
 
         if mode not in ("global", "local"):
             raise ValueError(f"unknown mode {mode!r}")
         apps = list(applications) if applications else self.applications
         names = list(predictors)
-        if fused_eligible(self, len(names), mode=mode):
-            return {
-                application: dict(zip(names, run_fused_application(
-                    self,
-                    application,
-                    [make_spec(name, self.config) for name in names],
-                )))
-                for application in apps
-            }
-        run = self.run_global if mode == "global" else self.run_local
-        return {
-            application: {name: run(application, name) for name in names}
-            for application in apps
-        }
+        jobs = self.jobs if jobs is None else jobs
+        matrix: dict[str, dict[str, ApplicationResult]] = {}
+        if fused_eligible(self, len(names), mode=mode, multistate=multistate):
+            config = self.config
+            outcomes, ledger = run_fused_cells(
+                self,
+                apps,
+                names,
+                lambda: [make_spec(name, config) for name in names],
+                jobs=jobs,
+                progress=self.progress,
+                policy=policy,
+                checkpoint=checkpoint,
+            )
+            for application in apps:
+                if application in outcomes:
+                    # Rows are keyed by the requested registry names,
+                    # not the specs' display names.
+                    matrix[application] = dict(
+                        zip(names, outcomes[application].results)
+                    )
+            return MatrixReport(matrix=matrix, ledger=ledger)
+
+        cells = [
+            ExperimentCell(
+                index=len(names) * row + column,
+                application=application,
+                predictor=name,
+            )
+            for row, application in enumerate(apps)
+            for column, name in enumerate(names)
+        ]
+
+        def run_cell(cell: ExperimentCell) -> ApplicationResult:
+            if mode == "local":
+                return self.run_local(cell.application, cell.predictor)
+            return self.run_global(
+                cell.application, cell.predictor, multistate=multistate
+            )
+
+        self.prewarm(apps)
+        keys = None
+        if checkpoint is not None:
+            keys = [
+                cell_key(
+                    self.fingerprint(cell.application),
+                    cell.predictor,
+                    self.config,
+                    mode=mode,
+                    multistate=multistate,
+                )
+                for cell in cells
+            ]
+        ledger = run_cells(
+            cells,
+            run_cell,
+            jobs=jobs,
+            policy=policy,
+            progress=self.progress,
+            checkpoint=checkpoint,
+            cell_keys=keys,
+            # Cells are keyed per predictor, so the predictor list is
+            # free to differ between resumes; only the run *shape*
+            # (mode, multistate) must match.
+            provenance={"mode": mode, "multistate": bool(multistate)},
+        )
+        for item in ledger.results:
+            row = matrix.setdefault(item.cell.application, {})
+            row[item.cell.predictor] = item.result
+        return MatrixReport(matrix=matrix, ledger=ledger)
 
     def _trace(self, application: str) -> ApplicationTrace:
         try:

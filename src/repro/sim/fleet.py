@@ -43,9 +43,10 @@ this module keeps both bounded:
 
 Execution rides the existing layers: sharded fleets fan one fused cell
 per application through :func:`repro.sim.fused.run_fused_cells` (worker
-pools, artifact cache, resilient retries, checkpoints all apply);
-shared fleets run as a single sequential cell cached under a
-fleet-level key (:func:`repro.sim.artifact_cache.fleet_key`).
+pools, artifact cache, retries, checkpoints all apply); shared fleets
+run as a single sequential cell cached under a fleet-level key
+(:func:`repro.sim.artifact_cache.fleet_key`).  Both run on the one cell
+executor, :func:`repro.sim.resilience.run_cells`.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from repro.sim.fused import (
     run_fused_cells,
 )
 from repro.sim.metrics import PredictionStats
-from repro.sim.parallel import ExperimentCell, ProgressHook, execute_cells
+from repro.sim.parallel import ExperimentCell, ProgressHook
 
 #: Prediction-table scopes accepted by :func:`run_fleet`.
 TABLE_MODES = ("sharded", "shared")
@@ -195,7 +196,7 @@ class FleetResult:
     #: run (:func:`repro.sim.artifact_cache.fleet_fingerprint`).
     fingerprint: str
     lanes: dict[str, FleetLaneResult] = field(default_factory=dict)
-    #: The resilient executor's ledger (``None`` on the plain path).
+    #: The cell executor's :class:`~repro.sim.resilience.RunLedger`.
     ledger: object = None
 
     def lane(self, predictor: str) -> FleetLaneResult:
@@ -290,7 +291,7 @@ def _shared_outcomes(
     *,
     jobs: Optional[int],
     progress: Optional[ProgressHook],
-    resilience,
+    policy,
     checkpoint,
     use_cache: bool,
 ):
@@ -329,41 +330,34 @@ def _shared_outcomes(
             cache.put(key, outcomes)
         return outcomes
 
-    if resilience is not None or checkpoint is not None:
-        from repro.sim.artifact_cache import variant_set_fingerprint
-        from repro.sim.resilience import cell_key, run_cells
+    from repro.sim.artifact_cache import variant_set_fingerprint
+    from repro.sim.resilience import cell_key, run_cells
 
-        keys = None
-        provenance = None
-        if checkpoint is not None:
-            variant_fp = variant_set_fingerprint(labels, runner.config)
-            keys = [
-                cell_key(fingerprint, f"fleet-shared:{variant_fp}",
-                         runner.config)
-            ]
-            provenance = {
-                "mode": "fleet-shared",
-                "multistate": False,
-                "variant_set": variant_fp,
-            }
-        ledger = run_cells(
-            [cell],
-            run_cell,
-            jobs=jobs,
-            policy=resilience,
-            progress=progress,
-            checkpoint=checkpoint,
-            cell_keys=keys,
-            provenance=provenance,
-        )
-        results = ledger.results
-    else:
-        ledger = None
-        results = execute_cells(
-            [cell], run_cell, jobs=1, progress=progress
-        )
+    keys = None
+    provenance = None
+    if checkpoint is not None:
+        variant_fp = variant_set_fingerprint(labels, runner.config)
+        keys = [
+            cell_key(fingerprint, f"fleet-shared:{variant_fp}",
+                     runner.config)
+        ]
+        provenance = {
+            "mode": "fleet-shared",
+            "multistate": False,
+            "variant_set": variant_fp,
+        }
+    ledger = run_cells(
+        [cell],
+        run_cell,
+        jobs=jobs,
+        policy=policy,
+        progress=progress,
+        checkpoint=checkpoint,
+        cell_keys=keys,
+        provenance=provenance,
+    )
     outcomes: dict[str, FusedCellOutcome] = {}
-    for item in results:
+    for item in ledger.results:
         for outcome in item.result:
             outcomes[outcome.application] = outcome
     return outcomes, ledger
@@ -377,7 +371,7 @@ def run_fleet(
     tables: str = "sharded",
     jobs: Optional[int] = None,
     progress: Optional[ProgressHook] = None,
-    resilience=None,
+    policy=None,
     checkpoint=None,
     use_cache: bool = True,
 ) -> FleetResult:
@@ -396,17 +390,18 @@ def run_fleet(
     ``"shared"`` (one fleet-wide table set evolved across applications
     in first-seen device order).
 
-    ``resilience`` / ``checkpoint`` route execution through the
-    resilient executor (per-cell retries, journalling; sharded fleets
-    journal each application × predictor lane under the per-cell key,
-    and shared fleets key their one cell on the fleet fingerprint, so a
-    changed population or lane set never resumes stale entries).
-    Failed cells raise
+    Cells run on :func:`repro.sim.resilience.run_cells` under
+    ``policy`` (a :class:`~repro.sim.resilience.ResiliencePolicy`,
+    default one attempt per cell).  ``checkpoint`` journals completed
+    cells: sharded fleets journal each application × predictor lane
+    under the per-cell key, and shared fleets key their one cell on the
+    fleet fingerprint, so a changed population or lane set never
+    resumes stale entries.  Failed cells raise
     :class:`~repro.errors.ExecutionError` — fleet aggregates over a
     silently partial population would be meaningless.
     """
     from repro.sim.artifact_cache import fleet_fingerprint
-    from repro.sim.resilience import raise_on_failures
+    from repro.sim.resilience import ResiliencePolicy, raise_on_failures
 
     if tables not in TABLE_MODES:
         raise ConfigurationError(
@@ -433,22 +428,22 @@ def run_fleet(
     def make_specs() -> list[PredictorSpec]:
         return [make_spec(name, config) for name in names]
 
+    policy = policy or ResiliencePolicy(max_attempts=1)
     if tables == "shared":
         outcomes, ledger = _shared_outcomes(
             runner, apps, names, make_specs, fingerprint,
             jobs=jobs, progress=progress,
-            resilience=resilience, checkpoint=checkpoint,
+            policy=policy, checkpoint=checkpoint,
             use_cache=use_cache,
         )
     else:
         outcomes, ledger = run_fused_cells(
             runner, apps, names, make_specs,
             jobs=jobs, progress=progress,
-            policy=resilience, checkpoint=checkpoint,
+            policy=policy, checkpoint=checkpoint,
             use_cache=use_cache,
         )
-    if ledger is not None:
-        raise_on_failures(ledger, "fleet run")
+    raise_on_failures(ledger, "fleet run")
 
     result = FleetResult(
         devices=population,
@@ -503,7 +498,7 @@ def fleet_sweep(
     tables: str = "sharded",
     jobs: Optional[int] = None,
     progress: Optional[ProgressHook] = None,
-    resilience=None,
+    policy=None,
     checkpoint=None,
 ) -> list[FleetSweepPoint]:
     """Sweep one predictor knob across a whole fleet.
@@ -516,9 +511,10 @@ def fleet_sweep(
     device population.  ``make_spec_fn`` builds the spec per value
     (default: the registry's ``predictor`` under the runner's
     configuration, for spec factories that ignore the value).
+    ``policy`` and ``checkpoint`` behave as in :func:`run_fleet`.
     """
     from repro.sim.artifact_cache import fleet_fingerprint
-    from repro.sim.resilience import raise_on_failures
+    from repro.sim.resilience import ResiliencePolicy, raise_on_failures
 
     if tables not in TABLE_MODES:
         raise ConfigurationError(
@@ -553,22 +549,22 @@ def fleet_sweep(
         config,
     )
     use_cache = make_spec_fn is None
+    policy = policy or ResiliencePolicy(max_attempts=1)
     if tables == "shared":
         outcomes, ledger = _shared_outcomes(
             runner, apps, labels, make_specs, fingerprint,
             jobs=jobs, progress=progress,
-            resilience=resilience, checkpoint=checkpoint,
+            policy=policy, checkpoint=checkpoint,
             use_cache=use_cache,
         )
     else:
         outcomes, ledger = run_fused_cells(
             runner, apps, labels, make_specs,
             jobs=jobs, progress=progress,
-            policy=resilience, checkpoint=checkpoint,
+            policy=policy, checkpoint=checkpoint,
             use_cache=use_cache,
         )
-    if ledger is not None:
-        raise_on_failures(ledger, "fleet sweep")
+    raise_on_failures(ledger, "fleet sweep")
 
     points: list[FleetSweepPoint] = []
     n = len(population)

@@ -48,13 +48,15 @@ Every untraced, non-multistate global matrix or sweep with at least
 :data:`MIN_FUSED_LANES` predictor lanes takes this path
 (:func:`fused_eligible` is the one predicate its callers consult);
 single-lane runs, local mode, tracing and multistate keep the classic
-per-cell path.  Parallel decomposition changes from (application ×
-variant) cells to one fused cell per *application*; results merge
-through the same deterministic cell-ordered fold.  The resilience
-executor journals each fused lane under the per-(application,
-predictor) :func:`~repro.sim.resilience.cell_key` the per-cell path
-writes, so one journal resumes under either path, and a resumed run
-re-executes only the lanes its journal lacks.
+per-cell path.  The decomposition changes from (application ×
+variant) cells to one fused cell per *application*
+(:func:`run_fused_cells`), executed by the one cell executor,
+:func:`repro.sim.resilience.run_cells`; results merge through the same
+deterministic cell-ordered fold.  Each fused lane is journalled under
+the per-(application, predictor)
+:func:`~repro.sim.resilience.cell_key` the per-cell path writes, so one
+journal resumes under either path, and a resumed run re-executes only
+the lanes its journal lacks.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ from repro.sim.columnar import (
 from repro.sim.engine import ExecutionRunResult, build_replay_tape
 from repro.sim.experiment import ApplicationResult, ExperimentRunner
 from repro.sim.metrics import PredictionStats
-from repro.sim.parallel import ExperimentCell, ProgressHook, execute_cells
+from repro.sim.parallel import ExperimentCell, ProgressHook
 from repro.units import EPSILON
 
 _EPS = EPSILON
@@ -978,14 +980,16 @@ def run_fused_cells(
     its own and runs one fused cell per application over the lanes the
     journal lacks.
 
+    The cells run on :func:`~repro.sim.resilience.run_cells` under
+    ``policy`` (default :class:`~repro.sim.resilience.ResiliencePolicy`).
     Returns ``(outcomes, ledger)`` where ``outcomes`` maps application
-    → :class:`FusedCellOutcome` and ``ledger`` is the resilient
-    executor's :class:`~repro.sim.resilience.RunLedger` (``None`` on
-    the plain path).  With ``policy``/``checkpoint``, an application
-    with a failed cell is missing from ``outcomes`` — callers inspect
-    the ledger.
+    → :class:`FusedCellOutcome` and ``ledger`` is the executor's
+    :class:`~repro.sim.resilience.RunLedger`.  An application with a
+    failed cell is missing from ``outcomes`` — callers inspect the
+    ledger.
     """
     from repro.sim.artifact_cache import fused_key
+    from repro.sim.resilience import run_cells
 
     label_tuple = tuple(labels)
     config = runner.config
@@ -1058,46 +1062,30 @@ def run_fused_cells(
             cache.put(key, FusedCellOutcome(application, results))
         return results
 
-    # Warm the filter memo in the parent (forked workers inherit it
-    # copy-on-write); streaming traces stay lazy, as in prewarm().
-    for app in apps:
-        if not getattr(runner.suite[app], "streaming", False):
-            runner.filtered(app)
-
+    runner.prewarm(apps)
     try:
-        if policy is not None or checkpoint is not None:
-            from repro.sim.resilience import run_cells
-
-            ledger = run_cells(
-                cells,
-                run_cell,
-                jobs=jobs,
-                policy=policy,
-                progress=progress,
-                checkpoint=checkpoint,
-                cell_keys=keys,
-                provenance={"mode": "global", "multistate": False},
-            )
-            results = ledger.results
-        else:
-            ledger = None
-            results = execute_cells(
-                cells, run_cell, jobs=jobs, progress=progress
-            )
+        ledger = run_cells(
+            cells,
+            run_cell,
+            jobs=jobs,
+            policy=policy,
+            progress=progress,
+            checkpoint=checkpoint,
+            cell_keys=keys,
+            provenance={"mode": "global", "multistate": False},
+        )
     finally:
         if owned is not None:
             owned.close()
     lanes_of: dict[str, list[Optional[ApplicationResult]]] = {
         app: [None] * len(label_tuple) for app in apps
     }
-    for item in results:
+    for item in ledger.results:
         app, lanes = plan[item.cell.index]
         for lane, result in zip(lanes, item.result):
             lanes_of[app][lane] = result
     # A failed cell drops its whole application row.
-    failed = set() if ledger is None else {
-        failure.cell.application for failure in ledger.failures
-    }
+    failed = {failure.cell.application for failure in ledger.failures}
     outcomes = {
         app: FusedCellOutcome(app, lane_results)
         for app, lane_results in lanes_of.items()

@@ -1,9 +1,11 @@
-"""Resilient experiment execution: retries, timeouts, checkpoint/resume.
+"""The cell executor: retries, timeouts, checkpoint/resume.
 
-:func:`repro.sim.parallel.execute_cells` is the fast path: it assumes
-every cell succeeds and lets any failure abort the whole run.  This
-module is the production counterpart for long suites and sweeps, where
-one crashed or hung worker must not cost hours of completed work:
+:func:`run_cells` is the one executor of the experiment cells every
+matrix, suite, sweep and fleet decomposes into
+(:mod:`repro.sim.parallel`).  It runs them in-process with ``jobs=1``
+and on per-attempt forked workers otherwise, and it is built for long
+runs, where one crashed or hung worker must not cost hours of completed
+work:
 
 * **Per-cell retries** with capped exponential backoff.  The backoff
   jitter is drawn from a generator seeded by ``(seed, cell index,
@@ -26,10 +28,11 @@ one crashed or hung worker must not cost hours of completed work:
   uses (:func:`cell_key`).  Re-running with the same checkpoint skips
   completed cells, so a killed multi-hour sweep resumes where it died.
 
-On the success path the executor runs exactly the same cell closures as
-:func:`~repro.sim.parallel.execute_cells` and folds results in cell
-order, so results are bit-identical to a plain (serial or pooled) run —
-asserted by the equivalence tests.
+Results fold in cell order whatever the worker count or completion
+order, so a pooled run is bit-identical to an in-process one — asserted
+by the equivalence tests.  Fail-fast is the policy
+``ResiliencePolicy(max_attempts=1)``: a failed cell lets the others
+finish, and :func:`raise_on_failures` then names every failed cell.
 
 Fault injection (:mod:`repro.faults`) is re-exported here so chaos
 scenarios and the ``repro faults`` CLI have a single import surface.
@@ -236,19 +239,6 @@ class MatrixReport:
     """A resilient matrix run: successful cells plus the ledger."""
 
     matrix: dict[str, dict[str, ApplicationResult]]
-    ledger: RunLedger
-
-    @property
-    def complete(self) -> bool:
-        """True when every cell produced a result."""
-        return not self.ledger.failures
-
-
-@dataclass(slots=True)
-class SuiteReport:
-    """A resilient single-predictor suite run."""
-
-    results: dict[str, ApplicationResult]
     ledger: RunLedger
 
     @property
@@ -914,13 +904,14 @@ def run_cells(
     cell_keys: Optional[Sequence[CellKey]] = None,
     provenance: Optional[dict] = None,
 ) -> RunLedger:
-    """Execute every cell resiliently; outcomes come back in cell order.
+    """Execute every cell; outcomes come back in cell order.
 
-    The resilient counterpart of
-    :func:`repro.sim.parallel.execute_cells`: same cells, same runner
-    closure, same deterministic fold order, but failures are retried
-    under ``policy`` and terminal failures become :class:`CellFailure`
-    entries instead of aborting the run.  ``checkpoint`` (a
+    With ``jobs`` > 1 (and ``fork`` available) each cell attempt runs in
+    its own forked worker, at most ``jobs`` at a time; otherwise every
+    cell runs in this process, in order.  Failures are retried under
+    ``policy`` (default :class:`ResiliencePolicy`) and terminal failures
+    become :class:`CellFailure` entries instead of aborting the run.
+    ``checkpoint`` (a
     :class:`CellCheckpoint` or a path) with ``cell_keys`` enables
     journalling and resume.  A cell whose key is a tuple returns one
     result per key: each is journalled under its own key, and the cell

@@ -12,9 +12,9 @@ including one ``Base`` baseline cell per *distinct* (baseline-relevant
 configuration × application) pair, computed once and reused by every
 point whose disk/cache/service-time fields agree (predictor knobs like
 the wait window never affect the always-on baseline) — and executes
-them through
-:func:`repro.sim.parallel.execute_cells`.  With ``jobs`` > 1 the cells
-run on a process pool; the fold over per-cell results is in fixed cell
+them through the one cell executor,
+:func:`repro.sim.resilience.run_cells`.  With ``jobs`` > 1 the cells
+run on forked workers; the fold over per-cell results is in fixed cell
 order either way, so parallel sweeps are bit-identical to serial ones.
 A sweep under one configuration with two or more lanes runs one fused
 cell per application instead (:func:`sweep`).
@@ -29,7 +29,7 @@ from repro.config import SimulationConfig
 from repro.predictors.registry import PredictorSpec
 from repro.sim.experiment import ApplicationResult, ExperimentRunner
 from repro.sim.metrics import PredictionStats
-from repro.sim.parallel import ExperimentCell, ProgressHook, execute_cells
+from repro.sim.parallel import ExperimentCell, ProgressHook
 
 P = TypeVar("P")
 
@@ -83,7 +83,7 @@ def sweep(
     applications: Optional[Sequence[str]] = None,
     jobs: Optional[int] = None,
     progress: Optional[ProgressHook] = None,
-    resilience=None,
+    policy=None,
     checkpoint=None,
 ) -> list[SweepPoint]:
     """Run one predictor across the suite for each parameter value.
@@ -95,20 +95,20 @@ def sweep(
     value (useful for comparing predictor names by passing them as the
     values and ``make_spec=lambda name, cfg: registry.make_spec(...)``).
 
-    ``jobs`` selects the worker count of the parallel execution layer
-    (``None`` defers to ``REPRO_JOBS``); ``progress`` receives one
+    ``jobs`` selects the worker count (``None`` defers to
+    ``REPRO_JOBS``); ``progress`` receives one
     :class:`~repro.sim.parallel.CellProgress` event per finished cell.
 
     ``checkpoint`` (a :class:`~repro.sim.resilience.CellCheckpoint` or
     a path) journals every completed cell so a killed sweep can be
     rerun with the same checkpoint and re-execute only the unfinished
-    cells; ``resilience`` (a
-    :class:`~repro.sim.resilience.ResiliencePolicy`) adds per-cell
-    retries and timeouts.  Cells still failing terminally raise
-    :class:`~repro.errors.ExecutionError` *after* the completed cells
-    were journalled.  Checkpoint cell keys embed the swept value (via
-    the cell label) and the point's full configuration, so a changed
-    sweep never resumes from stale entries.
+    cells; ``policy`` (a :class:`~repro.sim.resilience.ResiliencePolicy`,
+    default one attempt per cell) adds per-cell retries and timeouts.
+    Cells still failing terminally raise
+    :class:`~repro.errors.ExecutionError` once the other cells have
+    finished and been journalled.  Checkpoint cell keys embed the swept
+    value (via the cell label) and the point's full configuration, so a
+    changed sweep never resumes from stale entries.
 
     A sweep under the runner's configuration (no ``make_config``)
     whose lanes — one per point plus the shared Base baseline —
@@ -120,6 +120,12 @@ def sweep(
     per-cell decomposition.
     """
     from repro.sim.fused import fused_eligible
+    from repro.sim.resilience import (
+        ResiliencePolicy,
+        cell_key,
+        raise_on_failures,
+        run_cells,
+    )
 
     if make_config is not None and make_spec is not None:
         raise ValueError("pass make_config or make_spec, not both")
@@ -129,6 +135,7 @@ def sweep(
     # its own baseline (see _sweep_fused and the baseline cells below).
     sweeping_base = make_spec is None and predictor == "Base"
     lanes = len(point_values) + (0 if sweeping_base else 1)
+    policy = policy or ResiliencePolicy(max_attempts=1)
 
     if make_config is None and fused_eligible(runner, lanes):
         return _sweep_fused(
@@ -139,7 +146,7 @@ def sweep(
             apps=apps,
             jobs=jobs,
             progress=progress,
-            resilience=resilience,
+            policy=policy,
             checkpoint=checkpoint,
         )
 
@@ -199,44 +206,32 @@ def sweep(
             target = predictor
         return point_runner.run_global(application, target)
 
-    # Warm the shared filter cache in the parent so forked workers (and
-    # the serial path) never re-filter applications per point.
-    for application in apps:
-        runner.filtered(application)
-
-    if resilience is not None or checkpoint is not None:
-        from repro.sim.resilience import (
-            cell_key,
-            raise_on_failures,
-            run_cells,
-        )
-
-        keys = None
-        if checkpoint is not None:
-            keys = []
-            for cell in cells:
-                _, point, application = plan[cell.index]
-                keys.append(cell_key(
-                    runner.fingerprint(application),
-                    cell.predictor,
-                    point_runners[point].config,
-                ))
-        ledger = run_cells(
-            cells,
-            run_cell,
-            jobs=jobs,
-            policy=resilience,
-            progress=progress,
-            checkpoint=checkpoint,
-            cell_keys=keys,
-            provenance={"mode": "global", "multistate": False},
-        )
-        raise_on_failures(ledger, "sweep")
-        results = ledger.results
-    else:
-        results = execute_cells(
-            cells, run_cell, jobs=jobs, progress=progress
-        )
+    # Warm the shared filter memo in the parent so forked workers (and
+    # the in-process path) never re-filter applications per point;
+    # prewarm leaves store-backed traces streaming.
+    runner.prewarm(apps)
+    keys = None
+    if checkpoint is not None:
+        keys = []
+        for cell in cells:
+            _, point, application = plan[cell.index]
+            keys.append(cell_key(
+                runner.fingerprint(application),
+                cell.predictor,
+                point_runners[point].config,
+            ))
+    ledger = run_cells(
+        cells,
+        run_cell,
+        jobs=jobs,
+        policy=policy,
+        progress=progress,
+        checkpoint=checkpoint,
+        cell_keys=keys,
+        provenance={"mode": "global", "multistate": False},
+    )
+    raise_on_failures(ledger, "sweep")
+    results = ledger.results
 
     points: list[SweepPoint] = []
     for point, value in enumerate(point_values):
@@ -285,7 +280,7 @@ def _sweep_fused(
     apps: list[str],
     jobs: Optional[int],
     progress: Optional[ProgressHook],
-    resilience,
+    policy,
     checkpoint,
 ) -> list[SweepPoint]:
     """Application-major sweep through the fused kernel.
@@ -298,6 +293,7 @@ def _sweep_fused(
     """
     from repro.predictors.registry import make_spec as registry_make_spec
     from repro.sim.fused import run_fused_cells
+    from repro.sim.resilience import raise_on_failures
 
     config = runner.config
     labels = [f"{predictor}@{value!r}" for value in point_values]
@@ -327,17 +323,14 @@ def _sweep_fused(
         make_specs,
         jobs=jobs,
         progress=progress,
-        policy=resilience,
+        policy=policy,
         checkpoint=checkpoint,
         # A make_spec callable is opaque — its cell labels do not pin
         # down the predictor it builds, so persistent artifacts would
         # risk stale hits across code changes.  Registry names do.
         use_cache=make_spec is None,
     )
-    if ledger is not None:
-        from repro.sim.resilience import raise_on_failures
-
-        raise_on_failures(ledger, "sweep")
+    raise_on_failures(ledger, "sweep")
 
     points: list[SweepPoint] = []
     for point, value in enumerate(point_values):

@@ -41,7 +41,6 @@ from repro.analysis.tables import (
 from repro.config import SimulationConfig
 from repro.sim import experiment as experiment_module
 from repro.sim.experiment import ExperimentRunner
-from repro.sim.parallel import ParallelExperimentRunner
 from repro.traces.trace import ApplicationTrace
 from tests.helpers import single_process_execution
 
@@ -190,7 +189,7 @@ def test_paper_data_self_consistency():
 
 
 def test_table3_equals_run_global_table_sizes(small_suite):
-    runner = ParallelExperimentRunner(small_suite, SimulationConfig())
+    runner = ExperimentRunner(small_suite, SimulationConfig())
     rows = build_table3(runner)
     assert [row.application for row in rows] == runner.applications
     for row in rows:
@@ -201,11 +200,8 @@ def test_table3_equals_run_global_table_sizes(small_suite):
             )
 
 
-@pytest.mark.parametrize(
-    "runner_class", [ExperimentRunner, ParallelExperimentRunner]
-)
 def test_untraced_global_builders_make_no_per_cell_replays(
-    small_suite, monkeypatch, runner_class
+    small_suite, monkeypatch
 ):
     """Figures 7-10 and Table 3 compare several predictors each, so they
     must run fused: a silent fallback to per-cell replays fails here."""
@@ -217,7 +213,7 @@ def test_untraced_global_builders_make_no_per_cell_replays(
         return replay(*args, **kwargs)
 
     monkeypatch.setattr(experiment_module, "run_global_execution", counting)
-    runner = runner_class(small_suite, SimulationConfig())
+    runner = ExperimentRunner(small_suite, SimulationConfig())
     apps = ("mozilla", "nedit")
     for build in (build_fig7, build_fig8, build_fig9, build_fig10,
                   build_table3):

@@ -42,6 +42,18 @@ def test_figure7(capsys):
     assert "AVERAGE" in out
 
 
+def test_progress_reports_cells_at_jobs_one(capsys):
+    code, out, err = run_cli(capsys, "figure", "7", "--scale", "0.1",
+                             "--jobs", "1", "--progress")
+    assert code == 0
+    assert "AVERAGE" in out
+    # Figure 7 compares several predictors, so it runs one fused cell
+    # per application; each reports in-process, as a pooled run would.
+    lines = [line for line in err.splitlines() if "×" in line]
+    assert len(lines) == 6
+    assert lines[-1].strip().startswith("[6/6]")
+
+
 def test_figure7_chart_mode(capsys):
     code, out, _ = run_cli(capsys, "figure", "7", "--scale", "0.1",
                            "--chart")

@@ -34,7 +34,7 @@ from repro.sim.fleet import (
     run_fleet,
 )
 from repro.sim.fused import run_fused_application
-from repro.sim.parallel import ParallelExperimentRunner, fork_available
+from repro.sim.parallel import fork_available
 from repro.sim.resilience import ResiliencePolicy
 
 needs_fork = pytest.mark.skipif(
@@ -147,7 +147,7 @@ def test_crash_retried_run_bit_identical(runner, devices):
     with faults.injected(plan):
         survived = run_fleet(
             runner, devices, ("PCAP", "Base"),
-            jobs=2, resilience=policy,
+            jobs=2, policy=policy,
         )
     assert survived.ledger is not None
     assert [e.kind for e in survived.ledger.retries] == ["crash"]
@@ -341,14 +341,3 @@ def test_fleet_sweep_matches_single_device_sweep(runner):
         assert point.shutdowns == 3 * reference.shutdowns
     # Short timeouts shut down more often than long ones on this trace.
     assert points[0].shutdowns >= points[1].shutdowns
-
-
-def test_runner_methods_forward(small_suite):
-    runner = ParallelExperimentRunner(small_suite, SimulationConfig())
-    fleet = runner.run_fleet(replicate_devices(APPS, 4), ("Base",))
-    assert fleet.lane("Base").devices == 4
-    points = runner.fleet_sweep(
-        replicate_devices(("mozilla",), 2), [2.0],
-        make_spec_fn=lambda t, cfg: tp_spec(cfg, timeout=t),
-    )
-    assert len(points) == 1

@@ -37,7 +37,7 @@ from repro.sim.fused import (
     run_fused_application,
     run_fused_cells,
 )
-from repro.sim.parallel import ParallelExperimentRunner, fork_available
+from repro.sim.parallel import fork_available
 from repro.sim.resilience import ResiliencePolicy
 from repro.sim.sweep import sweep
 from repro.workloads import build_suite, pack_generated
@@ -75,7 +75,7 @@ def runner(config):
 
 @pytest.fixture(scope="module")
 def parallel_runner(config):
-    return ParallelExperimentRunner(
+    return ExperimentRunner(
         build_suite(scale=0.25, applications=APPS), config
     )
 

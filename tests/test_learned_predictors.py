@@ -42,7 +42,7 @@ from repro.predictors.registry import (
 )
 from repro.sim.experiment import ExperimentRunner
 from repro.sim.fused import run_fused_application
-from repro.sim.parallel import ParallelExperimentRunner, fork_available
+from repro.sim.parallel import fork_available
 from repro.sim.resilience import ResiliencePolicy
 from repro.workloads import build_suite, pack_generated
 from repro.workloads.extremes import build_clockwork
@@ -74,7 +74,7 @@ def runner(config):
 
 @pytest.fixture(scope="module")
 def parallel_runner(config):
-    return ParallelExperimentRunner(
+    return ExperimentRunner(
         build_suite(scale=0.25, applications=APPS), config
     )
 

@@ -1,31 +1,30 @@
-"""The parallel execution layer (repro.sim.parallel).
+"""Pooled execution of experiment cells (repro.sim.parallel types on
+the repro.sim.resilience executor).
 
-The load-bearing property is determinism: a parallel run must be
-*bit-identical* to the serial run, because the reducer folds cell
+The load-bearing property is determinism: a pooled run must be
+*bit-identical* to the in-process run, because the reducer folds cell
 results in stable index order either way.  These tests exercise that
-equivalence end-to-end with a real process pool (jobs=2), plus the
+equivalence end-to-end with real forked workers (jobs=2), plus the
 supporting contracts — result dataclasses survive pickling, ``jobs=1``
-never spawns a pool, and ``resolve_jobs`` honours ``REPRO_JOBS``.
+never forks, a failed cell lets the others finish and is named in one
+error, and ``resolve_jobs`` and the runner honour ``REPRO_JOBS``.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
+import os
 import pickle
-import time
 
 import pytest
 
 from repro.config import JOBS_ENV_VAR, SimulationConfig, default_jobs
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ExecutionError
 from repro.predictors.registry import tp_spec
-from repro.sim import parallel as parallel_module
+from repro.sim import resilience as resilience_module
 from repro.sim.experiment import ExperimentRunner
 from repro.sim.parallel import (
     CellProgress,
     ExperimentCell,
-    ParallelExperimentRunner,
-    execute_cells,
     fork_available,
     resolve_jobs,
     stderr_progress,
@@ -42,7 +41,7 @@ TIMEOUTS = (2.0, 10.0)
 
 @pytest.fixture(scope="module")
 def parallel_runner(small_suite):
-    return ParallelExperimentRunner(small_suite, SimulationConfig())
+    return ExperimentRunner(small_suite, SimulationConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -82,14 +81,13 @@ def test_sweep_parallel_matches_serial(parallel_runner):
 
 
 def test_parallel_matches_plain_serial_runner(small_suite):
-    """ParallelExperimentRunner(jobs=2) equals a plain ExperimentRunner."""
-    serial_runner = ExperimentRunner(small_suite, SimulationConfig())
-    expected = {
+    """A runner built with jobs=2 equals one built with jobs=1."""
+    serial_runner = ExperimentRunner(small_suite, SimulationConfig(), jobs=1)
+    expected = serial_runner.run_suite("PCAP", applications=APPS)
+    assert expected == {
         app: serial_runner.run_global(app, "PCAP") for app in APPS
     }
-    threaded = ParallelExperimentRunner(
-        small_suite, SimulationConfig(), jobs=2
-    )
+    threaded = ExperimentRunner(small_suite, SimulationConfig(), jobs=2)
     assert threaded.run_suite("PCAP", applications=APPS) == expected
 
 
@@ -126,16 +124,16 @@ def test_sweep_point_pickles(parallel_runner):
 
 def test_jobs_one_never_spawns_a_pool(parallel_runner, monkeypatch):
     def explode(*args, **kwargs):  # pragma: no cover - failure path
-        raise AssertionError("jobs=1 must not create a process pool")
+        raise AssertionError("jobs=1 must not fork a worker")
 
-    monkeypatch.setattr(
-        concurrent.futures, "ProcessPoolExecutor", explode
-    )
-    monkeypatch.setattr(
-        parallel_module, "ProcessPoolExecutor", explode
-    )
+    monkeypatch.setattr(os, "fork", explode)
+    monkeypatch.setattr(resilience_module._Executor, "run_pool", explode)
     results = parallel_runner.run_suite("TP", applications=APPS, jobs=1)
     assert set(results) == set(APPS)
+    matrix = parallel_runner.run_matrix(
+        ["TP", "PCAP"], applications=APPS, jobs=1
+    )
+    assert list(matrix) == list(APPS)
 
 
 def test_resolve_jobs_env(monkeypatch):
@@ -145,6 +143,8 @@ def test_resolve_jobs_env(monkeypatch):
 
     monkeypatch.setenv(JOBS_ENV_VAR, "3")
     assert resolve_jobs(None) == 3
+    assert ExperimentRunner({}).jobs == 3  # a plain runner follows it
+    assert ExperimentRunner({}, jobs=1).jobs == 1
 
     monkeypatch.setenv(JOBS_ENV_VAR, "0")  # 0 = all cores
     assert resolve_jobs(None) >= 1
@@ -159,33 +159,35 @@ def test_resolve_jobs_env(monkeypatch):
     assert resolve_jobs(-2) >= 1  # programmatic negatives mean all cores
 
 
-def test_execute_cells_empty():
-    assert execute_cells([], lambda cell: None, jobs=4) == []
+def test_worker_exception_cleans_up_pool_state(small_suite, monkeypatch):
+    """A failing cell in a pooled plain run lets the healthy cells
+    finish, then raises one ExecutionError naming the cell and its
+    error, without leaking the inherited cell runner."""
+    real_run_global = ExperimentRunner.run_global
 
-
-def test_worker_exception_cleans_up_pool_state(tmp_path):
-    """A failing cell must propagate without leaking the module-global
-    runner or leaving queued cells running (fail-fast but clean)."""
-
-    def run_cell(cell: ExperimentCell) -> int:
-        if cell.index == 0:
+    def run_global(self, application, predictor, **kwargs):
+        if application == "xemacs":
             raise RuntimeError("poisoned cell")
-        time.sleep(0.05)
-        (tmp_path / f"ran-{cell.index}").touch()
-        return cell.index
+        return real_run_global(self, application, predictor, **kwargs)
 
-    cells = [
-        ExperimentCell(index=i, application=f"app{i}", predictor="TP")
-        for i in range(32)
-    ]
-    with pytest.raises(RuntimeError, match="poisoned cell"):
-        execute_cells(cells, run_cell, jobs=2)
-    # The inherited-closure global is always cleared...
-    assert parallel_module._WORKER_RUN_CELL is None
-    # ...and the pending tail was cancelled, not drained: with 32 slow
-    # cells and 2 workers, a full drain would have run nearly all of
-    # them after the poisoned cell failed.
-    assert len(list(tmp_path.glob("ran-*"))) < len(cells) - 1
+    monkeypatch.setattr(ExperimentRunner, "run_global", run_global)
+    events: list[CellProgress] = []
+    runner = ExperimentRunner(
+        small_suite, SimulationConfig(), jobs=2, progress=events.append
+    )
+    apps = ("mozilla", "xemacs", "nedit", "writer")
+    with pytest.raises(ExecutionError) as raised:
+        runner.run_matrix(["TP"], applications=apps)
+    message = str(raised.value)
+    assert "1 failed cell(s)" in message
+    assert "cell 1 xemacs × TP: FAILED" in message
+    assert "RuntimeError: poisoned cell" in message
+    completed = {
+        event.cell.application for event in events if event.outcome == "ok"
+    }
+    assert completed == {"mozilla", "nedit", "writer"}
+    # The inherited-closure global is always cleared.
+    assert resilience_module._CHILD_RUN_CELL is None
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +197,7 @@ def test_worker_exception_cleans_up_pool_state(tmp_path):
 
 def test_progress_hook_fires_per_cell(parallel_runner):
     events: list[CellProgress] = []
-    runner = ParallelExperimentRunner(
+    runner = ExperimentRunner(
         parallel_runner.suite,
         SimulationConfig(),
         jobs=2,

@@ -5,8 +5,8 @@ The contracts under test:
 
 * fault plans are deterministic — worker faults select on cell identity
   and attempt number, never scheduling order;
-* on the all-success path the resilient executor is bit-identical to
-  :func:`repro.sim.parallel.execute_cells` (serial and pooled);
+* on the all-success path the executor's pooled run is bit-identical
+  to its in-process run;
 * injected crashes, hangs, and failures are retried under the policy,
   terminal failures become :class:`CellFailure` records instead of
   aborting the run, and repeated pool incidents degrade gracefully to
@@ -31,8 +31,6 @@ from repro.sim.experiment import ExperimentRunner
 from repro.sim.parallel import (
     CellProgress,
     ExperimentCell,
-    ParallelExperimentRunner,
-    execute_cells,
     fork_available,
     stderr_progress,
 )
@@ -184,25 +182,28 @@ def test_backoff_deterministic_capped_and_growing():
 
 
 # ---------------------------------------------------------------------------
-# Success-path equivalence with execute_cells
+# Success-path equivalence: pooled vs in-process
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("jobs", [1, pytest.param(3, marks=needs_fork)])
-def test_run_cells_matches_execute_cells_on_success(jobs):
+@needs_fork
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_pooled_run_cells_matches_in_process_on_success(jobs):
     cells = toy_cells(7)
-    plain = execute_cells(cells, toy_runner, jobs=jobs)
+    in_process = run_cells(cells, toy_runner, jobs=1, policy=QUICK)
     ledger = run_cells(cells, toy_runner, jobs=jobs, policy=QUICK)
-    assert not ledger.failures and not ledger.retries
-    assert not ledger.degraded
+    for run in (in_process, ledger):
+        assert not run.failures and not run.retries
+        assert not run.degraded
+    assert [r.cell for r in ledger.results] == cells
     assert [(r.cell, r.result) for r in ledger.results] == [
-        (r.cell, r.result) for r in plain
+        (r.cell, r.result) for r in in_process.results
     ]
 
 
 @needs_fork
 def test_resilient_matrix_bit_identical_to_plain(small_suite):
-    runner = ParallelExperimentRunner(small_suite, SimulationConfig())
+    runner = ExperimentRunner(small_suite, SimulationConfig())
     apps = ("mozilla", "xemacs")
     plain = runner.run_matrix(["TP"], applications=apps, jobs=1)
     report = runner.run_matrix_resilient(
@@ -562,7 +563,7 @@ def test_run_suite_checkpoint_roundtrip(small_suite, tmp_path):
 
 def test_sweep_checkpoint_resumes(small_suite, tmp_path):
     path = tmp_path / "sweep.ckpt"
-    runner = ParallelExperimentRunner(small_suite, SimulationConfig())
+    runner = ExperimentRunner(small_suite, SimulationConfig())
     make = lambda t, cfg: tp_spec(cfg, timeout=t)  # noqa: E731
     first = sweep(runner, (2.0, 5.0), make_spec=make,
                   applications=("mozilla",), checkpoint=path)
@@ -583,7 +584,7 @@ def test_run_suite_resilience_reports_failures(small_suite):
     policy = ResiliencePolicy(max_attempts=2, base_delay=0.001)
     with faults.injected(plan):
         with pytest.raises(ExecutionError, match="suite run"):
-            runner.run_suite("TP", applications=APPS, resilience=policy)
+            runner.run_suite("TP", applications=APPS, policy=policy)
 
 
 def test_chaos_scenario_partial_suite_bit_identical(small_suite):
@@ -593,7 +594,7 @@ def test_chaos_scenario_partial_suite_bit_identical(small_suite):
     bit-identical to the classic fault-free reference.  Two predictors
     run fused, one cell per application, so the terminal failure drops
     one whole application row."""
-    runner = ParallelExperimentRunner(small_suite, SimulationConfig())
+    runner = ExperimentRunner(small_suite, SimulationConfig())
     predictors = ["TP", "PCAP"]
     baseline = classic_matrix(runner, predictors, APPS)
     plan = FaultPlan([
@@ -706,7 +707,7 @@ def test_parent_classic_journal_resumes_under_fused(
     # (application, predictor).  The fused path journals lanes under
     # the same keys, so a resume restores every cell and re-runs none.
     path = tmp_path / "per-cell.ckpt"
-    runner = ParallelExperimentRunner(small_suite, SimulationConfig())
+    runner = ExperimentRunner(small_suite, SimulationConfig())
     names = ["TP", "Base"]
     expected = classic_matrix(runner, names, APPS)
     header = {"fused": False, "mode": "global", "multistate": False}
@@ -738,7 +739,7 @@ def test_fused_lanes_resume_a_single_predictor_run(
     # The other direction of the shared key scheme: lanes a fused run
     # journalled restore the per-cell run of one of its predictors.
     path = tmp_path / "lanes.ckpt"
-    runner = ParallelExperimentRunner(small_suite, SimulationConfig())
+    runner = ExperimentRunner(small_suite, SimulationConfig())
     first = runner.run_matrix_resilient(["TP", "Base"], applications=APPS,
                                         checkpoint=path)
     assert len(first.ledger.outcomes) == len(APPS)  # one fused cell per app
@@ -759,7 +760,7 @@ def test_parent_fused_journal_loads_and_reruns(small_suite, tmp_path):
     # and "variant_set", and its one record per application sits under
     # a key no run derives any more.  It still loads; its cells re-run.
     path = tmp_path / "fused.ckpt"
-    runner = ParallelExperimentRunner(small_suite, SimulationConfig())
+    runner = ExperimentRunner(small_suite, SimulationConfig())
     header = {"fused": True, "mode": "global", "multistate": False,
               "variant_set": "0123abcd"}
     with CellCheckpoint(path, provenance=header) as journal:
@@ -781,7 +782,7 @@ def test_classic_journal_allows_new_predictors(small_suite, tmp_path):
     # the new cells run — must keep working: classic provenance pins
     # the execution shape, not the predictor list.
     path = tmp_path / "classic.ckpt"
-    runner = ParallelExperimentRunner(small_suite, SimulationConfig())
+    runner = ExperimentRunner(small_suite, SimulationConfig())
     runner.run_matrix_resilient(["TP"], applications=APPS,
                                 checkpoint=path)
     report = runner.run_matrix_resilient(["TP", "Base"], applications=APPS,

@@ -19,7 +19,7 @@ from repro import faults
 from repro.config import SimulationConfig
 from repro.errors import TraceStoreError
 from repro.sim.experiment import ExperimentRunner
-from repro.sim.parallel import ParallelExperimentRunner
+from repro.sim.sweep import sweep
 from repro.traces.io_format import write_application_trace
 from repro.traces.store import (
     MANIFEST_NAME,
@@ -141,7 +141,7 @@ class TestBitIdentity:
     def test_parallel_suite_identical(self, store_and_suite):
         store, suite = store_and_suite
         mem = ExperimentRunner(suite)
-        st = ParallelExperimentRunner(store.suite(), jobs=2)
+        st = ExperimentRunner(store.suite(), jobs=2)
         assert st.run_suite("PCAP") == mem.run_suite("PCAP")
 
     def test_traced_runs_identical(self, store_and_suite):
@@ -162,12 +162,12 @@ class TestBitIdentity:
     def test_resilient_run_identical(self, store_and_suite, tmp_path):
         store, suite = store_and_suite
         mem = ExperimentRunner(suite)
-        st = ParallelExperimentRunner(store.suite(), jobs=1)
-        report = st.run_suite_resilient(
-            "PCAP", checkpoint=str(tmp_path / "cells.ckpt")
+        st = ExperimentRunner(store.suite(), jobs=1)
+        report = st.run_matrix_resilient(
+            ["PCAP"], checkpoint=str(tmp_path / "cells.ckpt")
         )
         assert report.complete
-        assert report.results == mem.run_suite("PCAP")
+        assert report.matrix == mem.run_matrix(["PCAP"])
 
     def test_runner_fingerprint_comes_from_manifest(self, store_and_suite):
         store, _ = store_and_suite
@@ -183,9 +183,24 @@ class TestBitIdentity:
 
     def test_prewarm_skips_streaming_traces(self, store_and_suite):
         store, _ = store_and_suite
-        runner = ParallelExperimentRunner(store.suite(), jobs=2)
+        runner = ExperimentRunner(store.suite(), jobs=2)
         runner.prewarm()
         assert runner._filtered == {}
+
+    def test_per_cell_sweep_does_not_memoize_streaming_traces(
+        self, store_and_suite
+    ):
+        """A make_config sweep takes the per-cell path; its parent-side
+        warm-up must keep the store's one-execution memory bound."""
+        store, suite = store_and_suite
+        runner = ExperimentRunner(store.suite(("nedit",)), jobs=1)
+        make_config = lambda w: SimulationConfig(wait_window=w)  # noqa: E731
+        points = sweep(runner, (0.5, 2.0), make_config=make_config)
+        assert runner._filtered == {}
+        assert points == sweep(
+            ExperimentRunner({"nedit": suite["nedit"]}), (0.5, 2.0),
+            make_config=make_config,
+        )
 
 
 class TestFullScale:

@@ -137,11 +137,10 @@ def test_sweep_duplicate_values_fused_matches_classic(runner):
 
 
 def test_matrix_duplicate_predictor_names_fused_matches_classic():
-    from repro.sim.parallel import ParallelExperimentRunner
     from repro.workloads import build_suite
 
     suite = build_suite(scale=0.2, applications=("mozilla",))
-    runner = ParallelExperimentRunner(suite, SimulationConfig())
+    runner = ExperimentRunner(suite, SimulationConfig())
     names = ["TP", "Base", "TP"]  # shadowed: the dict row keeps one TP
     fused = runner.run_matrix(names)
     assert fused == classic_matrix(runner, names)

@@ -8,7 +8,7 @@ import pytest
 
 from repro.analysis.timeline import render_timeline, render_trace_summary
 from repro.sim.experiment import ExperimentRunner
-from repro.sim.parallel import ParallelExperimentRunner, fork_available
+from repro.sim.parallel import fork_available
 from repro.sim.tracing import (
     AccessServed,
     GapResolved,
@@ -209,7 +209,7 @@ def test_parallel_cells_reproduce_serial_event_streams(small_suite):
     expected = {
         app: serial.run_global(app, "PCAP").trace_events for app in apps
     }
-    parallel = ParallelExperimentRunner(small_suite, jobs=2, tracing=True)
+    parallel = ExperimentRunner(small_suite, jobs=2, tracing=True)
     results = parallel.run_suite("PCAP", applications=apps)
     for app in apps:
         assert results[app].trace_events == expected[app]

@@ -33,8 +33,9 @@ from dataclasses import fields
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.config import SimulationConfig
+from repro.sim.experiment import ExperimentRunner
 from repro.sim.fleet import replicate_devices, run_fleet
-from repro.sim.parallel import ParallelExperimentRunner, fork_available
+from repro.sim.parallel import fork_available
 from repro.workloads import build_suite
 
 APPLICATIONS = ("mozilla", "writer")
@@ -125,7 +126,7 @@ def main() -> int:
     scale = float(os.environ.get("REPRO_EQUIV_SCALE", "0.25"))
     config = SimulationConfig()
     suite = build_suite(scale=scale, applications=APPLICATIONS)
-    runner = ParallelExperimentRunner(suite, config, jobs=1)
+    runner = ExperimentRunner(suite, config, jobs=1)
     devices = replicate_devices(APPLICATIONS, DEVICES)
     expected = standalone_table(runner, devices)
 

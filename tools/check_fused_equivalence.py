@@ -57,8 +57,9 @@ from repro.predictors.registry import (
     tp_spec,
 )
 from repro.sim.engine import build_replay_tape, run_global_execution
+from repro.sim.experiment import ExperimentRunner
 from repro.sim.fused import replay_execution, run_fused_cells
-from repro.sim.parallel import ParallelExperimentRunner, fork_available
+from repro.sim.parallel import fork_available
 from repro.sim.sweep import sweep
 from repro.workloads import build_suite
 from tests.helpers import classic_matrix, classic_sweep
@@ -204,7 +205,7 @@ def main() -> int:
     scale = float(os.environ.get("REPRO_EQUIV_SCALE", "0.25"))
     config = SimulationConfig()
     suite = build_suite(scale=scale)
-    runner = ParallelExperimentRunner(suite, config)
+    runner = ExperimentRunner(suite, config)
     job_counts = [1, 2] if fork_available() else [1]
     if len(job_counts) == 1:
         print("note: fork unavailable, pooled runs skipped", file=sys.stderr)
