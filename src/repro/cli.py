@@ -88,10 +88,7 @@ from repro.analysis.timeline import render_timeline, render_trace_summary
 from repro.config import SimulationConfig
 from repro.errors import ReproError
 from repro.predictors.registry import KNOWN_PREDICTORS
-from repro.sim.artifact_cache import (
-    generated_suite_fingerprints,
-    resolve_cache,
-)
+from repro.sim.artifact_cache import resolve_cache
 from repro.sim.experiment import ExperimentRunner
 from repro.sim.parallel import stderr_progress
 from repro.sim.tracing import TraceRecorder, write_jsonl
@@ -112,26 +109,16 @@ def _runner(args, applications: Optional[tuple[str, ...]] = None):
         from repro.traces.store import TraceStore
 
         suite = TraceStore(store_path).suite(applications)
-        generated = False
     else:
         suite = build_suite(
             scale=args.scale,
             applications=applications or APPLICATIONS,
             cache=cache,
         )
-        generated = True
     jobs = getattr(args, "jobs", None)
     runner = ExperimentRunner(
         suite, SimulationConfig(), jobs=jobs, artifact_cache=cache
     )
-    if cache is not None and generated:
-        # The suite came from the deterministic generator: its trace
-        # cache keys double as content fingerprints, skipping a
-        # per-event hashing pass per application.  (Store-backed suites
-        # carry their provenance fingerprint in the manifest instead.)
-        runner.declare_fingerprints(
-            generated_suite_fingerprints(args.scale, tuple(suite))
-        )
     if getattr(args, "progress", False):
         runner.progress = stderr_progress
     return runner
@@ -758,6 +745,21 @@ def _cmd_faults(args) -> int:
                 for spec in unfired
             )
             or f"{len(worker_specs)} worker fault(s)",
+        )
+        # A corrupted read that fires here must have cost the faulted
+        # runner's cache one quarantined entry, then been recomputed.
+        # (A torn write is found by the next read of its entry, which
+        # for a pickled result may come in a later run.)
+        corrupt_reads = [
+            record for record in plan.fired
+            if record.site == faults.CACHE_CORRUPT_READ
+        ]
+        quarantined = runner.artifact_cache.stats.quarantined
+        check(
+            "every corrupted cache read left a quarantined entry",
+            quarantined >= len(corrupt_reads),
+            f"{len(corrupt_reads)} corrupted read(s), "
+            f"{quarantined} quarantined",
         )
         healthy_identical = True
         compared = 0

@@ -411,10 +411,7 @@ def _artifact_cache_times(
     """
     import repro.workloads.suite as suite_module
     from repro.config import SimulationConfig
-    from repro.sim.artifact_cache import (
-        ArtifactCache,
-        generated_suite_fingerprints,
-    )
+    from repro.sim.artifact_cache import ArtifactCache
     from repro.sim.experiment import ExperimentRunner
     from repro.workloads import build_suite
 
@@ -427,9 +424,6 @@ def _artifact_cache_times(
         suite = build_suite(scale=scale, cache=cache)
         runner = ExperimentRunner(
             suite, SimulationConfig(), artifact_cache=cache
-        )
-        runner.declare_fingerprints(
-            generated_suite_fingerprints(scale, tuple(suite))
         )
         for name in suite:
             runner.filtered(name)

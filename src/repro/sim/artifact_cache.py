@@ -14,24 +14,32 @@ worker processes — skip straight to the simulation:
   results.  Changing any input (or bumping :data:`SCHEMA_VERSION` when
   the artifact layout changes) changes the key, so stale entries are
   never *read* — they are simply orphaned.
+* **One trace format.**  A generated trace is kept as a trace store
+  (:mod:`repro.traces.store`), and a hit returns the lazily read
+  :class:`~repro.traces.store.StoreBackedTrace`, which carries its
+  manifest fingerprint.  That fingerprint equals
+  :func:`trace_fingerprint` of the in-memory trace, so ``--store`` runs
+  and generated runs of the same content share every filter, tape and
+  fused entry.  Every other artifact is a pickle.
 * **Atomic writes, lock-free reads.**  A store writes to a private
-  temporary file in the cache directory and publishes it with
-  :func:`os.replace`, which is atomic on POSIX — a reader sees either
+  temporary file (or, for a trace, directory) in the cache directory and
+  renames it into place, which is atomic on POSIX — a reader sees either
   the complete entry or nothing.  Concurrent writers of the same key
   (parallel workers racing on a cold cache) each publish an identical
-  artifact; last rename wins and no locking is needed.
+  artifact; a pickle's last rename wins, a trace's first one does, and
+  no locking is needed.
 * **Corruption recovery.**  A truncated or unreadable entry (killed
   writer that bypassed the temp-file protocol, disk corruption, a torn
   write) is treated as a miss: the entry is *quarantined* — renamed
   aside with a ``.corrupt`` suffix so the evidence survives for
-  inspection (unlinked as a fallback) — and the caller recomputes and
+  inspection (removed as a fallback) — and the caller recomputes and
   rewrites it.  The :mod:`repro.faults` sites ``cache.corrupt-read``
   and ``cache.torn-write`` exercise this path deliberately.
 
 The cache is opt-in: pass ``--cache-dir`` on the CLI or set the
-``REPRO_CACHE_DIR`` environment variable.  Cached artifacts are the
-pickles of exactly the objects the uncached path builds, so simulation
-results are bit-identical with the cache on or off.
+``REPRO_CACHE_DIR`` environment variable.  Cached artifacts hold exactly
+what the uncached path builds, so simulation results are bit-identical
+with the cache on or off.
 """
 
 from __future__ import annotations
@@ -39,22 +47,25 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import shutil
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional
 
 from repro import faults
 from repro.cache.page_cache import CacheConfig
-from repro.traces.events import (
-    AccessType,
-    ExitEvent,
-    ForkEvent,
-    IOEvent,
-    TraceEvent,
-    event_tuple,
+from repro.errors import TraceStoreError
+from repro.traces.events import event_tuple
+from repro.traces.store import (
+    MANIFEST_NAME,
+    StoreBackedTrace,
+    StoreWriter,
+    TraceFingerprint,
+    TraceStore,
+    pack_trace,
 )
-from repro.traces.trace import ApplicationTrace, ExecutionTrace
+from repro.traces.trace import ApplicationTrace
 
 #: Bump whenever the pickled artifact layout (or the meaning of a key
 #: component) changes; old entries are orphaned rather than misread.
@@ -81,11 +92,11 @@ class ArtifactCacheStats:
 
 
 class ArtifactCache:
-    """Content-addressed pickle store with atomic writes.
+    """Content-addressed artifact store with atomic writes.
 
-    The two-level directory layout (``ab/abcdef….pkl``) keeps directory
-    sizes bounded; keys are hex digests produced by the ``*_key``
-    functions in this module.
+    The two-level directory layout (``ab/abcdef….pkl`` for pickles,
+    ``ab/abcdef….store`` for traces) keeps directory sizes bounded; keys
+    are hex digests produced by the ``*_key`` functions in this module.
     """
 
     def __init__(self, root: str | os.PathLike[str]) -> None:
@@ -98,22 +109,28 @@ class ArtifactCache:
         return self.root / key[:2] / f"{key}.pkl"
 
     def _quarantine(self, path: Path) -> None:
-        """Move a corrupt entry aside (``<entry>.pkl.corrupt``).
+        """Move a corrupt entry aside (``<entry>.corrupt``).
 
         Renaming instead of unlinking keeps the evidence for post-mortem
-        inspection while still clearing the key for the recompute; if
-        the rename fails the entry is unlinked best-effort.
+        inspection while still clearing the key for the recompute; a
+        store directory replaces any older quarantined copy of itself.
+        If the rename fails the entry is removed best-effort.
         """
         self.stats.corrupt += 1
         aside = path.with_name(path.name + ".corrupt")
+        if aside.is_dir():
+            shutil.rmtree(aside, ignore_errors=True)
         try:
             os.replace(path, aside)
             self.stats.quarantined += 1
         except OSError:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+            if path.is_dir():
+                shutil.rmtree(path, ignore_errors=True)
+            else:
+                try:
+                    os.unlink(path)
+                except OSError:
+                    pass
 
     def get(self, key: str) -> tuple[bool, Any]:
         """``(True, value)`` on a hit, ``(False, None)`` on a miss.
@@ -167,139 +184,60 @@ class ArtifactCache:
         self.put(key, value)
         return value
 
-    def get_trace(self, key: str) -> Optional[ApplicationTrace]:
-        """A cached application trace, or ``None`` (see the trace codec)."""
-        hit, payload = self.get(key)
-        if not hit:
+    def trace_path_for(self, key: str) -> Path:
+        """On-disk location of one generated trace's store directory."""
+        return self.root / key[:2] / f"{key}.store"
+
+    def get_trace(self, key: str) -> Optional[StoreBackedTrace]:
+        """The cached trace under ``key``, or ``None`` on a miss.
+
+        The store is opened and every column touched, which size-checks
+        each column file against the manifest; a store that fails to
+        open is quarantined and reported as a miss, like any corrupt
+        entry.  A hit reads no events: they decode lazily on demand.
+        """
+        path = self.trace_path_for(key)
+        if not path.exists():
+            self.stats.misses += 1
             return None
         try:
-            return decode_trace(payload)
-        except (TypeError, ValueError, KeyError, IndexError,
-                AttributeError, StopIteration):
-            # The entry unpickled but is not a valid trace payload:
-            # treat like any other corruption.
-            self.stats.hits -= 1
+            store = TraceStore(path)
+            store.columns()
+            (application,) = store.applications
+            trace = store.trace(application)
+        except (TraceStoreError, AttributeError, KeyError, TypeError,
+                ValueError):
             self.stats.misses += 1
-            self._quarantine(self.path_for(key))
+            self._quarantine(path)
             return None
+        self.stats.hits += 1
+        return trace
 
     def put_trace(self, key: str, trace: ApplicationTrace) -> None:
-        """Store an application trace in the columnar cache encoding."""
-        self.put(key, encode_trace(trace))
+        """Pack ``trace`` into a trace store published under ``key``.
 
-
-# --------------------------------------------------------------------------
-# Columnar trace codec.
-#
-# A full suite holds ~10^6 event objects; pickling the object graph costs
-# several microseconds per event on load (per-object reduce machinery)
-# which dominates warm starts.  Trace entries are therefore stored as flat
-# per-field columns — pickled at C speed — plus a per-event type-code
-# string, and events are rebuilt in one tight loop.  Reconstruction
-# assigns slots directly (the values were validated when the trace was
-# generated; a corrupted entry almost surely fails the unpickle itself and
-# is handled as a miss).
-
-_ACCESS_KIND_BY_VALUE = {kind.value: kind for kind in AccessType}
-
-
-def _encode_execution(execution: ExecutionTrace) -> tuple:
-    codes = bytearray()
-    io_cols: tuple[list, ...] = ([], [], [], [], [], [], [], [])
-    fork_cols: tuple[list, ...] = ([], [], [])
-    exit_cols: tuple[list, ...] = ([], [])
-    for event in execution.events:
-        kind = type(event)
-        if kind is IOEvent:
-            codes.append(0)
-            time, pid, pc, fd, acc, inode, bs, bc = io_cols
-            time.append(event.time)
-            pid.append(event.pid)
-            pc.append(event.pc)
-            fd.append(event.fd)
-            acc.append(event.kind.value)
-            inode.append(event.inode)
-            bs.append(event.block_start)
-            bc.append(event.block_count)
-        elif kind is ForkEvent:
-            codes.append(1)
-            fork_cols[0].append(event.time)
-            fork_cols[1].append(event.pid)
-            fork_cols[2].append(event.parent_pid)
-        else:
-            codes.append(2)
-            exit_cols[0].append(event.time)
-            exit_cols[1].append(event.pid)
-    return (
-        execution.application,
-        execution.execution_index,
-        tuple(sorted(execution.initial_pids)),
-        bytes(codes),
-        io_cols,
-        fork_cols,
-        exit_cols,
-    )
-
-
-def _decode_execution(payload: tuple) -> ExecutionTrace:
-    application, index, initial_pids, codes, io_cols, fork_cols, exit_cols = (
-        payload
-    )
-    kinds = _ACCESS_KIND_BY_VALUE
-    io_iter = zip(*io_cols)
-    fork_iter = zip(*fork_cols)
-    exit_iter = zip(*exit_cols)
-    new = object.__new__
-    put = object.__setattr__
-    events: list[TraceEvent] = []
-    append = events.append
-    for code in codes:
-        if code == 0:
-            time, pid, pc, fd, acc, inode, bs, bc = next(io_iter)
-            event = new(IOEvent)
-            put(event, "time", time)
-            put(event, "pid", pid)
-            put(event, "pc", pc)
-            put(event, "fd", fd)
-            put(event, "kind", kinds[acc])
-            put(event, "inode", inode)
-            put(event, "block_start", bs)
-            put(event, "block_count", bc)
-        elif code == 1:
-            time, pid, parent = next(fork_iter)
-            event = new(ForkEvent)
-            put(event, "time", time)
-            put(event, "pid", pid)
-            put(event, "parent_pid", parent)
-        else:
-            time, pid = next(exit_iter)
-            event = new(ExitEvent)
-            put(event, "time", time)
-            put(event, "pid", pid)
-        append(event)
-    return ExecutionTrace(
-        application=application,
-        execution_index=index,
-        events=events,
-        initial_pids=frozenset(initial_pids),
-    )
-
-
-def encode_trace(trace: ApplicationTrace) -> tuple:
-    """The compact cache payload of an application trace."""
-    return (
-        trace.application,
-        tuple(_encode_execution(execution) for execution in trace),
-    )
-
-
-def decode_trace(payload: tuple) -> ApplicationTrace:
-    """Rebuild an :class:`ApplicationTrace` from :func:`encode_trace`."""
-    application, executions = payload
-    return ApplicationTrace(
-        application=application,
-        executions=[_decode_execution(item) for item in executions],
-    )
+        The store is packed into a private temporary directory and
+        renamed into place.  A publisher that loses the rename to a
+        concurrent one discards its copy: both packed the same trace.
+        """
+        path = self.trace_path_for(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = Path(tempfile.mkdtemp(
+            dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
+        ))
+        try:
+            with StoreWriter(tmp) as writer:
+                pack_trace(trace, writer)
+            faults.tear_cache_write(tmp / MANIFEST_NAME)
+            try:
+                os.rename(tmp, path)
+            except OSError:
+                if not path.is_dir():
+                    raise
+                return
+        finally:
+            shutil.rmtree(tmp, ignore_errors=True)
+        self.stats.stores += 1
 
 
 def _digest(*parts: object) -> str:
@@ -317,32 +255,23 @@ def trace_key(application: str, scale: float) -> str:
     return _digest("trace", SCHEMA_VERSION, application, scale)
 
 
-#: Canonical event value tuples come from the trace layer so the trace
-#: store's streaming fingerprint hashes the same field layout.
-_event_tuple = event_tuple
-
-
 def trace_fingerprint(trace: ApplicationTrace) -> str:
     """Digest of a trace's full event content.
 
     Filtered artifacts are keyed on this fingerprint (not on the trace's
     provenance), so regenerating a workload with different content —
     a generator change, a different scale, an imported trace — can never
-    serve stale filtered results.
+    serve stale filtered results.  It equals the manifest fingerprint
+    of the same trace packed into a store (:class:`TraceFingerprint`).
     """
-    digest = hashlib.blake2b(digest_size=20)
-    digest.update(
-        f"{SCHEMA_VERSION}:{trace.application}:{len(trace)}".encode("utf-8")
-    )
+    fingerprint = TraceFingerprint(trace.application)
     for execution in trace:
-        header = (
+        fingerprint.add_execution(
             execution.execution_index,
-            tuple(sorted(execution.initial_pids)),
-            len(execution.events),
+            execution.initial_pids,
+            [event_tuple(event) for event in execution.events],
         )
-        payload = [_event_tuple(event) for event in execution.events]
-        digest.update(pickle.dumps((header, payload), _PICKLE_PROTOCOL))
-    return digest.hexdigest()
+    return fingerprint.hexdigest()
 
 
 def filter_key(
@@ -441,23 +370,6 @@ def fleet_key(
     changing any input the fingerprint sees.
     """
     return _digest("fleet-run", SCHEMA_VERSION, fingerprint, tables)
-
-
-def generated_suite_fingerprints(
-    scale: float, applications: tuple[str, ...] | list[str]
-) -> dict[str, str]:
-    """Provenance fingerprints for a generator-built suite.
-
-    Trace generation is a deterministic function of (application, scale,
-    schema version) — the premise that makes caching the traces sound in
-    the first place — so for generated suites the trace cache key can
-    stand in for the (expensive, per-event) content fingerprint when
-    keying filtered artifacts.  Pass the result to
-    :meth:`~repro.sim.experiment.ExperimentRunner.declare_fingerprints`.
-    Traces of any other provenance (imported, hand-built) must use
-    :func:`trace_fingerprint`.
-    """
-    return {name: trace_key(name, scale) for name in applications}
 
 
 def resolve_cache(

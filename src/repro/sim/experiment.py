@@ -166,26 +166,16 @@ class ExperimentRunner:
             return recorder, recorder
         return None, None
 
-    def declare_fingerprints(self, fingerprints: dict[str, str]) -> None:
-        """Pre-seed trace content fingerprints for artifact-cache keys.
-
-        By default :meth:`filtered` fingerprints a trace by hashing all
-        its events; callers that *know* the provenance of their suite
-        (e.g. the deterministic generator — see
-        :func:`repro.sim.artifact_cache.generated_suite_fingerprints`)
-        can seed equivalent keys and skip the per-event hashing.
-        """
-        self._fingerprints.update(fingerprints)
-
     def fingerprint(self, application: str) -> str:
         """Content fingerprint of one application's trace (memoized).
 
-        Pre-seeded fingerprints (:meth:`declare_fingerprints`) win; a
-        trace that carries its own provenance digest (store-backed
-        traces expose ``fingerprint``) is next; otherwise the trace's
-        events are hashed once and remembered.  Artifact-cache keys and
-        checkpoint cell keys (:func:`repro.sim.resilience.cell_key`) are
-        both derived from this value.
+        A trace that carries its own provenance digest (store-backed
+        traces expose their manifest ``fingerprint``) supplies it;
+        otherwise the trace's events are hashed once and remembered.
+        Both give the same value for the same content.  Artifact-cache
+        keys and checkpoint cell keys
+        (:func:`repro.sim.resilience.cell_key`) are both derived from
+        this value.
         """
         fingerprint = self._fingerprints.get(application)
         if fingerprint is None:

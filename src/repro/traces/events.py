@@ -135,9 +135,9 @@ TraceEvent = Union[IOEvent, ForkEvent, ExitEvent]
 def event_tuple(event: TraceEvent) -> tuple:
     """The canonical value tuple of an event, used for content hashing.
 
-    Both the artifact cache's :func:`repro.sim.artifact_cache.trace_fingerprint`
-    and the trace store's streaming fingerprint hash these tuples, so the
-    two provenance schemes stay comparable field-for-field.
+    The trace store's :class:`~repro.traces.store.TraceFingerprint`
+    hashes these tuples, for packed and in-memory traces alike
+    (:func:`repro.sim.artifact_cache.trace_fingerprint`).
     """
     if type(event) is IOEvent:
         return (

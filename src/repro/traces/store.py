@@ -22,11 +22,12 @@ Every event is one row across all columns; ``etype`` discriminates I/O
 carries the parent pid of fork rows.  The JSON manifest records the
 column schema, the chunk row offsets, each execution's row range plus
 its (tiny) fork/exit event list, and a **provenance fingerprint** per
-application: a BLAKE2b digest over the same canonical event tuples the
-artifact cache hashes (:func:`repro.traces.events.event_tuple`), so
-store fingerprints key :func:`repro.sim.artifact_cache.filter_key`
-entries and resilient-run checkpoints exactly like in-memory
-fingerprints do.
+application (:class:`TraceFingerprint`).  In-memory traces are
+fingerprinted by the same helper
+(:func:`repro.sim.artifact_cache.trace_fingerprint`), so a store-backed
+trace and an in-memory trace of equal content key the same
+:func:`repro.sim.artifact_cache.filter_key` entries and resilient-run
+checkpoints.
 
 Reading is lazy end to end: :class:`TraceStore` memory-maps each column
 once, :class:`StoreBackedTrace` holds only per-execution metadata, and
@@ -208,6 +209,39 @@ def decode_event_rows(payload: bytes) -> list[TraceEvent]:
     return _decode_column_lists(*lists, 0)
 
 
+class TraceFingerprint:
+    """The provenance digest of one application's event content.
+
+    A BLAKE2b digest seeded with ``store:<version>:<application>`` and
+    updated once per execution with a canonical pickle of the execution
+    header (index, sorted initial pids, event count) and its
+    :func:`~repro.traces.events.event_tuple` values.  The store writer
+    computes manifest fingerprints with it and
+    :func:`repro.sim.artifact_cache.trace_fingerprint` computes in-memory
+    ones, so equal content has one fingerprint wherever it lives.
+    """
+
+    __slots__ = ("_digest",)
+
+    def __init__(self, application: str) -> None:
+        self._digest = hashlib.blake2b(digest_size=20)
+        self._digest.update(
+            f"store:{STORE_VERSION}:{application}".encode("utf-8")
+        )
+
+    def add_execution(
+        self, execution_index: int, initial_pids: Iterable[int],
+        tuples: list[tuple],
+    ) -> None:
+        """Fold in one execution, given its events' value tuples."""
+        header = (execution_index, tuple(sorted(initial_pids)), len(tuples))
+        self._digest.update(pickle.dumps((header, tuples), _PICKLE_PROTOCOL))
+
+    def hexdigest(self) -> str:
+        """The fingerprint of every execution added so far."""
+        return self._digest.hexdigest()
+
+
 def _quarantine(path: Path) -> Path:
     """Rename a corrupt store file aside (``<file>.corrupt``).
 
@@ -259,7 +293,7 @@ class StoreWriter:
         self._chunks: list[list[int]] = []
         #: application -> (digest, manifest entry) accumulated so far.
         self._apps: dict[str, dict] = {}
-        self._digests: dict[str, "hashlib._Hash"] = {}
+        self._digests: dict[str, TraceFingerprint] = {}
         self._closed = False
 
     def __enter__(self) -> "StoreWriter":
@@ -280,11 +314,7 @@ class StoreWriter:
                 "executions": [],
             }
             self._apps[application] = entry
-            digest = hashlib.blake2b(digest_size=20)
-            digest.update(
-                f"store:{STORE_VERSION}:{application}".encode("utf-8")
-            )
-            self._digests[application] = digest
+            self._digests[application] = TraceFingerprint(application)
         return entry
 
     def write_execution(self, execution) -> None:
@@ -370,9 +400,9 @@ class StoreWriter:
                 self._flush_chunks()
 
         initial = sorted(execution.initial_pids)
-        header = (execution.execution_index, tuple(initial), rows)
-        digest = self._digests[application]
-        digest.update(pickle.dumps((header, tuples), _PICKLE_PROTOCOL))
+        self._digests[application].add_execution(
+            execution.execution_index, initial, tuples
+        )
         entry["io_events"] += io_rows
         entry["executions"].append({
             "index": execution.execution_index,

@@ -42,24 +42,31 @@ def build_application(
 ) -> ApplicationTrace:
     """Generate one application's full trace history.
 
-    With an :class:`~repro.sim.artifact_cache.ArtifactCache` the
-    generated trace is persisted keyed by (application, scale, schema
-    version): the second process to ask skips generation entirely.
-    Generation is deterministic, so the cached trace is identical to a
-    fresh build.
+    With an :class:`~repro.sim.artifact_cache.ArtifactCache` the trace is
+    kept as a trace store keyed by (application, scale, schema version),
+    and the lazily read :class:`~repro.traces.store.StoreBackedTrace` is
+    returned on a hit and on a miss alike: the second process to ask
+    skips generation entirely.  A miss reads back the store it just
+    published; a store torn at publish is quarantined by that read and
+    packed once more from the generated trace, which is returned if the
+    second store is torn too.  Generation is deterministic, so the
+    cached trace holds the same events as a fresh build.
     """
-    if cache is not None:
-        from repro.sim.artifact_cache import trace_key
+    if cache is None:
+        return build_application_trace(application_spec(name), scale=scale)
+    from repro.sim.artifact_cache import trace_key
 
-        key = trace_key(name, scale)
-        trace = cache.get_trace(key)
-        if trace is None:
-            trace = build_application_trace(
-                application_spec(name), scale=scale
-            )
-            cache.put_trace(key, trace)
-        return trace
-    return build_application_trace(application_spec(name), scale=scale)
+    key = trace_key(name, scale)
+    stored = cache.get_trace(key)
+    if stored is not None:
+        return stored
+    trace = build_application_trace(application_spec(name), scale=scale)
+    for _attempt in range(2):
+        cache.put_trace(key, trace)
+        stored = cache.get_trace(key)
+        if stored is not None:
+            return stored
+    return trace
 
 
 @lru_cache(maxsize=4)
@@ -77,9 +84,10 @@ def build_suite(
 ) -> dict[str, ApplicationTrace]:
     """Generate (and memoize) the suite's traces at the given scale.
 
-    ``cache`` persists each application's trace on disk instead of the
-    in-process memo (see :func:`build_application`), sharing the build
-    across processes and runs.
+    ``cache`` persists each application's trace on disk as a trace store
+    instead of the in-process memo (see :func:`build_application`),
+    sharing the build across processes and runs; the suite then holds
+    store-backed traces.
     """
     if cache is not None:
         return {

@@ -3,25 +3,30 @@
 from __future__ import annotations
 
 import multiprocessing
-import pickle
 
-import pytest
-
+from repro import faults
+from repro.analysis.figures import build_fig6
+from repro.analysis.tables import build_table1
 from repro.cache.page_cache import CacheConfig
 from repro.config import SimulationConfig
+from repro.faults import FaultPlan, FaultSpec
 from repro.sim.artifact_cache import (
     CACHE_DIR_ENV_VAR,
     ArtifactCache,
-    decode_trace,
-    encode_trace,
     filter_key,
     resolve_cache,
-    trace_fingerprint,
     trace_key,
 )
 from repro.sim.experiment import ExperimentRunner
+from repro.traces.store import (
+    MANIFEST_NAME,
+    StoreBackedTrace,
+    StoreWriter,
+    TraceStore,
+    pack_trace,
+)
 from repro.traces.trace import ApplicationTrace
-from repro.workloads import build_application
+from repro.workloads import build_application, build_suite
 from tests.helpers import single_process_execution
 
 
@@ -119,16 +124,6 @@ def test_truncated_entry_is_a_miss(tmp_path):
     assert cache.stats.corrupt == 1
 
 
-def test_get_trace_rejects_bogus_payload(tmp_path):
-    cache = ArtifactCache(tmp_path)
-    key = trace_key("alpha", 1.0)
-    # Unpickles fine, but is not a trace payload: handled as corruption.
-    cache.put(key, ("definitely", "not", "a", "trace"))
-    assert cache.get_trace(key) is None
-    assert cache.stats.corrupt == 1
-    assert not cache.path_for(key).exists()
-
-
 def test_truncated_entry_quarantined_and_recomputed(tmp_path):
     """Hardened read path: a published entry truncated mid-payload is a
     miss, never an exception — the entry is renamed aside (quarantined)
@@ -151,9 +146,6 @@ def test_truncated_entry_quarantined_and_recomputed(tmp_path):
 
 
 def test_corrupt_read_fault_site_recovers(tmp_path):
-    from repro import faults
-    from repro.faults import FaultPlan, FaultSpec
-
     cache = ArtifactCache(tmp_path)
     key = trace_key("alpha", 1.0)
     cache.put(key, list(range(500)))
@@ -171,9 +163,6 @@ def test_corrupt_read_fault_site_recovers(tmp_path):
 
 
 def test_torn_write_fault_site_recovers(tmp_path):
-    from repro import faults
-    from repro.faults import FaultPlan, FaultSpec
-
     cache = ArtifactCache(tmp_path)
     key = trace_key("alpha", 1.0)
     plan = FaultPlan([FaultSpec(site="cache.torn-write", at=1)])
@@ -197,42 +186,166 @@ def test_get_or_compute_computes_once(tmp_path):
     assert len(calls) == 1
 
 
-# -------------------------------------------------------------- codec --
+# ------------------------------------------------------------- traces --
 
 
-def test_trace_codec_roundtrip():
-    trace = build_application("nedit", scale=0.1)
-    payload = encode_trace(trace)
-    # The payload survives pickling (that is how it is stored) and
-    # decodes back to an identical trace, event for event.
-    decoded = decode_trace(pickle.loads(pickle.dumps(payload)))
-    assert decoded == trace
-    assert decoded.application == trace.application
-    for original, rebuilt in zip(trace, decoded):
-        assert rebuilt.initial_pids == original.initial_pids
-        assert rebuilt.events == original.events
-        assert [type(e) for e in rebuilt.events] == [
+def _assert_same_events(stored, generated: ApplicationTrace) -> None:
+    """A cached trace holds the generated events, types included."""
+    rebuilt = stored.materialize()
+    assert rebuilt.application == generated.application
+    assert len(rebuilt) == len(generated)
+    for original, copy in zip(generated, rebuilt):
+        assert copy.execution_index == original.execution_index
+        assert copy.initial_pids == original.initial_pids
+        assert copy.events == original.events
+        assert [type(e) for e in copy.events] == [
             type(e) for e in original.events
         ]
 
 
-def test_codec_roundtrip_preserves_fingerprint():
-    trace = build_application("mplayer", scale=0.1)
-    decoded = decode_trace(encode_trace(trace))
-    assert trace_fingerprint(decoded) == trace_fingerprint(trace)
+def test_trace_store_roundtrip(tmp_path):
+    generated = build_application("nedit", scale=0.1)
+    cache = ArtifactCache(tmp_path)
+    key = trace_key("nedit", 0.1)
+    cache.put_trace(key, generated)
+    path = cache.trace_path_for(key)
+    assert path.is_dir() and path.parent.name == key[:2]
+    stored = cache.get_trace(key)
+    assert isinstance(stored, StoreBackedTrace)
+    _assert_same_events(stored, generated)
 
 
 def test_build_application_persists_trace(tmp_path):
     cold = ArtifactCache(tmp_path)
     built = build_application("nedit", scale=0.1, cache=cold)
     assert cold.stats.stores == 1
+    assert isinstance(built, StoreBackedTrace)
     # A fresh process (modeled by a fresh cache instance) loads the
-    # stored trace instead of regenerating, and gets an identical one.
+    # stored trace instead of regenerating, and gets identical events.
     warm = ArtifactCache(tmp_path)
     loaded = build_application("nedit", scale=0.1, cache=warm)
     assert warm.stats.hits == 1
     assert warm.stats.stores == 0
-    assert loaded == built
+    assert loaded.fingerprint == built.fingerprint
+    _assert_same_events(loaded, build_application("nedit", scale=0.1))
+
+
+def test_corrupt_cached_store_is_quarantined_and_rebuilt(tmp_path):
+    generated = build_application("nedit", scale=0.1)
+    build_application("nedit", scale=0.1, cache=ArtifactCache(tmp_path))
+    cache = ArtifactCache(tmp_path)
+    plan = FaultPlan([FaultSpec(site="cache.corrupt-read", at=1)])
+    with faults.injected(plan):
+        rebuilt = build_application("nedit", scale=0.1, cache=cache)
+    # The fault truncated the first column the read touched; the whole
+    # store is moved aside, evidence included, and packed afresh.
+    assert len(plan.fired) == 1
+    assert cache.stats.corrupt == 1 and cache.stats.quarantined == 1
+    assert cache.stats.stores == 1
+    path = cache.trace_path_for(trace_key("nedit", 0.1))
+    aside = path.with_name(path.name + ".corrupt")
+    assert aside.is_dir()
+    assert list((aside / "columns").glob("*.bin.corrupt"))
+    _assert_same_events(rebuilt, generated)
+    warm = ArtifactCache(tmp_path)
+    assert warm.get_trace(trace_key("nedit", 0.1)) is not None
+    assert warm.stats.corrupt == 0
+
+
+def test_torn_store_is_quarantined_and_never_returned(tmp_path):
+    generated = build_application("nedit", scale=0.1)
+    cache = ArtifactCache(tmp_path)
+    plan = FaultPlan([FaultSpec(site="cache.torn-write", at=1)])
+    with faults.injected(plan):
+        built = build_application("nedit", scale=0.1, cache=cache)
+    # The torn store was published, found torn by the read-back, moved
+    # aside, and packed once more from the generated trace.
+    assert len(plan.fired) == 1
+    assert cache.stats.stores == 2
+    assert cache.stats.corrupt == 1 and cache.stats.quarantined == 1
+    path = cache.trace_path_for(trace_key("nedit", 0.1))
+    assert path.with_name(path.name + ".corrupt").is_dir()
+    assert isinstance(built, StoreBackedTrace)
+    assert built.store.path == path
+    _assert_same_events(built, generated)
+
+
+def test_publish_losing_rename_race_keeps_published_store(tmp_path):
+    generated = build_application("nedit", scale=0.1)
+    cache = ArtifactCache(tmp_path)
+    key = trace_key("nedit", 0.1)
+    cache.put_trace(key, generated)
+    path = cache.trace_path_for(key)
+    published = (path.stat().st_ino, (path / MANIFEST_NAME).read_bytes())
+    # A second publisher packs the same trace, finds the key taken when
+    # it renames, and discards its own copy.
+    cache.put_trace(key, generated)
+    assert (path.stat().st_ino, (path / MANIFEST_NAME).read_bytes()) == (
+        published
+    )
+    assert cache.stats.stores == 1
+    assert not list(tmp_path.rglob("*.tmp"))
+    _assert_same_events(cache.get_trace(key), generated)
+
+
+def test_in_memory_and_store_fingerprints_agree(tmp_path):
+    """Equal content has one fingerprint: an in-memory suite and its
+    packed store share every filter entry."""
+    applications = ("nedit", "mozilla")
+    suite = build_suite(scale=0.1, applications=applications)
+    with StoreWriter(tmp_path / "suite.store") as writer:
+        for trace in suite.values():
+            pack_trace(trace, writer)
+    store = TraceStore(tmp_path / "suite.store")
+    in_memory = ExperimentRunner(
+        suite, artifact_cache=ArtifactCache(tmp_path / "cache")
+    )
+    for name in applications:
+        assert in_memory.fingerprint(name) == store.fingerprints()[name]
+        in_memory.filtered(name)
+
+    served = ArtifactCache(tmp_path / "cache")
+    stored = ExperimentRunner(store.suite(), artifact_cache=served)
+    for name in applications:
+        stored.filtered(name)
+    assert served.stats.misses == 0
+    assert served.stats.hits == sum(len(suite[n]) for n in applications)
+
+
+def test_warm_suite_builds_table1_and_fig6_without_events(
+    tmp_path, monkeypatch
+):
+    """A warm cache hands out store-backed traces, and Table 1 and Fig 6
+    read only cached filter results and manifest metadata from them."""
+    applications = ("nedit", "mozilla")
+
+    def tables(cache: ArtifactCache):
+        suite = build_suite(scale=0.1, applications=applications,
+                            cache=cache)
+        runner = ExperimentRunner(suite, jobs=1, artifact_cache=cache)
+        return suite, build_table1(runner), build_fig6(runner)
+
+    import repro.sim.experiment as experiment
+
+    calls = []
+    decode_rows = TraceStore.decode_rows
+    filter_execution = experiment.filter_execution
+    monkeypatch.setattr(
+        TraceStore, "decode_rows",
+        lambda *a: calls.append("decode_rows") or decode_rows(*a),
+    )
+    monkeypatch.setattr(
+        experiment, "filter_execution",
+        lambda *a: calls.append("filter") or filter_execution(*a),
+    )
+    _, cold_table1, cold_fig6 = tables(ArtifactCache(tmp_path))
+    assert "filter" in calls
+    calls.clear()
+    suite, warm_table1, warm_fig6 = tables(ArtifactCache(tmp_path))
+    assert all(isinstance(t, StoreBackedTrace) for t in suite.values())
+    assert calls == []
+    assert warm_table1 == cold_table1
+    assert warm_fig6 == cold_fig6
 
 
 # ----------------------------------------------------- runner wiring --
@@ -321,19 +434,6 @@ def test_parallel_suite_identical_with_cache(tmp_path):
         suite, config, artifact_cache=ArtifactCache(tmp_path)
     ).run_suite("PCAP", jobs=2)
     assert parallel == serial
-
-
-def test_declared_fingerprints_skip_content_hashing(tmp_path):
-    suite = _tiny_suite()
-    runner = ExperimentRunner(
-        suite, SimulationConfig(), artifact_cache=ArtifactCache(tmp_path)
-    )
-    runner.declare_fingerprints({"alpha": "seeded-alpha"})
-    runner.filtered("alpha")
-    assert runner._fingerprints["alpha"] == "seeded-alpha"
-    # Undeclared applications fall back to content fingerprinting.
-    runner.filtered("beta")
-    assert runner._fingerprints["beta"] == trace_fingerprint(suite["beta"])
 
 
 # ------------------------------------------------------- concurrency --
