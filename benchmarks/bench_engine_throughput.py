@@ -32,7 +32,7 @@ def filtered(execution, config):
 def test_throughput_cache_filter(benchmark, execution, config):
     result = benchmark(lambda: filter_execution(execution, config.cache))
     assert result.accesses
-    events = len(execution.io_events)
+    events = execution.io_event_count
     print(f"\n  cache filter: {events} events/round")
 
 

@@ -50,7 +50,7 @@ def _scan_workload() -> ExecutionTrace:
                 io_event(t, pc=SCAN_PC, inode=2, block_start=block)
             )
     events.append(ExitEvent(time=t + 0.01, pid=100))
-    execution = ExecutionTrace(
+    execution = ExecutionTrace.from_events(
         "scan", 0, events, initial_pids=frozenset({100})
     )
     execution.validate()

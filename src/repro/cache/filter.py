@@ -5,18 +5,18 @@ our file cache, and only cache misses are treated as actual disk
 accesses."  :func:`filter_execution` implements exactly that step: it
 replays an execution through a :class:`~repro.cache.page_cache.PageCache`
 and emits the time-ordered :class:`DiskAccess` stream the predictors and
-the energy simulator see.  The replay consumes the execution through the
-:class:`~repro.traces.trace.ExecutionLike` streaming protocol, so an
-in-memory :class:`~repro.traces.trace.ExecutionTrace` and an on-disk
-:class:`~repro.traces.store.StoredExecution` (which decodes one chunk at
-a time) produce bit-identical results.
+the energy simulator see.  There is one replay loop, over the column
+chunks of the :class:`~repro.traces.trace.ExecutionLike` streaming
+protocol: an in-memory :class:`~repro.traces.trace.ExecutionTrace` is
+one chunk, an on-disk :class:`~repro.traces.store.StoredExecution`
+yields one memory-mapped chunk window at a time, and neither builds an
+event object.
 
 Because the same :class:`FilterResult` is replayed many times (once per
 predictor, per sweep point, per figure), it memoizes its derived views —
-the per-process grouping, the access-time list, and the columnar
-(:mod:`repro.sim.columnar`) representation the engine's hot loops
-consume.  The memos are dropped on pickling (workers and the artifact
-cache rebuild them lazily).
+the per-process grouping and the columnar (:mod:`repro.sim.columnar`)
+representation the engine's hot loops consume.  The memos are dropped
+on pickling (workers and the artifact cache rebuild them lazily).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from repro.cache.page_cache import CacheConfig, CacheStats, PageCache, WriteBack
 from repro.cache.writeback import coalesce_writebacks
-from repro.traces.events import AccessType, IOEvent
+from repro.traces.events import AccessType
 from repro.traces.trace import ExecutionLike
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle)
@@ -86,7 +86,6 @@ class FilterResult:
     _per_process: Optional[dict[int, list[DiskAccess]]] = field(
         default=None, repr=False
     )
-    _access_times: Optional[list[float]] = field(default=None, repr=False)
     _columnar: Optional["ColumnarAccesses"] = field(default=None, repr=False)
     #: Merged engine schedule memo: (execution, schedule) — see
     #: :func:`repro.sim.engine.merged_schedule`.  Holding the execution
@@ -110,7 +109,6 @@ class FilterResult:
         for name in _FILTER_RESULT_STATE:
             setattr(self, name, state[name])
         self._per_process = None
-        self._access_times = None
         self._columnar = None
         self._schedule = None
 
@@ -123,13 +121,6 @@ class FilterResult:
             self._per_process = grouped
         return self._per_process
 
-    @property
-    def access_times(self) -> list[float]:
-        """Arrival times of the stream (memoized; do not mutate)."""
-        if self._access_times is None:
-            self._access_times = [access.time for access in self.accesses]
-        return self._access_times
-
     def columnar(self) -> "ColumnarAccesses":
         """The columnar view of the stream (built once, memoized)."""
         if self._columnar is None:
@@ -139,100 +130,14 @@ class FilterResult:
         return self._columnar
 
 
+#: The columns of an I/O row the replay reads, in loop order.
+_IO_FIELDS = (
+    "time", "pid", "pc", "fd", "kind", "inode", "block_start", "block_count",
+)
+
+
 def _flush_records_to_accesses(writebacks: list[WriteBack]) -> list[DiskAccess]:
     return [DiskAccess(**record) for record in coalesce_writebacks(writebacks)]
-
-
-def _filter_store_columns(
-    execution: Any,
-    cache: PageCache,
-    accesses: list[DiskAccess],
-    *,
-    flush_on_exit: bool,
-) -> None:
-    """Replay a store-backed execution straight off its column chunks.
-
-    Zero-copy fast path for :class:`~repro.traces.store.StoredExecution`:
-    the memmapped column slices from ``iter_column_chunks`` are consumed
-    directly, so no :class:`~repro.traces.events.IOEvent` objects are
-    ever materialized.  Every cache call is made with the exact same
-    arguments, in the exact same order, as the event-object loop in
-    :func:`filter_execution` — the two paths are row-for-row identical.
-    """
-    append = accesses.append
-    extend = accesses.extend
-    advance = cache.advance
-    cache_read = cache.read
-    cache_write = cache.write
-    by_code = tuple(AccessType)
-    read_code = AccessType.READ
-    open_code = AccessType.OPEN
-    write_code = AccessType.WRITE
-    sync_code = AccessType.SYNC_WRITE
-    for chunk in execution.iter_column_chunks():
-        etypes = chunk["etype"].tolist()
-        times = chunk["time"].tolist()
-        pids = chunk["pid"].tolist()
-        pcs = chunk["pc"].tolist()
-        fds = chunk["fd"].tolist()
-        kinds = chunk["kind"].tolist()
-        inodes = chunk["inode"].tolist()
-        block_starts = chunk["block_start"].tolist()
-        block_counts = chunk["block_count"].tolist()
-        for i in range(len(etypes)):
-            if etypes[i] != 0:
-                continue  # fork/exit rows generate no disk traffic
-            time = times[i]
-            daemon_writebacks = advance(time)
-            if daemon_writebacks:
-                extend(_flush_records_to_accesses(daemon_writebacks))
-            kind = by_code[kinds[i]]
-            inode = inodes[i]
-            pc = pcs[i]
-            block_start = block_starts[i]
-            block_count = block_counts[i]
-            blocks = range(block_start, block_start + block_count)
-            if kind is read_code or kind is open_code:
-                missed, forced = cache_read(time, inode, blocks, pc=pc)
-                if forced:
-                    extend(_flush_records_to_accesses(forced))
-                if missed:
-                    append(
-                        DiskAccess(
-                            time=time,
-                            pid=pids[i],
-                            pc=pc,
-                            fd=fds[i],
-                            kind=kind,
-                            inode=inode,
-                            block_count=len(missed),
-                        )
-                    )
-            elif kind is write_code:
-                forced = cache_write(time, inode, blocks, pids[i], pc=pc)
-                if forced:
-                    extend(_flush_records_to_accesses(forced))
-            elif kind is sync_code:
-                # Write-through: straight to disk, cached clean.
-                missed, forced = cache_read(time, inode, blocks, pc=pc)
-                if forced:
-                    extend(_flush_records_to_accesses(forced))
-                append(
-                    DiskAccess(
-                        time=time,
-                        pid=pids[i],
-                        pc=pc,
-                        fd=fds[i],
-                        kind=kind,
-                        inode=inode,
-                        block_count=max(1, block_count),
-                    )
-                )
-            # CLOSE (and blockless events) generate no disk traffic.
-    if flush_on_exit and execution.event_count > 0:
-        final = cache.flush_now(execution.end_time)
-        if final:
-            extend(_flush_records_to_accesses(final))
 
 
 def filter_execution(
@@ -252,6 +157,11 @@ def filter_execution(
     (the kernel eventually writes it back; doing it at the end keeps the
     perturbation of idle periods minimal).  ``cache`` substitutes a
     custom cache instance (e.g. the PC-aware eviction extension).
+
+    The replay walks the execution's column chunks
+    (``iter_column_chunks``): the I/O rows of each chunk are masked out
+    and their columns walked as plain lists, so no event object is built
+    whether the execution is in memory or a store's memory-mapped rows.
     """
     if cache is None:
         cache = PageCache(config)
@@ -260,16 +170,6 @@ def filter_execution(
         execution_index=execution.execution_index,
     )
     accesses = result.accesses
-    # Store-backed executions expose their rows as memmapped column
-    # chunks; replaying those directly skips event-object decoding
-    # entirely while making bitwise-identical cache calls.
-    if getattr(execution, "iter_column_chunks", None) is not None:
-        _filter_store_columns(
-            execution, cache, accesses, flush_on_exit=flush_on_exit
-        )
-        accesses.sort(key=lambda access: access.time)
-        result.cache_stats = cache.stats
-        return result
     # Hot loop: bound methods and the accesses list are bound to locals,
     # and the (overwhelmingly common) empty write-back batches skip the
     # coalescing machinery entirely.
@@ -278,61 +178,59 @@ def filter_execution(
     advance = cache.advance
     cache_read = cache.read
     cache_write = cache.write
-    read_kinds = (AccessType.READ, AccessType.OPEN)
-    saw_events = False
-    for event in execution.iter_events():
-        saw_events = True
-        if not isinstance(event, IOEvent):
-            continue
-        daemon_writebacks = advance(event.time)
-        if daemon_writebacks:
-            extend(_flush_records_to_accesses(daemon_writebacks))
-        kind = event.kind
-        if kind in read_kinds:
-            missed, forced = cache_read(
-                event.time, event.inode, event.blocks, pc=event.pc
-            )
-            if forced:
-                extend(_flush_records_to_accesses(forced))
-            if missed:
+    by_code = tuple(AccessType)
+    read_code = AccessType.READ
+    open_code = AccessType.OPEN
+    write_code = AccessType.WRITE
+    sync_code = AccessType.SYNC_WRITE
+    for chunk in execution.iter_column_chunks():
+        io = chunk["etype"] == 0  # fork/exit rows make no disk traffic
+        for time, pid, pc, fd, code, inode, block_start, block_count in zip(
+            *(chunk[name][io].tolist() for name in _IO_FIELDS)
+        ):
+            daemon_writebacks = advance(time)
+            if daemon_writebacks:
+                extend(_flush_records_to_accesses(daemon_writebacks))
+            kind = by_code[code]
+            blocks = range(block_start, block_start + block_count)
+            if kind is read_code or kind is open_code:
+                missed, forced = cache_read(time, inode, blocks, pc=pc)
+                if forced:
+                    extend(_flush_records_to_accesses(forced))
+                if missed:
+                    append(
+                        DiskAccess(
+                            time=time,
+                            pid=pid,
+                            pc=pc,
+                            fd=fd,
+                            kind=kind,
+                            inode=inode,
+                            block_count=len(missed),
+                        )
+                    )
+            elif kind is write_code:
+                forced = cache_write(time, inode, blocks, pid, pc=pc)
+                if forced:
+                    extend(_flush_records_to_accesses(forced))
+            elif kind is sync_code:
+                # Write-through: straight to disk, cached clean.
+                missed, forced = cache_read(time, inode, blocks, pc=pc)
+                if forced:
+                    extend(_flush_records_to_accesses(forced))
                 append(
                     DiskAccess(
-                        time=event.time,
-                        pid=event.pid,
-                        pc=event.pc,
-                        fd=event.fd,
+                        time=time,
+                        pid=pid,
+                        pc=pc,
+                        fd=fd,
                         kind=kind,
-                        inode=event.inode,
-                        block_count=len(missed),
+                        inode=inode,
+                        block_count=max(1, block_count),
                     )
                 )
-        elif kind == AccessType.WRITE:
-            forced = cache_write(
-                event.time, event.inode, event.blocks, event.pid,
-                pc=event.pc,
-            )
-            if forced:
-                extend(_flush_records_to_accesses(forced))
-        elif kind == AccessType.SYNC_WRITE:
-            # Write-through: straight to disk, cached clean.
-            missed, forced = cache_read(
-                event.time, event.inode, event.blocks, pc=event.pc
-            )
-            if forced:
-                extend(_flush_records_to_accesses(forced))
-            append(
-                DiskAccess(
-                    time=event.time,
-                    pid=event.pid,
-                    pc=event.pc,
-                    fd=event.fd,
-                    kind=kind,
-                    inode=event.inode,
-                    block_count=max(1, event.block_count),
-                )
-            )
-        # CLOSE (and blockless events) generate no disk traffic.
-    if flush_on_exit and saw_events:
+            # CLOSE (and blockless events) generate no disk traffic.
+    if flush_on_exit and execution.event_count > 0:
         final = cache.flush_now(execution.end_time)
         if final:
             extend(_flush_records_to_accesses(final))

@@ -721,17 +721,20 @@ def _cmd_faults(args) -> int:
         check("failure ledger is non-empty" if crash_cells
               else "no terminal failures expected",
               bool(ledger.failures) == bool(crash_cells))
-        check("retries were recorded", bool(ledger.retries),
-              f"{len(ledger.retries)} failed attempt(s)")
         # A worker fault mostly fires in a forked worker, whose plan the
         # parent never sees; what the parent sees is the failed attempt
-        # it causes on a matching cell.
+        # it causes on a matching cell.  A plan without worker faults
+        # causes no failed attempt.
         worker_specs = [
             spec
             for site in (faults.WORKER_CRASH, faults.WORKER_HANG,
                          faults.WORKER_FAIL)
             for spec in plan.specs_for(site)
         ]
+        check("retries were recorded" if worker_specs
+              else "no retries expected",
+              bool(ledger.retries) == bool(worker_specs),
+              f"{len(ledger.retries)} failed attempt(s)")
         unfired = [
             spec for spec in worker_specs
             if not any(targets(spec, event.cell) for event in ledger.retries)
@@ -846,7 +849,7 @@ def _cmd_inspect(args) -> int:
     for execution in trace.executions[:5]:
         span = execution.end_time - execution.start_time
         print(f"  execution {execution.execution_index}: "
-              f"{len(execution.io_events)} events, "
+              f"{execution.io_event_count} events, "
               f"{len(execution.pids)} processes, {span:.1f} s")
     if len(trace.executions) > 5:
         print(f"  ... and {len(trace.executions) - 5} more")

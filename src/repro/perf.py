@@ -227,7 +227,7 @@ def run_benchmarks(
             mean_s=mean_s,
             best_s=best_s,
             rounds=rounds,
-            items=len(execution.io_events),
+            items=execution.io_event_count,
         )
 
     if want("global_simulation"):

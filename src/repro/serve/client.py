@@ -22,7 +22,10 @@ import json
 
 from repro.errors import ServeError, ServeProtocolError
 from repro.serve import protocol
-from repro.traces.store import EVENT_ROW_BYTES, encode_event_rows
+from repro.traces.store import EVENT_ROW_BYTES, encode_column_rows
+# Not called here since executions travel as columns; perfbench's client
+# probe still patches this name in this module.
+from repro.traces.store import encode_event_rows  # noqa: F401
 
 #: Rows per ROWS frame (~34 KB at 66 B/row).
 DEFAULT_ROWS_PER_FRAME = 512
@@ -84,6 +87,10 @@ class ServeClient:
     def submit_execution(self, execution) -> dict:
         """Stream one execution; block for (and return) its decision.
 
+        ``execution`` is an :class:`~repro.traces.trace.ExecutionTrace`
+        or a :class:`~repro.traces.store.StoredExecution`; its columns
+        go on the wire as they are (:func:`encode_column_rows`).
+
         Retries transparently across connection drops and recoverable
         NACKs (``draining``/``backpressure``/``overloaded``/
         ``malformed``); a ``protocol`` NACK is terminal and raises
@@ -91,7 +98,7 @@ class ServeClient:
         """
         seq = self._seq
         self._seq += 1
-        rows = encode_event_rows(execution.events)
+        rows = encode_column_rows(execution.columns)
         header = {
             "application": execution.application,
             "execution": execution.execution_index,

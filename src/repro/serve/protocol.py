@@ -9,10 +9,11 @@ one type byte plus the payload::
     +----------+------+-------------------+
 
 Payloads are UTF-8 JSON for every frame type except :data:`ROWS`, whose
-payload is the trace store's columnar row encoding
-(:func:`repro.traces.store.encode_event_rows`, 66 bytes per event) —
-the daemon feeds those bytes straight into the same decoder the store
-uses, so an event round-trips the socket bit-identically.
+payload is an execution's columns — the trace store's columns laid end
+to end (:func:`repro.traces.store.encode_column_rows`, 66 bytes per
+event) — which the shard worker reads straight back into columns
+(:func:`repro.traces.store.decode_column_rows`), so an execution
+round-trips the socket bit-identically.
 
 A client conversation::
 

@@ -23,6 +23,10 @@ Journal records::
      "initial_pids": [100], "rows": "<base64 columnar rows>",
      "decision": {...}}
 
+Recovery reads inline rows straight back into columns and compacted
+ones from their segment's memory-mapped columns; neither builds event
+objects.
+
 Every ``checkpoint_every`` executions the journal is **compacted**: the
 accumulated row payloads are packed into a trace-store segment
 (:class:`~repro.traces.store.StoreWriter` — chunked column files plus
@@ -50,8 +54,8 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from repro.errors import ServeError
-from repro.traces.store import StoreWriter, TraceStore, decode_event_rows
-from repro.traces.trace import ExecutionTrace
+from repro.traces.store import StoreWriter, TraceStore, decode_column_rows
+from repro.traces.trace import ExecutionLike, ExecutionTrace
 
 #: Journal schema version.
 JOURNAL_FORMAT = 1
@@ -262,29 +266,23 @@ class ShardJournal:
             memo[index] = store
         return store
 
-    def _execution_from(self, record: dict) -> ExecutionTrace:
-        """Rebuild one journaled execution's event list."""
+    def _execution_from(self, record: dict) -> ExecutionLike:
+        """One journaled execution: its inline rows read into columns, or
+        its compacted rows in a segment store."""
         segment = record.get("segment")
-        if segment is None:
-            events = decode_event_rows(
-                base64.b64decode(record["rows"])
-            )
-        else:
+        if segment is not None:
             store = self._segment_store(int(segment["segment"]))
-            stored = store.trace(record["application"]).executions[
+            return store.trace(record["application"]).executions[
                 int(segment["pos"])
             ]
-            events = list(stored.iter_events())
         return ExecutionTrace(
-            application=str(record["application"]),
-            execution_index=int(record["execution_index"]),
-            events=events,
-            initial_pids=frozenset(
-                int(p) for p in record["initial_pids"]
-            ),
+            str(record["application"]),
+            int(record["execution_index"]),
+            decode_column_rows(base64.b64decode(record["rows"])),
+            frozenset(int(p) for p in record["initial_pids"]),
         )
 
-    def replay(self) -> Iterator[tuple[dict, ExecutionTrace]]:
+    def replay(self) -> Iterator[tuple[dict, ExecutionLike]]:
         """Yield ``(record, execution)`` in original processing order."""
         for record in self.records:
             yield record, self._execution_from(record)

@@ -10,6 +10,10 @@ then ``spec.on_execution_end()`` — which is word for word the loop of
 decisions are therefore bit-identical to an offline replay of the same
 feed *by construction*; the equivalence battery cross-checks this
 against an actual :meth:`run_global` run rather than trusting it.
+A submission's ``ROWS`` payload is read straight into the trace
+store's columns (:func:`~repro.traces.store.decode_column_rows`), the
+in-memory form of every offline execution too, so no event object is
+built between the socket and the decision.
 
 The worker journals each execution (fsync) **before** releasing its
 decision, so any decision a client ever saw is recoverable.  On start
@@ -36,8 +40,11 @@ from repro.predictors.registry import PredictorSpec, make_spec
 from repro.sim.engine import run_global_execution
 from repro.sim.metrics import PredictionStats
 from repro.serve.state import ShardJournal
-from repro.traces.store import decode_event_rows
-from repro.traces.trace import ExecutionTrace
+from repro.traces.store import decode_column_rows
+# Not called here since rows are read straight into columns; perfbench's
+# worker probe still patches this name in this module.
+from repro.traces.store import decode_event_rows  # noqa: F401
+from repro.traces.trace import ExecutionLike, ExecutionTrace
 from repro._tracing import ShutdownFired
 
 
@@ -138,7 +145,7 @@ class ShardWorker:
         self.executions = count
         return count
 
-    def _run(self, execution: ExecutionTrace, application: str) -> dict:
+    def _run(self, execution: ExecutionLike, application: str) -> dict:
         """The offline code path, verbatim, for one execution."""
         spec = self._spec(application)
         filtered = filter_execution(execution, self.config.cache)
@@ -185,10 +192,8 @@ class ShardWorker:
             return previous
         faults.serve_worker_gate(application)
         execution = ExecutionTrace(
-            application=application,
-            execution_index=execution_index,
-            events=decode_event_rows(rows),
-            initial_pids=frozenset(int(p) for p in initial_pids),
+            application, execution_index, decode_column_rows(rows),
+            frozenset(int(p) for p in initial_pids),
         )
         decision = self._run(execution, application)
         decision["seq"] = client_seq

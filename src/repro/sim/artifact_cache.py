@@ -56,7 +56,6 @@ from typing import Any, Callable, Optional
 from repro import faults
 from repro.cache.page_cache import CacheConfig
 from repro.errors import TraceStoreError
-from repro.traces.events import event_tuple
 from repro.traces.store import (
     MANIFEST_NAME,
     StoreBackedTrace,
@@ -256,7 +255,7 @@ def trace_key(application: str, scale: float) -> str:
 
 
 def trace_fingerprint(trace: ApplicationTrace) -> str:
-    """Digest of a trace's full event content.
+    """Digest of a trace's full row content, read from its columns.
 
     Filtered artifacts are keyed on this fingerprint (not on the trace's
     provenance), so regenerating a workload with different content —
@@ -266,11 +265,7 @@ def trace_fingerprint(trace: ApplicationTrace) -> str:
     """
     fingerprint = TraceFingerprint(trace.application)
     for execution in trace:
-        fingerprint.add_execution(
-            execution.execution_index,
-            execution.initial_pids,
-            [event_tuple(event) for event in execution.events],
-        )
+        fingerprint.add_execution(execution)
     return fingerprint.hexdigest()
 
 

@@ -2,24 +2,21 @@
 
 The simulation hot loops — gap extraction in the local evaluation, the
 merged-stream replay of the global engine — consume the same handful of
-per-access scalars (arrival time, pid, pc, fd, block count) over and over:
+per-access scalars (arrival time, block count) over and over:
 once per predictor, once per sweep point, once per figure.  Pulling those
 scalars out of the row-oriented :class:`~repro.cache.filter.DiskAccess`
 dataclasses on every pass costs an attribute lookup per field per access
 per replay.
 
-:class:`ColumnarAccesses` transposes the stream once into NumPy arrays
-(built lazily, memoized on the owning
-:class:`~repro.cache.filter.FilterResult`), from which the engine obtains:
-
-* plain-Python lists of times and per-access service durations (the
-  duration formula is evaluated vectorized, then materialized with
-  ``.tolist()`` — bit-identical to evaluating
-  :meth:`~repro.config.SimulationConfig.access_duration` per access,
-  because both perform the same two IEEE-754 double operations per
-  element);
-* per-process index groupings for the local (Figure 6) evaluation;
-* the raw arrays for vectorized analytics (gap statistics, reductions).
+:class:`ColumnarAccesses` transposes the arrival times and block counts
+once into NumPy arrays (built lazily, memoized on the owning
+:class:`~repro.cache.filter.FilterResult`), from which the engine obtains
+plain-Python lists of times and per-access service durations (the
+duration formula is evaluated vectorized, then materialized with
+``.tolist()`` — bit-identical to evaluating
+:meth:`~repro.config.SimulationConfig.access_duration` per access,
+because both perform the same two IEEE-754 double operations per
+element).
 
 Two more column stores live here: :class:`ColumnarTape`, the
 predictor-independent replay skeleton that
@@ -283,32 +280,13 @@ class ColumnarTape:
 class ColumnarAccesses:
     """NumPy columns of one execution's filtered disk-access stream."""
 
-    __slots__ = (
-        "times",
-        "pids",
-        "pcs",
-        "fds",
-        "block_counts",
-        "_durations",
-        "_per_process_indices",
-    )
+    __slots__ = ("times", "block_counts", "_durations")
 
-    def __init__(
-        self,
-        times: np.ndarray,
-        pids: np.ndarray,
-        pcs: np.ndarray,
-        fds: np.ndarray,
-        block_counts: np.ndarray,
-    ) -> None:
+    def __init__(self, times: np.ndarray, block_counts: np.ndarray) -> None:
         self.times = times
-        self.pids = pids
-        self.pcs = pcs
-        self.fds = fds
         self.block_counts = block_counts
         #: (service_time, service_time_per_block) -> durations list memo.
         self._durations: dict[tuple[float, float], list[float]] = {}
-        self._per_process_indices: Optional[dict[int, np.ndarray]] = None
 
     @classmethod
     def from_accesses(
@@ -319,56 +297,10 @@ class ColumnarAccesses:
         times = np.fromiter(
             (a.time for a in accesses), dtype=np.float64, count=n
         )
-        pids = np.fromiter((a.pid for a in accesses), dtype=np.int64, count=n)
-        pcs = np.fromiter((a.pc for a in accesses), dtype=np.int64, count=n)
-        fds = np.fromiter((a.fd for a in accesses), dtype=np.int64, count=n)
         counts = np.fromiter(
             (a.block_count for a in accesses), dtype=np.int64, count=n
         )
-        return cls(times, pids, pcs, fds, counts)
-
-    @classmethod
-    def from_arrays(
-        cls,
-        times: np.ndarray,
-        pids: np.ndarray,
-        pcs: np.ndarray,
-        fds: np.ndarray,
-        block_counts: np.ndarray,
-    ) -> "ColumnarAccesses":
-        """Wrap pre-built column arrays (e.g. slices of trace-store
-        memmaps) without copying; dtypes are normalized to the canonical
-        float64/int64 layout."""
-        return cls(
-            np.ascontiguousarray(times, dtype=np.float64),
-            np.ascontiguousarray(pids, dtype=np.int64),
-            np.ascontiguousarray(pcs, dtype=np.int64),
-            np.ascontiguousarray(fds, dtype=np.int64),
-            np.ascontiguousarray(block_counts, dtype=np.int64),
-        )
-
-    @classmethod
-    def concat(
-        cls, chunks: Sequence["ColumnarAccesses"]
-    ) -> "ColumnarAccesses":
-        """Assemble one view from per-chunk views, in order.
-
-        Used to stitch chunk-windowed columns (the trace store's bounded
-        read path) back into a single execution-wide view; concatenation
-        preserves every element bitwise, so the result is
-        indistinguishable from a single-pass transpose.
-        """
-        if not chunks:
-            return cls.from_accesses([])
-        if len(chunks) == 1:
-            return chunks[0]
-        return cls(
-            np.concatenate([c.times for c in chunks]),
-            np.concatenate([c.pids for c in chunks]),
-            np.concatenate([c.pcs for c in chunks]),
-            np.concatenate([c.fds for c in chunks]),
-            np.concatenate([c.block_counts for c in chunks]),
-        )
+        return cls(times, counts)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -393,34 +325,6 @@ class ColumnarAccesses:
     def times_list(self) -> list[float]:
         """Arrival times as plain floats (fast sequential consumption)."""
         return self.times.tolist()
-
-    def per_process_indices(self) -> dict[int, np.ndarray]:
-        """``pid -> positions`` of each process's accesses, in stream order
-        (memoized)."""
-        if self._per_process_indices is None:
-            order = np.argsort(self.pids, kind="stable")
-            sorted_pids = self.pids[order]
-            boundaries = np.nonzero(np.diff(sorted_pids))[0] + 1
-            groups = np.split(order, boundaries)
-            self._per_process_indices = {
-                int(self.pids[group[0]]): np.sort(group)
-                for group in groups
-                if len(group)
-            }
-        return self._per_process_indices
-
-    def gap_lengths(self, *, lead_in: float) -> np.ndarray:
-        """Arrival-to-arrival gaps (vectorized analytics helper).
-
-        ``lead_in`` is the stream start time; element ``i`` is the time
-        from the previous arrival (or the stream start) to arrival ``i``.
-        This ignores service time — it is an upper bound on idle time
-        used by coarse analytics, not by the engine.
-        """
-        if not len(self.times):
-            return np.empty(0, dtype=np.float64)
-        previous = np.concatenate(([lead_in], self.times[:-1]))
-        return self.times - previous
 
 
 #: Per-device float64 accumulator columns (energy buckets, idle clock,

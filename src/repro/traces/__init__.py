@@ -9,7 +9,6 @@ from repro.traces.events import (
     IOEvent,
     TraceEvent,
     event_sort_key,
-    event_tuple,
 )
 from repro.traces.io_format import (
     iter_executions,
@@ -60,7 +59,6 @@ __all__ = [
     "access_gaps",
     "count_gaps_longer_than",
     "event_sort_key",
-    "event_tuple",
     "iter_executions",
     "merge_events",
     "pack_jsonl",

@@ -132,25 +132,6 @@ class ExitEvent:
 TraceEvent = Union[IOEvent, ForkEvent, ExitEvent]
 
 
-def event_tuple(event: TraceEvent) -> tuple:
-    """The canonical value tuple of an event, used for content hashing.
-
-    The trace store's :class:`~repro.traces.store.TraceFingerprint`
-    hashes these tuples, for packed and in-memory traces alike
-    (:func:`repro.sim.artifact_cache.trace_fingerprint`).
-    """
-    if type(event) is IOEvent:
-        return (
-            "io", event.time, event.pid, event.pc, event.fd,
-            event.kind.value, event.inode, event.block_start,
-            event.block_count,
-        )
-    if type(event) is ForkEvent:
-        return ("fork", event.time, event.pid, event.parent_pid)
-    assert type(event) is ExitEvent
-    return ("exit", event.time, event.pid)
-
-
 def event_sort_key(event: TraceEvent) -> tuple[float, int]:
     """Stable ordering: by time, with forks before I/O before exits at the
     same instant so liveness brackets any simultaneous I/O."""

@@ -24,11 +24,9 @@ def filter_events(
         for event in execution.iter_events()
         if not isinstance(event, IOEvent) or predicate(event)
     ]
-    return ExecutionTrace(
-        application=execution.application,
-        execution_index=execution.execution_index,
-        events=kept,
-        initial_pids=execution.initial_pids,
+    return ExecutionTrace.from_events(
+        execution.application, execution.execution_index, kept,
+        execution.initial_pids,
     )
 
 

@@ -26,7 +26,11 @@ from repro.traces.events import (
     IOEvent,
     TraceEvent,
 )
-from repro.traces.trace import ApplicationTrace, ExecutionTrace
+from repro.traces.trace import (
+    ApplicationTrace,
+    ExecutionTrace,
+    columns_from_events,
+)
 
 
 def event_to_record(event: TraceEvent) -> dict:
@@ -133,9 +137,11 @@ def iter_executions(stream: IO[str]) -> Iterator[ExecutionTrace]:
     the import path the trace-store packer uses.
     """
     current: ExecutionTrace | None = None
+    events: list[TraceEvent] = []
     for record in _parse_lines(stream):
         if record.get("type") == "header":
             if current is not None:
+                current.columns = columns_from_events(events)
                 yield current
             try:
                 current = ExecutionTrace(
@@ -149,11 +155,13 @@ def iter_executions(stream: IO[str]) -> Iterator[ExecutionTrace]:
                 raise TraceFormatError(
                     f"malformed header {record!r}"
                 ) from exc
+            events = []
             continue
         if current is None:
             raise TraceFormatError("event record before any header")
-        current.events.append(record_to_event(record))
+        events.append(record_to_event(record))
     if current is not None:
+        current.columns = columns_from_events(events)
         yield current
 
 

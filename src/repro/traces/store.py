@@ -1,12 +1,12 @@
 """On-disk columnar trace store with chunked, memory-bounded streaming.
 
-The in-memory trace containers (:mod:`repro.traces.trace`) materialize
-every event of every execution before the simulation sees any of them —
-fine for the paper's six desktop applications (~10^6 events), hopeless
-for server-class streams.  This module stores traces as **flat per-field
-column files** read back through NumPy memory maps, so a simulation
-touches one *chunk window* of rows at a time and peak memory is bounded
-by the chunk size instead of the trace size.
+An in-memory execution (:class:`~repro.traces.trace.ExecutionTrace`)
+holds its rows as the columns of :data:`COLUMNS`; this module writes
+those same columns to **flat per-field column files** and reads them
+back through NumPy memory maps, so a simulation touches one *chunk
+window* of rows at a time and peak memory is bounded by the chunk size
+instead of the trace size.  Packing copies column arrays and reading
+slices them: no event object is built on either side.
 
 Layout of a store directory::
 
@@ -31,11 +31,13 @@ checkpoints.
 
 Reading is lazy end to end: :class:`TraceStore` memory-maps each column
 once, :class:`StoreBackedTrace` holds only per-execution metadata, and
-:class:`StoredExecution` decodes events one chunk at a time through the
-:class:`~repro.traces.trace.ExecutionLike` streaming protocol.  The
-decoded events are **bit-identical** to the events that were packed:
-times round-trip as IEEE-754 doubles, all other fields are integers or
-enum codes.
+:class:`StoredExecution` yields zero-copy column views one chunk at a
+time through the :class:`~repro.traces.trace.ExecutionLike` streaming
+protocol.  The rows read back are **bit-identical** to the rows that
+were packed: times round-trip as IEEE-754 doubles, all other fields are
+integers or enum codes.  The same columns laid end to end are the serve
+protocol's ``ROWS`` payload (:func:`encode_column_rows`,
+:func:`decode_column_rows`).
 
 Corruption handling mirrors the artifact cache: a missing, truncated, or
 undecodable store file is *quarantined* — renamed aside with a
@@ -59,15 +61,15 @@ import numpy as np
 
 from repro import faults
 from repro.errors import TraceStoreError
-from repro.traces.events import (
-    AccessType,
-    ExitEvent,
-    ForkEvent,
-    IOEvent,
-    TraceEvent,
-    event_tuple,
+from repro.traces.events import AccessType, ExitEvent, ForkEvent, TraceEvent
+from repro.traces.trace import (
+    COLUMNS,
+    ApplicationTrace,
+    ExecutionTrace,
+    columns_from_events,
+    events_from_columns,
+    lifetimes_of,
 )
-from repro.traces.trace import ApplicationTrace, ExecutionTrace
 
 #: Bump whenever the column layout or the manifest schema changes; old
 #: stores are rejected with a clear error instead of being misread.
@@ -79,26 +81,9 @@ DEFAULT_CHUNK_ROWS = 65536
 MANIFEST_NAME = "manifest.json"
 _COLUMN_DIR = "columns"
 
-#: Column schema, in row-encoding order.  ``etype``: 0 = I/O, 1 = fork,
-#: 2 = exit.  ``aux`` is the parent pid of fork rows, 0 otherwise.
-COLUMNS: tuple[tuple[str, str], ...] = (
-    ("etype", "u1"),
-    ("time", "<f8"),
-    ("pid", "<i8"),
-    ("pc", "<i8"),
-    ("fd", "<i8"),
-    ("kind", "u1"),
-    ("inode", "<i8"),
-    ("block_start", "<i8"),
-    ("block_count", "<i8"),
-    ("aux", "<i8"),
-)
-
-#: AccessType <-> compact code, in enum-definition order (versioned by
-#: :data:`STORE_VERSION` and self-described in the manifest).
+#: AccessType values in code order (versioned by :data:`STORE_VERSION`
+#: and self-described in the manifest).
 _KIND_VALUES: tuple[str, ...] = tuple(kind.value for kind in AccessType)
-_KIND_CODE = {kind: code for code, kind in enumerate(AccessType)}
-_KIND_BY_CODE: tuple[AccessType, ...] = tuple(AccessType)
 
 #: Pickle protocol for fingerprint hashing (same as the artifact cache).
 _PICKLE_PROTOCOL = 4
@@ -107,88 +92,30 @@ _PICKLE_PROTOCOL = 4
 EVENT_ROW_BYTES = sum(np.dtype(spec).itemsize for _, spec in COLUMNS)
 
 
-def _decode_column_lists(
-    etypes, times, pids, pcs, fds, kinds, inodes,
-    block_starts, block_counts, auxes, row_base: int,
-) -> list[TraceEvent]:
-    """Rebuild event objects from plain column lists (one row window).
-
-    Shared by :meth:`TraceStore.decode_rows` and the wire codec below;
-    ``row_base`` only labels the error message for bad type codes.
-    """
-    by_code = _KIND_BY_CODE
-    new = object.__new__
-    put = object.__setattr__
-    events: list[TraceEvent] = []
-    append = events.append
-    for i in range(len(etypes)):
-        code = etypes[i]
-        if code == 0:
-            event = new(IOEvent)
-            put(event, "time", times[i])
-            put(event, "pid", pids[i])
-            put(event, "pc", pcs[i])
-            put(event, "fd", fds[i])
-            put(event, "kind", by_code[kinds[i]])
-            put(event, "inode", inodes[i])
-            put(event, "block_start", block_starts[i])
-            put(event, "block_count", block_counts[i])
-        elif code == 1:
-            event = new(ForkEvent)
-            put(event, "time", times[i])
-            put(event, "pid", pids[i])
-            put(event, "parent_pid", auxes[i])
-        elif code == 2:
-            event = new(ExitEvent)
-            put(event, "time", times[i])
-            put(event, "pid", pids[i])
-        else:
-            raise TraceStoreError(
-                f"row {row_base + i}: unknown event type code {code!r}"
-            )
-        append(event)
-    return events
-
-
-def encode_event_rows(events: Iterable[TraceEvent]) -> bytes:
-    """Serialize events as columnar rows (the store's layout, end to end).
+def encode_column_rows(columns: dict) -> bytes:
+    """Serialize columns as rows laid end to end (the serve wire format).
 
     The payload is every column of :data:`COLUMNS`, in order, each as a
-    packed array of one value per event — the same bytes a store chunk
+    packed array of one value per row — the same bytes a store chunk
     holds, concatenated instead of split across files.  This is the
     ``ROWS`` frame body of the serve protocol (:mod:`repro.serve`):
-    :data:`EVENT_ROW_BYTES` per event, row count implied by the length.
+    :data:`EVENT_ROW_BYTES` per row, row count implied by the length.
     """
-    columns: dict[str, list] = {name: [] for name, _ in COLUMNS}
-    for event in events:
-        if isinstance(event, IOEvent):
-            row = (0, event.time, event.pid, event.pc, event.fd,
-                   _KIND_CODE[event.kind], event.inode,
-                   event.block_start, event.block_count, 0)
-        elif isinstance(event, ForkEvent):
-            row = (1, event.time, event.pid, 0, 0, 0, 0, 0, 0,
-                   event.parent_pid)
-        elif isinstance(event, ExitEvent):
-            row = (2, event.time, event.pid, 0, 0, 0, 0, 0, 0, 0)
-        else:
-            raise TraceStoreError(
-                f"unknown event type {type(event).__name__}"
-            )
-        for (name, _), value in zip(COLUMNS, row):
-            columns[name].append(value)
-    parts = [
-        np.asarray(columns[name], dtype=np.dtype(spec)).tobytes()
+    return b"".join(
+        np.ascontiguousarray(columns[name], dtype=np.dtype(spec)).tobytes()
         for name, spec in COLUMNS
-    ]
-    return b"".join(parts)
+    )
 
 
-def decode_event_rows(payload: bytes) -> list[TraceEvent]:
-    """Inverse of :func:`encode_event_rows` (bit-identical round trip).
+def decode_column_rows(payload: bytes) -> dict[str, np.ndarray]:
+    """Inverse of :func:`encode_column_rows` (bit-identical round trip).
 
-    Raises :class:`TraceStoreError` on any length that does not sit on
-    the row grid — a truncated frame can never decode to a shorter
-    event list by accident.
+    The payload comes from outside the process, so it is checked: a
+    length off the row grid (a truncated frame can never decode to a
+    shorter execution by accident), an unknown row type code or an
+    unknown access kind code of an I/O row raises
+    :class:`TraceStoreError`.  The columns are read-only views of
+    ``payload``.
     """
     if len(payload) % EVENT_ROW_BYTES:
         raise TraceStoreError(
@@ -196,17 +123,57 @@ def decode_event_rows(payload: bytes) -> list[TraceEvent]:
             f"of the {EVENT_ROW_BYTES}-byte row size"
         )
     count = len(payload) // EVENT_ROW_BYTES
-    lists = []
+    columns = {}
     offset = 0
-    for _, spec in COLUMNS:
+    for name, spec in COLUMNS:
         dtype = np.dtype(spec)
-        width = count * dtype.itemsize
-        lists.append(
-            np.frombuffer(payload, dtype=dtype, count=count,
-                          offset=offset).tolist()
-        )
-        offset += width
-    return _decode_column_lists(*lists, 0)
+        columns[name] = np.frombuffer(payload, dtype=dtype, count=count,
+                                      offset=offset)
+        offset += count * dtype.itemsize
+    etype, kind = columns["etype"], columns["kind"]
+    for label, codes, bad in (
+        ("event type", etype, etype > 2),
+        ("access kind", kind, (etype == 0) & (kind >= len(_KIND_VALUES))),
+    ):
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise TraceStoreError(
+                f"row {row}: unknown {label} code {int(codes[row])!r}"
+            )
+    return columns
+
+
+def encode_event_rows(events: Iterable[TraceEvent]) -> bytes:
+    """:func:`encode_column_rows` of event objects."""
+    return encode_column_rows(columns_from_events(events))
+
+
+def decode_event_rows(payload: bytes) -> list[TraceEvent]:
+    """:func:`decode_column_rows` as event objects."""
+    return events_from_columns(decode_column_rows(payload))
+
+
+def _row_tuples(columns: dict) -> list[tuple]:
+    """The canonical value tuple of every row, used for content hashing.
+
+    ``("io", time, pid, pc, fd, kind value, inode, block start, block
+    count)``, ``("fork", time, pid, parent pid)`` or ``("exit", time,
+    pid)``: the unit :class:`TraceFingerprint` hashes.
+    """
+    kinds = _KIND_VALUES
+    tuples: list[tuple] = []
+    append = tuples.append
+    for code, time, pid, pc, fd, kind, inode, start, count, aux in zip(
+        *(columns[name].tolist() for name, _ in COLUMNS)
+    ):
+        if code == 0:
+            append(("io", time, pid, pc, fd, kinds[kind], inode, start,
+                    count))
+        elif code == 1:
+            append(("fork", time, pid, aux))
+        else:
+            append(("exit", time, pid))
+    return tuples
 
 
 class TraceFingerprint:
@@ -214,11 +181,11 @@ class TraceFingerprint:
 
     A BLAKE2b digest seeded with ``store:<version>:<application>`` and
     updated once per execution with a canonical pickle of the execution
-    header (index, sorted initial pids, event count) and its
-    :func:`~repro.traces.events.event_tuple` values.  The store writer
-    computes manifest fingerprints with it and
-    :func:`repro.sim.artifact_cache.trace_fingerprint` computes in-memory
-    ones, so equal content has one fingerprint wherever it lives.
+    header (index, sorted initial pids, row count) and one value tuple
+    per row, read from its columns.  The store writer computes manifest fingerprints
+    with it and :func:`repro.sim.artifact_cache.trace_fingerprint`
+    computes in-memory ones, so equal content has one fingerprint
+    wherever it lives.
     """
 
     __slots__ = ("_digest",)
@@ -229,12 +196,16 @@ class TraceFingerprint:
             f"store:{STORE_VERSION}:{application}".encode("utf-8")
         )
 
-    def add_execution(
-        self, execution_index: int, initial_pids: Iterable[int],
-        tuples: list[tuple],
-    ) -> None:
-        """Fold in one execution, given its events' value tuples."""
-        header = (execution_index, tuple(sorted(initial_pids)), len(tuples))
+    def add_execution(self, execution) -> None:
+        """Fold in one execution (any ``ExecutionLike``), chunk by chunk."""
+        tuples: list[tuple] = []
+        for chunk in execution.iter_column_chunks():
+            tuples.extend(_row_tuples(chunk))
+        header = (
+            execution.execution_index,
+            tuple(sorted(execution.initial_pids)),
+            len(tuples),
+        )
         self._digest.update(pickle.dumps((header, tuples), _PICKLE_PROTOCOL))
 
     def hexdigest(self) -> str:
@@ -288,7 +259,11 @@ class StoreWriter:
             name: open(self.path / _COLUMN_DIR / f"{name}.bin", "wb")
             for name, _ in COLUMNS
         }
-        self._buffers: dict[str, list] = {name: [] for name, _ in COLUMNS}
+        #: Column arrays not yet written, and how many rows they hold.
+        self._buffers: dict[str, list[np.ndarray]] = {
+            name: [] for name, _ in COLUMNS
+        }
+        self._buffered = 0
         self._rows = 0
         self._chunks: list[list[int]] = []
         #: application -> (digest, manifest entry) accumulated so far.
@@ -320,7 +295,8 @@ class StoreWriter:
     def write_execution(self, execution) -> None:
         """Append one execution (any :class:`ExecutionLike`) to the store.
 
-        Events are consumed through ``iter_events()`` — an in-memory
+        Rows are copied column chunk by column chunk
+        (``iter_column_chunks()``) — an in-memory
         :class:`~repro.traces.trace.ExecutionTrace` and a
         :class:`StoredExecution` being re-packed both work — and must
         already be in canonical order.
@@ -329,103 +305,48 @@ class StoreWriter:
             raise TraceStoreError("writer is closed")
         application = execution.application
         entry = self._app_state(application)
-        buffers = self._buffers
-        etype = buffers["etype"]
-        time_col = buffers["time"]
-        pid_col = buffers["pid"]
-        pc_col = buffers["pc"]
-        fd_col = buffers["fd"]
-        kind_col = buffers["kind"]
-        inode_col = buffers["inode"]
-        bs_col = buffers["block_start"]
-        bc_col = buffers["block_count"]
-        aux_col = buffers["aux"]
-
         row_start = self._rows
-        rows = 0
         io_rows = 0
         liveness: list[list] = []
-        tuples: list[tuple] = []
-        start_time = 0.0
-        end_time = 0.0
-        for event in execution.iter_events():
-            if rows == 0:
-                start_time = event.time
-            end_time = event.time
-            tuples.append(event_tuple(event))
-            if isinstance(event, IOEvent):
-                etype.append(0)
-                time_col.append(event.time)
-                pid_col.append(event.pid)
-                pc_col.append(event.pc)
-                fd_col.append(event.fd)
-                kind_col.append(_KIND_CODE[event.kind])
-                inode_col.append(event.inode)
-                bs_col.append(event.block_start)
-                bc_col.append(event.block_count)
-                aux_col.append(0)
-                io_rows += 1
-            elif isinstance(event, ForkEvent):
-                etype.append(1)
-                time_col.append(event.time)
-                pid_col.append(event.pid)
-                pc_col.append(0)
-                fd_col.append(0)
-                kind_col.append(0)
-                inode_col.append(0)
-                bs_col.append(0)
-                bc_col.append(0)
-                aux_col.append(event.parent_pid)
-                liveness.append(["fork", event.time, event.pid,
-                                 event.parent_pid])
-            elif isinstance(event, ExitEvent):
-                etype.append(2)
-                time_col.append(event.time)
-                pid_col.append(event.pid)
-                pc_col.append(0)
-                fd_col.append(0)
-                kind_col.append(0)
-                inode_col.append(0)
-                bs_col.append(0)
-                bc_col.append(0)
-                aux_col.append(0)
-                liveness.append(["exit", event.time, event.pid])
-            else:
-                raise TraceStoreError(
-                    f"unknown event type {type(event).__name__}"
+        for chunk in execution.iter_column_chunks():
+            etype = chunk["etype"]
+            io_rows += int(np.count_nonzero(etype == 0))
+            rows = np.flatnonzero(etype)
+            for code, time, pid, parent in zip(
+                *(chunk[name][rows].tolist()
+                  for name in ("etype", "time", "pid", "aux"))
+            ):
+                liveness.append(["fork", time, pid, parent] if code == 1
+                                else ["exit", time, pid])
+            for name, spec in COLUMNS:
+                self._buffers[name].append(
+                    np.asarray(chunk[name], dtype=np.dtype(spec))
                 )
-            rows += 1
-            self._rows += 1
-            if len(etype) >= self.chunk_rows:
-                self._flush_chunks()
-
-        initial = sorted(execution.initial_pids)
-        self._digests[application].add_execution(
-            execution.execution_index, initial, tuples
-        )
+            self._buffered += len(etype)
+            self._rows += len(etype)
+            while self._buffered >= self.chunk_rows:
+                self._flush_rows(self.chunk_rows)
+        self._digests[application].add_execution(execution)
         entry["io_events"] += io_rows
         entry["executions"].append({
             "index": execution.execution_index,
             "row_start": row_start,
-            "rows": rows,
+            "rows": self._rows - row_start,
             "io_rows": io_rows,
-            "initial_pids": initial,
-            "start_time": start_time,
-            "end_time": end_time,
+            "initial_pids": sorted(execution.initial_pids),
+            "start_time": execution.start_time,
+            "end_time": execution.end_time,
             "liveness": liveness,
         })
 
-    def _flush_chunks(self) -> None:
-        """Write every full chunk currently buffered to the column files."""
-        while len(self._buffers["etype"]) >= self.chunk_rows:
-            self._flush_rows(self.chunk_rows)
-
     def _flush_rows(self, count: int) -> None:
-        for name, dtype in COLUMNS:
-            buffer = self._buffers[name]
-            block = np.asarray(buffer[:count], dtype=np.dtype(dtype))
-            self._files[name].write(block.tobytes())
-            del buffer[:count]
+        """Write the first ``count`` buffered rows to the column files."""
+        for name, _ in COLUMNS:
+            pending = self._buffers[name]
+            block = pending[0] if len(pending) == 1 else np.concatenate(pending)
+            self._files[name].write(block[:count].tobytes())
+            self._buffers[name] = [block[count:]] if count < len(block) else []
+        self._buffered -= count
         start = 0 if not self._chunks else self._chunks[-1][1]
         self._chunks.append([start, start + count])
 
@@ -446,9 +367,8 @@ class StoreWriter:
         """
         if self._closed:
             raise TraceStoreError("writer is closed")
-        remainder = len(self._buffers["etype"])
-        if remainder:
-            self._flush_rows(remainder)
+        if self._buffered:
+            self._flush_rows(self._buffered)
         self._closed = True
         for handle in self._files.values():
             handle.flush()
@@ -528,18 +448,12 @@ class StoredExecution:
     def liveness_events(self) -> list[TraceEvent]:
         """Fork/exit events, decoded from the manifest (memoized)."""
         if self._liveness is None:
-            events: list[TraceEvent] = []
-            for record in self._liveness_raw:
-                if record[0] == "fork":
-                    events.append(ForkEvent(
-                        time=record[1], pid=int(record[2]),
-                        parent_pid=int(record[3]),
-                    ))
-                else:
-                    events.append(ExitEvent(
-                        time=record[1], pid=int(record[2])
-                    ))
-            self._liveness = events
+            self._liveness = [
+                ForkEvent(record[1], int(record[2]), int(record[3]))
+                if record[0] == "fork"
+                else ExitEvent(record[1], int(record[2]))
+                for record in self._liveness_raw
+            ]
         return self._liveness
 
     def chunk_windows(self) -> list[tuple[int, int]]:
@@ -548,30 +462,33 @@ class StoredExecution:
             self.row_start, self.row_start + self.event_count
         )
 
-    def iter_event_chunks(self) -> Iterator[list[TraceEvent]]:
-        """Yield events one chunk window at a time (the bounded path)."""
-        for start, stop in self.chunk_windows():
-            yield self._store.decode_rows(start, stop)
-
     def iter_column_chunks(self) -> Iterator[dict[str, np.ndarray]]:
         """Yield zero-copy column views of this execution's rows.
 
         One mapping per chunk window, each value a slice of the store's
         memory-mapped column array — no event objects are materialized
-        and no bytes are copied.  The page-cache filter's store-backed
-        fast path (:func:`repro.cache.filter.filter_execution`) consumes
-        these directly, which is what lets a columnar replay tape be
-        built from a store without per-chunk event decode.  Memory stays
-        bounded by the chunk grid exactly like :meth:`iter_event_chunks`.
+        and no bytes are copied.  The page-cache filter
+        (:func:`repro.cache.filter.filter_execution`) consumes these
+        exactly as it consumes an in-memory execution's one chunk, so
+        memory stays bounded by the chunk grid.
         """
         cols = self._store.columns()
         for start, stop in self.chunk_windows():
             yield {name: col[start:stop] for name, col in cols.items()}
 
+    @property
+    def columns(self) -> dict[str, np.ndarray]:
+        """Zero-copy column views of every row of this execution."""
+        start, stop = self.row_start, self.row_start + self.event_count
+        self._store._check_rows(start, stop)
+        return {
+            name: col[start:stop] for name, col in self._store.columns().items()
+        }
+
     def iter_events(self) -> Iterator[TraceEvent]:
         """Iterate every event in canonical order, chunk by chunk."""
-        for chunk in self.iter_event_chunks():
-            yield from chunk
+        for start, stop in self.chunk_windows():
+            yield from self._store.decode_rows(start, stop)
 
     @property
     def events(self) -> list[TraceEvent]:
@@ -594,27 +511,14 @@ class StoredExecution:
 
     def lifetimes(self) -> dict[int, tuple[float, float]]:
         """``pid -> (start, end)``, identical to the in-memory container."""
-        start: dict[int, float] = {
-            pid: self.start_time for pid in self.initial_pids
-        }
-        end: dict[int, float] = {}
-        for event in self.liveness_events():
-            if isinstance(event, ForkEvent):
-                start[event.pid] = event.time
-            else:
-                end[event.pid] = event.time
-        return {
-            pid: (begin, end.get(pid, self.end_time))
-            for pid, begin in start.items()
-        }
+        return lifetimes_of(self)
 
     def materialize(self) -> ExecutionTrace:
-        """An in-memory :class:`ExecutionTrace` with identical events."""
+        """An in-memory :class:`ExecutionTrace` with identical rows."""
         return ExecutionTrace(
-            application=self.application,
-            execution_index=self.execution_index,
-            events=list(self.iter_events()),
-            initial_pids=self.initial_pids,
+            self.application, self.execution_index,
+            {name: np.array(col) for name, col in self.columns.items()},
+            self.initial_pids,
         )
 
 
@@ -855,18 +759,8 @@ class TraceStore:
         bug, not a smaller result.
         """
         self._check_rows(start, stop)
-        cols = self.columns()
-        return _decode_column_lists(
-            cols["etype"][start:stop].tolist(),
-            cols["time"][start:stop].tolist(),
-            cols["pid"][start:stop].tolist(),
-            cols["pc"][start:stop].tolist(),
-            cols["fd"][start:stop].tolist(),
-            cols["kind"][start:stop].tolist(),
-            cols["inode"][start:stop].tolist(),
-            cols["block_start"][start:stop].tolist(),
-            cols["block_count"][start:stop].tolist(),
-            cols["aux"][start:stop].tolist(),
+        return events_from_columns(
+            {name: col[start:stop] for name, col in self.columns().items()},
             start,
         )
 

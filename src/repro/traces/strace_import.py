@@ -285,11 +285,8 @@ def parse_strace(
         events.append(ExitEvent(time=end + 0.001, pid=pid))
         stats.exits += 1
 
-    execution = ExecutionTrace(
-        application=application,
-        execution_index=execution_index,
-        events=events,
-        initial_pids=frozenset(roots),
+    execution = ExecutionTrace.from_events(
+        application, execution_index, events, initial_pids=roots
     ).sorted()
     try:
         execution.validate()

@@ -26,13 +26,13 @@ Why this reproduces the paper's trace properties:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.traces.events import ExitEvent, ForkEvent, IOEvent
-from repro.traces.trace import ExecutionTrace
+from repro.traces.trace import KIND_CODE, ExecutionTrace, columns_from_rows
 from repro.workloads.activities import (
     HelperProcess,
     IOStep,
@@ -56,6 +56,12 @@ _HOT_AREA_BLOCKS = 4096
 _FRESH_AREA_BLOCKS = 1 << 21
 
 
+@lru_cache(maxsize=None)
+def _inode(application: str, name: str) -> int:
+    """Stable inode of a logical file (memoized: one SHA-256 per name)."""
+    return stable_seed("inode", application, name) & 0xFFFFF
+
+
 class FileSpace:
     """Stable mapping of logical file names to inodes and block ranges."""
 
@@ -66,7 +72,7 @@ class FileSpace:
 
     def inode(self, name: str) -> int:
         """Stable inode of a logical file (same in every execution)."""
-        return stable_seed("inode", self.application, name) & 0xFFFFF
+        return _inode(self.application, name)
 
     def _region_base(self, name: str) -> int:
         return self.inode(name) << _FILE_REGION_BITS
@@ -95,21 +101,25 @@ class FileSpace:
 
 
 class TraceBuilder:
-    """Accumulates events of one execution and finalizes the trace."""
+    """Accumulates the rows of one execution and finalizes the trace.
+
+    Rows are tuples laid out as :data:`~repro.traces.trace.COLUMNS`;
+    :meth:`finish` turns them into the execution's columns.
+    """
 
     def __init__(self, application: str, execution_index: int) -> None:
         self.application = application
         self.execution_index = execution_index
         self.files = FileSpace(application, execution_index)
-        self.events: list = []
+        self.rows: list[tuple] = []
         #: Latest event time emitted so far.
         self.latest_time: float = 0.0
 
     def fork(self, time: float, pid: int, parent: int) -> None:
-        self.events.append(ForkEvent(time=time, pid=pid, parent_pid=parent))
+        self.rows.append((1, time, pid, 0, 0, 0, 0, 0, 0, parent))
 
     def exit(self, time: float, pid: int) -> None:
-        self.events.append(ExitEvent(time=time, pid=pid))
+        self.rows.append((2, time, pid, 0, 0, 0, 0, 0, 0, 0))
 
     def emit_steps(
         self,
@@ -122,6 +132,8 @@ class TraceBuilder:
         of the last event.  Steps naming a ``process`` are routed to that
         helper's pid via ``pid_map``."""
         t = start
+        append = self.rows.append
+        files = self.files
         for step in steps:
             pc = stable_pc(self.application, step.function)
             if step.process is None:
@@ -133,37 +145,28 @@ class TraceBuilder:
                         f"{step.process!r}"
                     )
                 step_pid = pid_map[step.process]
+            kind = KIND_CODE[step.kind]
+            inode = files.inode(step.file)
             for _ in range(step.repeat):
                 t += step.pre_gap
                 if step.fresh:
-                    block_start, count = self.files.fresh_range(
+                    block_start, count = files.fresh_range(
                         step.file, step.blocks
                     )
                 else:
-                    block_start, count = self.files.hot_range(
+                    block_start, count = files.hot_range(
                         step.file, step.blocks
                     )
-                self.events.append(
-                    IOEvent(
-                        time=t,
-                        pid=step_pid,
-                        pc=pc,
-                        fd=step.fd,
-                        kind=step.kind,
-                        inode=self.files.inode(step.file),
-                        block_start=block_start,
-                        block_count=count,
-                    )
-                )
+                append((0, t, step_pid, pc, step.fd, kind, inode,
+                        block_start, count, 0))
         self.latest_time = max(self.latest_time, t)
         return t
 
     def finish(self, initial_pids: frozenset[int]) -> ExecutionTrace:
+        """The execution in canonical order, validated."""
         execution = ExecutionTrace(
-            application=self.application,
-            execution_index=self.execution_index,
-            events=self.events,
-            initial_pids=initial_pids,
+            self.application, self.execution_index,
+            columns_from_rows(self.rows), initial_pids,
         ).sorted()
         execution.validate()
         return execution

@@ -58,7 +58,7 @@ def _execution(
             )
         t += think_for_burst(index, burst)
     events.append(ExitEvent(time=t + 0.01, pid=_MAIN_PID))
-    execution = ExecutionTrace(
+    execution = ExecutionTrace.from_events(
         name, index, events, initial_pids=frozenset({_MAIN_PID})
     )
     execution.validate()

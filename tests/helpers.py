@@ -84,7 +84,7 @@ def single_process_execution(
         )
     if end_time is not None:
         events.append(ExitEvent(time=end_time, pid=pid))
-    execution = ExecutionTrace(
+    execution = ExecutionTrace.from_events(
         application=application,
         execution_index=execution_index,
         events=events,
@@ -114,7 +114,7 @@ def two_process_execution(
         )
     events.append(ExitEvent(time=end_time - 0.002, pid=101))
     events.append(ExitEvent(time=end_time, pid=100))
-    execution = ExecutionTrace(
+    execution = ExecutionTrace.from_events(
         application=application,
         execution_index=0,
         events=events,

@@ -12,7 +12,7 @@ from tests.helpers import io_event
 
 
 def _execution(events):
-    return ExecutionTrace(
+    return ExecutionTrace.from_events(
         "app", 0, events, initial_pids=frozenset({100})
     )
 
@@ -118,7 +118,7 @@ def test_filter_application_runs_every_execution():
         "app",
         [
             _execution([io_event(0.1, block_start=1)]),
-            ExecutionTrace(
+            ExecutionTrace.from_events(
                 "app", 1, [io_event(0.2, block_start=2)],
                 initial_pids=frozenset({100}),
             ),

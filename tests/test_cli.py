@@ -260,3 +260,15 @@ def test_faults_subcommand_in_process(capsys, monkeypatch):
     assert "[PASS] healthy cells bit-identical" in out
     assert "[PASS] every planned worker fault fired" in out
     assert "FAILED after 2 attempt(s)" in out
+
+
+def test_faults_plan_without_worker_faults_expects_no_retries(capsys):
+    # A cache-only plan causes no failed attempt, so its verdict must not
+    # require one.
+    code, out, _ = run_cli(
+        capsys, "faults", "--scale", "0.1", "--jobs", "1", "--no-serve",
+        "--plan", "cache.torn-write,at=1;cache.corrupt-read,at=1",
+    )
+    assert code == 0, out
+    assert "[PASS] no retries expected (0 failed attempt(s))" in out
+    assert "chaos verdict: OK" in out

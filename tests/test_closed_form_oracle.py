@@ -234,7 +234,7 @@ def test_two_process_trace():
 def test_empty_execution():
     """No events at all: only a zero-length trailing gap, never counted."""
     config = SimulationConfig()
-    execution = ExecutionTrace(
+    execution = ExecutionTrace.from_events(
         application="app",
         execution_index=0,
         events=[],

@@ -28,9 +28,6 @@ def test_columns_match_rows():
     cols = ColumnarAccesses.from_accesses(rows)
     assert len(cols) == len(rows)
     assert cols.times.tolist() == [a.time for a in rows]
-    assert cols.pids.tolist() == [a.pid for a in rows]
-    assert cols.pcs.tolist() == [a.pc for a in rows]
-    assert cols.fds.tolist() == [a.fd for a in rows]
     assert cols.block_counts.tolist() == [a.block_count for a in rows]
 
 
@@ -56,7 +53,7 @@ def test_durations_bit_identical_on_generated_workload():
         config.access_duration(a.block_count).hex()
         for a in filtered.accesses
     ]
-    assert cols.times_list() == filtered.access_times
+    assert cols.times_list() == [a.time for a in filtered.accesses]
 
 
 def test_durations_memoized_per_config():
@@ -66,26 +63,6 @@ def test_durations_memoized_per_config():
     slower = SimulationConfig(service_time=0.020)
     assert cols.durations_list(slower) is not cols.durations_list(base)
     assert cols.durations_list(slower)[0] != cols.durations_list(base)[0]
-
-
-def test_per_process_indices_match_row_grouping():
-    rows = _stream()
-    cols = ColumnarAccesses.from_accesses(rows)
-    groups = cols.per_process_indices()
-    assert set(groups) == {100, 101, 102}
-    for pid, indices in groups.items():
-        # Stream order within each process, and the right rows.
-        assert list(indices) == sorted(indices)
-        assert [rows[i].pid for i in indices] == [pid] * len(indices)
-    assert cols.per_process_indices() is groups  # memoized
-
-
-def test_gap_lengths():
-    cols = ColumnarAccesses.from_accesses(_stream())
-    gaps = cols.gap_lengths(lead_in=0.0)
-    assert gaps.tolist() == [0.5, 1.5, 7.0, 31.0, 1.0]
-    empty = ColumnarAccesses.from_accesses([])
-    assert empty.gap_lengths(lead_in=0.0).size == 0
 
 
 # ----------------------------------------------- FilterResult memos --
@@ -98,7 +75,6 @@ def test_filter_result_memos_return_same_object():
     filtered = filter_execution(execution)
     # Regression guard: repeated access must hand back the *same*
     # objects, not rebuilt copies — replays lean on these memos.
-    assert filtered.access_times is filtered.access_times
     assert filtered.per_process() is filtered.per_process()
     assert filtered.columnar() is filtered.columnar()
 
@@ -110,10 +86,9 @@ def test_filter_result_pickle_drops_memos_but_keeps_value():
     filtered = filter_execution(execution)
     filtered.columnar()
     filtered.per_process()
-    _ = filtered.access_times
     clone = pickle.loads(pickle.dumps(filtered))
     assert clone == filtered
     assert clone._columnar is None and clone._per_process is None
     # Rebuilt memos agree with the originals.
-    assert clone.access_times == filtered.access_times
+    assert clone.per_process() == filtered.per_process()
     assert np.array_equal(clone.columnar().times, filtered.columnar().times)

@@ -29,7 +29,7 @@ def _execution_and_accesses(
     for time, pid, pc in points:
         events.append(io_event(time, pid=pid, pc=pc, block_start=int(time * 1000)))
     events.extend(exits)
-    execution = ExecutionTrace(
+    execution = ExecutionTrace.from_events(
         "app", 0, events, initial_pids=frozenset(pids)
     ).sorted()
     accesses = [access(time, pid=pid, pc=pc) for time, pid, pc in points]

@@ -14,7 +14,7 @@ def _execution():
         io_event(0.2, pid=101, kind=AccessType.WRITE),
         io_event(0.3, pid=100, kind=AccessType.READ),
     ]
-    return ExecutionTrace(
+    return ExecutionTrace.from_events(
         "app", 0, events, initial_pids=frozenset({100, 101})
     )
 

@@ -26,7 +26,7 @@ def _execution(index: int = 0) -> ExecutionTrace:
         ExitEvent(time=0.5, pid=101),
         ExitEvent(time=0.6, pid=100),
     ]
-    return ExecutionTrace(
+    return ExecutionTrace.from_events(
         "app", index, events, initial_pids=frozenset({100})
     )
 

@@ -37,7 +37,7 @@ def _single_process_case(gaps, pcs):
         stream.append(access(t, pid=100, pc=pc))
     end = t + 30.0
     events.append(ExitEvent(time=end, pid=100))
-    execution = ExecutionTrace(
+    execution = ExecutionTrace.from_events(
         "app", 0, events, initial_pids=frozenset({100})
     )
     filtered = FilterResult(

@@ -41,7 +41,7 @@ events = st.lists(st.one_of(io_events, forks, exits), max_size=50)
 @given(events, st.text(alphabet="abcxyz", min_size=1, max_size=10),
        st.integers(min_value=0, max_value=99))
 def test_round_trip_preserves_everything(event_list, application, index):
-    execution = ExecutionTrace(
+    execution = ExecutionTrace.from_events(
         application=application,
         execution_index=index,
         events=event_list,

@@ -123,7 +123,7 @@ class TestBuilderEquivalence:
 class TestEdgeCases:
     def test_empty_execution(self):
         config = SimulationConfig()
-        execution = ExecutionTrace(
+        execution = ExecutionTrace.from_events(
             application="app",
             execution_index=0,
             events=[],

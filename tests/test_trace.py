@@ -17,7 +17,7 @@ def _simple_execution():
         io_event(0.5, pid=100),
         ExitEvent(time=0.6, pid=100),
     ]
-    return ExecutionTrace(
+    return ExecutionTrace.from_events(
         application="app",
         execution_index=0,
         events=events,
@@ -30,14 +30,16 @@ def test_validate_accepts_wellformed_trace():
 
 
 def test_validate_rejects_out_of_order_events():
-    execution = _simple_execution()
-    execution.events.reverse()
+    execution = ExecutionTrace.from_events(
+        "app", 0, list(reversed(_simple_execution().events)),
+        initial_pids=frozenset({100}),
+    )
     with pytest.raises(TraceError):
         execution.validate()
 
 
 def test_validate_rejects_io_from_unknown_pid():
-    execution = ExecutionTrace(
+    execution = ExecutionTrace.from_events(
         "app", 0, [io_event(0.1, pid=999)], initial_pids=frozenset({100})
     )
     with pytest.raises(TraceError):
@@ -49,7 +51,7 @@ def test_validate_rejects_io_after_exit():
         ExitEvent(time=0.1, pid=100),
         io_event(0.2, pid=100),
     ]
-    execution = ExecutionTrace(
+    execution = ExecutionTrace.from_events(
         "app", 0, events, initial_pids=frozenset({100})
     )
     with pytest.raises(TraceError):
@@ -58,7 +60,7 @@ def test_validate_rejects_io_after_exit():
 
 def test_validate_rejects_fork_from_dead_parent():
     events = [ForkEvent(time=0.1, pid=101, parent_pid=55)]
-    execution = ExecutionTrace(
+    execution = ExecutionTrace.from_events(
         "app", 0, events, initial_pids=frozenset({100})
     )
     with pytest.raises(TraceError):
@@ -70,7 +72,7 @@ def test_validate_rejects_duplicate_fork():
         ForkEvent(time=0.1, pid=101, parent_pid=100),
         ForkEvent(time=0.2, pid=101, parent_pid=100),
     ]
-    execution = ExecutionTrace(
+    execution = ExecutionTrace.from_events(
         "app", 0, events, initial_pids=frozenset({100})
     )
     with pytest.raises(TraceError):
@@ -79,7 +81,7 @@ def test_validate_rejects_duplicate_fork():
 
 def test_sorted_returns_canonical_order():
     execution = _simple_execution()
-    shuffled = ExecutionTrace(
+    shuffled = ExecutionTrace.from_events(
         "app",
         0,
         list(reversed(execution.events)),

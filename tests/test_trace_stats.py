@@ -73,7 +73,7 @@ def test_count_opportunities(breakeven):
 
 
 def test_trace_summary():
-    execution = ExecutionTrace(
+    execution = ExecutionTrace.from_events(
         "app", 0, [io_event(0.1), io_event(0.2)],
         initial_pids=frozenset({100}),
     )

@@ -93,7 +93,7 @@ def test_emit_steps_respects_repeat_and_gaps():
         IOStep(function="loop", file="f", fd=3, pre_gap=0.01, repeat=5),
     )
     end = builder.emit_steps(1.0, MAIN_PID, steps)
-    assert len(builder.events) == 5
+    assert len(builder.rows) == 5
     assert end == pytest.approx(1.05)
 
 
@@ -104,8 +104,8 @@ def test_emit_steps_routes_named_process():
         IOStep(function="aux_read", file="g", fd=4, process="aux"),
     )
     builder.emit_steps(0.0, MAIN_PID, steps, {"aux": 2000})
-    pids = [e.pid for e in builder.events]
-    assert pids == [MAIN_PID, 2000]
+    execution = builder.finish(initial_pids=frozenset({MAIN_PID, 2000}))
+    assert execution.columns["pid"].tolist() == [MAIN_PID, 2000]
 
 
 def test_emit_steps_unknown_process_rejected():
