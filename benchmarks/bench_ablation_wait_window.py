@@ -21,7 +21,9 @@ def test_ablation_wait_window(benchmark, ablation_runner):
             runner = ablation_runner.with_config(
                 SimulationConfig(wait_window=window)
             )
-            figure = build_fig7(runner, predictors=("PCAP",))
+            figure = build_fig7(
+                runner.run_matrix(("PCAP",)), predictors=("PCAP",)
+            )
             results[window] = average_bars(figure, "PCAP")
         return results
 

@@ -9,13 +9,20 @@ sophisticated predictors worthwhile.
 from conftest import run_once
 
 from repro.analysis.compare import fig10_checks, render_checks
-from repro.analysis.figures import average_bars, build_fig10
+from repro.analysis.figures import (
+    FIG10_PREDICTORS,
+    average_bars,
+    build_fig10,
+)
 from repro.analysis.paper_data import PAPER_FIG10_SPLIT
 from repro.analysis.report import render_accuracy_figure
 
 
 def test_fig10_table_reuse(benchmark, full_runner):
-    figure = run_once(benchmark, lambda: build_fig10(full_runner))
+    figure = run_once(
+        benchmark,
+        lambda: build_fig10(full_runner.run_matrix(FIG10_PREDICTORS)),
+    )
     print()
     print(render_accuracy_figure(
         figure, "Figure 10: Predictor table reuse (measured)",

@@ -7,13 +7,20 @@ Global Shutdown Predictor) over every application's merged disk stream.
 from conftest import run_once
 
 from repro.analysis.compare import fig7_checks, render_checks
-from repro.analysis.figures import average_bars, build_fig7
+from repro.analysis.figures import (
+    FIG7_PREDICTORS,
+    average_bars,
+    build_fig7,
+)
 from repro.analysis.paper_data import PAPER_FIG7_AVERAGES
 from repro.analysis.report import render_accuracy_figure
 
 
 def test_fig7_global_accuracy(benchmark, full_runner):
-    figure = run_once(benchmark, lambda: build_fig7(full_runner))
+    figure = run_once(
+        benchmark,
+        lambda: build_fig7(full_runner.run_matrix(FIG7_PREDICTORS)),
+    )
     print()
     print(render_accuracy_figure(
         figure, "Figure 7: Global shutdown predictor (measured)"

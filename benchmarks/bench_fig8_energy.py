@@ -18,7 +18,10 @@ PREDICTORS = ("Base", "Ideal", "TP", "TP-BE", "LT", "PCAP")
 
 def test_fig8_energy(benchmark, full_runner):
     figure = run_once(
-        benchmark, lambda: build_fig8(full_runner, predictors=PREDICTORS)
+        benchmark,
+        lambda: build_fig8(
+            full_runner.run_matrix(PREDICTORS), predictors=PREDICTORS
+        ),
     )
     print()
     print(render_energy_figure(figure))

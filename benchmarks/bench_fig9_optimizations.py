@@ -7,7 +7,11 @@ attribution split of the paper's bars.
 from conftest import run_once
 
 from repro.analysis.compare import fig9_checks, render_checks
-from repro.analysis.figures import average_bars, build_fig9
+from repro.analysis.figures import (
+    FIG9_PREDICTORS,
+    average_bars,
+    build_fig9,
+)
 from repro.analysis.paper_data import (
     PAPER_FIG9_AVERAGES,
     PAPER_FIG9_MOZILLA_MISS,
@@ -16,7 +20,10 @@ from repro.analysis.report import render_accuracy_figure
 
 
 def test_fig9_optimizations(benchmark, full_runner):
-    figure = run_once(benchmark, lambda: build_fig9(full_runner))
+    figure = run_once(
+        benchmark,
+        lambda: build_fig9(full_runner.run_matrix(FIG9_PREDICTORS)),
+    )
     print()
     print(render_accuracy_figure(
         figure, "Figure 9: Predictor optimizations (measured)",

@@ -7,12 +7,15 @@ table reuse and reports the final entry counts next to the paper's.
 from conftest import run_once
 
 from repro.analysis.report import render_table3
-from repro.analysis.tables import build_table3
+from repro.analysis.tables import TABLE3_VARIANTS, build_table3
 from repro.core.table import PredictionTable, storage_bytes
 
 
 def test_table3_storage(benchmark, full_runner):
-    rows = run_once(benchmark, lambda: build_table3(full_runner))
+    rows = run_once(
+        benchmark,
+        lambda: build_table3(full_runner.run_matrix(TABLE3_VARIANTS)),
+    )
     print()
     print(render_table3(rows))
 

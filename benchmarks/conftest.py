@@ -28,7 +28,7 @@ import pytest
 
 from repro.config import JOBS_ENV_VAR, SimulationConfig
 from repro.sim.experiment import ExperimentRunner
-from repro.sim.parallel import resolve_jobs
+from repro.config import resolve_jobs
 from repro.workloads import build_suite
 
 

@@ -17,7 +17,7 @@ import time
 
 from repro import ExperimentRunner, SimulationConfig, build_suite
 from repro.predictors.registry import tp_spec
-from repro.sim.parallel import stderr_progress
+from repro.sim.resilience import stderr_progress
 from repro.sim.sweep import render_sweep, sweep
 
 TIMEOUTS = (2.0, 5.445, 10.0, 20.0, 60.0)

@@ -7,7 +7,7 @@ Run:  python examples/reproduce_paper.py [scale] [jobs]
 
 scale defaults to 0.5 (a few minutes); use 1.0 for the full Table-1
 magnitudes (as the benchmarks do).  jobs defaults to $REPRO_JOBS (or
-serial); pass 0 to use every core — figure matrices then fan out
+serial); pass 0 to use every core — the two matrices then fan out
 across worker processes with results identical to a serial run.
 """
 
@@ -16,6 +16,8 @@ import time
 
 from repro import ExperimentRunner, SimulationConfig, build_suite
 from repro.analysis import (
+    FIG6_PREDICTORS,
+    GLOBAL_PREDICTORS,
     all_checks,
     build_fig6,
     build_fig7,
@@ -52,26 +54,31 @@ def main() -> None:
     print(render_table2(build_table2(config.disk)))
     print()
 
-    fig6 = build_fig6(runner)
+    # One local matrix for Figure 6, one global matrix that Figures
+    # 7-10 and Table 3 all select their predictors from.
+    local = runner.run_matrix(FIG6_PREDICTORS, mode="local")
+    matrix = runner.run_matrix(GLOBAL_PREDICTORS)
+
+    fig6 = build_fig6(local)
     print(render_accuracy_figure(fig6, "Figure 6: Local predictors"))
     print()
-    fig7 = build_fig7(runner)
+    fig7 = build_fig7(matrix)
     print(render_accuracy_figure(fig7, "Figure 7: Global predictors"))
     print()
-    fig8 = build_fig8(runner)
+    fig8 = build_fig8(matrix)
     print(render_energy_figure(fig8))
     print()
-    fig9 = build_fig9(runner)
+    fig9 = build_fig9(matrix)
     print(render_accuracy_figure(
         fig9, "Figure 9: Optimizations", split_sources=True
     ))
     print()
-    fig10 = build_fig10(runner)
+    fig10 = build_fig10(matrix)
     print(render_accuracy_figure(
         fig10, "Figure 10: Table reuse", split_sources=True
     ))
     print()
-    print(render_table3(build_table3(runner)))
+    print(render_table3(build_table3(matrix)))
 
     print()
     print("Shape checks against the paper's claims:")

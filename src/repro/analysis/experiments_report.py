@@ -3,7 +3,9 @@
 Runs every table and figure, renders the measured-vs-paper comparison
 and the shape-check verdicts, and emits one self-contained Markdown
 document — the CLI's ``report`` subcommand and CI pipelines use it to
-keep recorded results in sync with the code.
+keep recorded results in sync with the code.  Like ``repro reproduce``
+it runs one local matrix (Figure 6) and one global matrix, over
+:data:`REPORT_PREDICTORS`, that every global section selects from.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from repro.analysis.compare import (
     fig10_checks,
 )
 from repro.analysis.figures import (
+    FIG6_PREDICTORS,
+    GLOBAL_PREDICTORS,
     AccuracyFigure,
     average_bars,
     average_savings,
@@ -41,6 +45,12 @@ from repro.workloads.extremes import build_extremes
 
 #: Predictor columns of the learned-family extension sections.
 LEARNED_REPORT_PREDICTORS = ("TP", "PCAP", "QDPM", "SKI", "PI")
+
+#: The lanes of the report's one global matrix: the paper's global
+#: figures and Table 3, then the learned section and its Base baseline.
+REPORT_PREDICTORS = tuple(
+    dict.fromkeys(GLOBAL_PREDICTORS + ("Base",) + LEARNED_REPORT_PREDICTORS)
+)
 
 
 def _accuracy_table(
@@ -84,6 +94,8 @@ def generate_report(runner: ExperimentRunner, *, scale: float) -> str:
         "| total I/Os (paper) |",
         "|---|---|---|---|---|",
     ]
+    # Table 1 runs first: it fills the runner's filter memo, which the
+    # local matrix then reads instead of filtering each execution again.
     for row in build_table1(runner):
         paper = PAPER_TABLE1.get(row.application, (0, 0, 0, 0))
         parts.append(
@@ -92,18 +104,20 @@ def generate_report(runner: ExperimentRunner, *, scale: float) -> str:
             f"| {row.local_idle_periods} ({paper[2]}) "
             f"| {row.total_ios} ({paper[3]}) |"
         )
+    local = runner.run_matrix(FIG6_PREDICTORS, mode="local")
+    matrix = runner.run_matrix(REPORT_PREDICTORS)
 
-    fig6 = build_fig6(runner)
+    fig6 = build_fig6(local)
     parts += ["", "## Figure 6 — local predictors", ""]
     parts += _accuracy_table(fig6, PAPER_FIG6_AVERAGES)
     parts += ["", *_checks_section(fig6_checks(fig6))]
 
-    fig7 = build_fig7(runner)
+    fig7 = build_fig7(matrix)
     parts += ["", "## Figure 7 — global predictor", ""]
     parts += _accuracy_table(fig7, PAPER_FIG7_AVERAGES)
     parts += ["", *_checks_section(fig7_checks(fig7))]
 
-    fig8 = build_fig8(runner)
+    fig8 = build_fig8(matrix)
     parts += [
         "",
         "## Figure 8 — energy",
@@ -120,12 +134,12 @@ def generate_report(runner: ExperimentRunner, *, scale: float) -> str:
         )
     parts += ["", *_checks_section(fig8_checks(fig8))]
 
-    fig9 = build_fig9(runner)
+    fig9 = build_fig9(matrix)
     parts += ["", "## Figure 9 — optimizations", ""]
     parts += _accuracy_table(fig9, PAPER_FIG9_AVERAGES)
     parts += ["", *_checks_section(fig9_checks(fig9))]
 
-    fig10 = build_fig10(runner)
+    fig10 = build_fig10(matrix)
     parts += [
         "",
         "## Figure 10 — table reuse",
@@ -152,7 +166,7 @@ def generate_report(runner: ExperimentRunner, *, scale: float) -> str:
         ) + " |",
         "|---|---|---|---|---|",
     ]
-    for row in build_table3(runner):
+    for row in build_table3(matrix):
         paper = PAPER_TABLE3.get(row.application, {})
         cells = " | ".join(
             f"{row.entries[v]} ({paper.get(v, '—')})"
@@ -173,15 +187,14 @@ def generate_report(runner: ExperimentRunner, *, scale: float) -> str:
         "| predictor | hit | miss | savings |",
         "|---|---|---|---|",
     ]
-    learned = runner.run_matrix(("Base",) + LEARNED_REPORT_PREDICTORS)
     base_energy = sum(
-        learned[app]["Base"].energy for app in runner.applications
+        matrix[app]["Base"].energy for app in runner.applications
     )
     for name in LEARNED_REPORT_PREDICTORS:
         stats = PredictionStats()
         energy = 0.0
         for app in runner.applications:
-            result = learned[app][name]
+            result = matrix[app][name]
             stats.merge(result.stats)
             energy += result.energy
         parts.append(

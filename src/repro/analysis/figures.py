@@ -1,16 +1,23 @@
 """Builders for the paper's figures (6, 7, 8, 9, 10).
 
-Each builder returns plain dataclasses the report renderers (and the
-benchmarks) consume; nothing here touches matplotlib — the paper's
-figures are stacked-bar charts whose numbers these structures carry.
+Each builder is a pure function of a result matrix
+(``{application: {predictor: result}}``, as
+:meth:`~repro.sim.experiment.ExperimentRunner.run_matrix` returns it):
+it selects its figure's predictors and returns plain dataclasses the
+report renderers (and the benchmarks) consume.  Figure 6 reads a local
+matrix; Figures 7–10 and Table 3 read a global one, so one global
+matrix over :data:`GLOBAL_PREDICTORS` serves them all.  Nothing here
+touches matplotlib — the paper's figures are stacked-bar charts whose
+numbers these structures carry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro.sim.experiment import ApplicationResult, ExperimentRunner
+from repro.analysis.tables import TABLE3_VARIANTS
+from repro.sim.experiment import ApplicationResult
 from repro.sim.metrics import PredictionStats
 
 #: Predictor sets of each figure.
@@ -19,6 +26,22 @@ FIG7_PREDICTORS = ("TP", "LT", "PCAP")
 FIG8_PREDICTORS = ("Base", "Ideal", "TP", "LT", "PCAP")
 FIG9_PREDICTORS = ("PCAP", "PCAPh", "PCAPf", "PCAPfh")
 FIG10_PREDICTORS = ("PCAP", "PCAPa", "LT", "LTa")
+
+#: Every predictor of the global figures (7-10) and Table 3, each once,
+#: in first-use order: the lanes of the one global matrix they select
+#: from.
+GLOBAL_PREDICTORS = tuple(
+    dict.fromkeys(
+        FIG7_PREDICTORS
+        + FIG8_PREDICTORS
+        + FIG9_PREDICTORS
+        + FIG10_PREDICTORS
+        + TABLE3_VARIANTS
+    )
+)
+
+#: ``{application: {predictor: result}}``, one run's result matrix.
+Matrix = dict[str, dict[str, ApplicationResult]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,87 +99,58 @@ EnergyFigure = dict[str, dict[str, EnergyBar]]
 
 
 def _accuracy_figure(
-    runner: ExperimentRunner,
-    predictors: Sequence[str],
-    *,
-    mode: str,
-    applications: Optional[Sequence[str]] = None,
+    matrix: Matrix, predictors: Sequence[str]
 ) -> AccuracyFigure:
-    matrix = runner.run_matrix(
-        predictors, mode=mode, applications=applications
-    )
     return {
         application: {
-            name: AccuracyBar.from_stats(application, name, result.stats)
-            for name, result in row.items()
+            name: AccuracyBar.from_stats(application, name, row[name].stats)
+            for name in predictors
         }
         for application, row in matrix.items()
     }
 
 
 def build_fig6(
-    runner: ExperimentRunner,
-    predictors: Sequence[str] = FIG6_PREDICTORS,
-    applications: Optional[Sequence[str]] = None,
+    matrix: Matrix, predictors: Sequence[str] = FIG6_PREDICTORS
 ) -> AccuracyFigure:
-    """Figure 6: local shutdown predictor accuracy."""
-    return _accuracy_figure(
-        runner, predictors, mode="local", applications=applications
-    )
+    """Figure 6: local shutdown predictor accuracy (a local matrix)."""
+    return _accuracy_figure(matrix, predictors)
 
 
 def build_fig7(
-    runner: ExperimentRunner,
-    predictors: Sequence[str] = FIG7_PREDICTORS,
-    applications: Optional[Sequence[str]] = None,
+    matrix: Matrix, predictors: Sequence[str] = FIG7_PREDICTORS
 ) -> AccuracyFigure:
     """Figure 7: global shutdown predictor accuracy."""
-    return _accuracy_figure(
-        runner, predictors, mode="global", applications=applications
-    )
+    return _accuracy_figure(matrix, predictors)
 
 
 def build_fig9(
-    runner: ExperimentRunner,
-    predictors: Sequence[str] = FIG9_PREDICTORS,
-    applications: Optional[Sequence[str]] = None,
+    matrix: Matrix, predictors: Sequence[str] = FIG9_PREDICTORS
 ) -> AccuracyFigure:
     """Figure 9: history / file-descriptor optimizations (global)."""
-    return _accuracy_figure(
-        runner, predictors, mode="global", applications=applications
-    )
+    return _accuracy_figure(matrix, predictors)
 
 
 def build_fig10(
-    runner: ExperimentRunner,
-    predictors: Sequence[str] = FIG10_PREDICTORS,
-    applications: Optional[Sequence[str]] = None,
+    matrix: Matrix, predictors: Sequence[str] = FIG10_PREDICTORS
 ) -> AccuracyFigure:
     """Figure 10: prediction-table reuse (global)."""
-    return _accuracy_figure(
-        runner, predictors, mode="global", applications=applications
-    )
+    return _accuracy_figure(matrix, predictors)
 
 
 def build_fig8(
-    runner: ExperimentRunner,
-    predictors: Sequence[str] = FIG8_PREDICTORS,
-    applications: Optional[Sequence[str]] = None,
+    matrix: Matrix, predictors: Sequence[str] = FIG8_PREDICTORS
 ) -> EnergyFigure:
     """Figure 8: energy distribution, normalized per-app to Base."""
     if "Base" not in predictors:
         raise ValueError("Figure 8 needs the Base system for scaling")
-    apps = list(applications) if applications else runner.applications
-    matrix = runner.run_matrix(
-        predictors, mode="global", applications=apps
-    )
     figure: EnergyFigure = {}
-    for application in apps:
-        results: dict[str, ApplicationResult] = matrix[application]
-        base_total = results["Base"].ledger.total
+    for application, results in matrix.items():
+        base = results["Base"].ledger
         row: dict[str, EnergyBar] = {}
-        for name, result in results.items():
-            fractions = result.ledger.fractions_of(base_total)
+        for name in predictors:
+            ledger = results[name].ledger
+            fractions = ledger.fractions_of(base.total)
             row[name] = EnergyBar(
                 application=application,
                 predictor=name,
@@ -164,7 +158,7 @@ def build_fig8(
                 idle_short=fractions["idle_short"],
                 idle_long=fractions["idle_long"],
                 power_cycle=fractions["power_cycle"],
-                savings=result.ledger.savings_versus(results["Base"].ledger),
+                savings=ledger.savings_versus(base),
             )
         figure[application] = row
     return figure

@@ -8,7 +8,9 @@ system), as standalone SVG documents — no plotting library required.
 Used by the CLI (``python -m repro figure 7 --svg fig7.svg``) and
 available programmatically::
 
-    svg = render_accuracy_svg(build_fig7(runner), "Figure 7")
+    svg = render_accuracy_svg(
+        build_fig7(runner.run_matrix(FIG7_PREDICTORS)), "Figure 7"
+    )
     Path("fig7.svg").write_text(svg)
 """
 

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.disk.power_model import DiskPowerParameters
-from repro.sim.experiment import ExperimentRunner
+from repro.sim.experiment import ApplicationResult, ExperimentRunner
 from repro.sim.idle_periods import stream_gaps
 
 
@@ -110,26 +110,23 @@ class Table3Row:
 
 
 def build_table3(
-    runner: ExperimentRunner,
+    matrix: dict[str, dict[str, ApplicationResult]],
     variants: Sequence[str] = TABLE3_VARIANTS,
-    applications: Optional[Sequence[str]] = None,
 ) -> list[Table3Row]:
-    """Run each PCAP variant over each application's full trace history
-    and report the final prediction-table sizes.
+    """The final prediction-table size of each PCAP variant over each
+    application's full trace history, from a global matrix.
 
-    The sizes come from one global matrix over the variants, which
-    tracks each lane's peak table size exactly as
-    :meth:`~repro.sim.experiment.ExperimentRunner.run_global` does.
+    A global run tracks each lane's peak table size across the
+    application's executions (see
+    :meth:`~repro.sim.experiment.ExperimentRunner.run_global`).
     """
-    apps = list(applications) if applications else runner.applications
-    matrix = runner.run_matrix(list(variants), applications=apps)
     return [
         Table3Row(
             application=application,
             entries={
-                variant: matrix[application][variant].table_size or 0
+                variant: row[variant].table_size or 0
                 for variant in variants
             },
         )
-        for application in apps
+        for application, row in matrix.items()
     ]

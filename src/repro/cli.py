@@ -68,6 +68,12 @@ from repro.analysis.ascii_charts import (
 )
 from repro.analysis.compare import all_checks, render_checks
 from repro.analysis.figures import (
+    FIG6_PREDICTORS,
+    FIG7_PREDICTORS,
+    FIG8_PREDICTORS,
+    FIG9_PREDICTORS,
+    FIG10_PREDICTORS,
+    GLOBAL_PREDICTORS,
     build_fig6,
     build_fig7,
     build_fig8,
@@ -83,14 +89,19 @@ from repro.analysis.report import (
     render_table2,
     render_table3,
 )
-from repro.analysis.tables import build_table1, build_table2, build_table3
+from repro.analysis.tables import (
+    TABLE3_VARIANTS,
+    build_table1,
+    build_table2,
+    build_table3,
+)
 from repro.analysis.timeline import render_timeline, render_trace_summary
 from repro.config import SimulationConfig
 from repro.errors import ReproError
 from repro.predictors.registry import KNOWN_PREDICTORS
 from repro.sim.artifact_cache import resolve_cache
 from repro.sim.experiment import ExperimentRunner
-from repro.sim.parallel import stderr_progress
+from repro.sim.resilience import stderr_progress
 from repro.sim.tracing import TraceRecorder, write_jsonl
 from repro.traces.io_format import (
     read_application_trace,
@@ -126,25 +137,29 @@ def _runner(args, applications: Optional[tuple[str, ...]] = None):
 
 def _cmd_reproduce(args) -> int:
     runner = _runner(args)
+    # Table 1 runs first: it fills the runner's filter memo, which the
+    # local matrix then reads instead of filtering each execution again.
     print(render_table1(build_table1(runner)))
     print()
     print(render_table2(build_table2(runner.config.disk)))
+    local = runner.run_matrix(FIG6_PREDICTORS, mode="local")
+    matrix = runner.run_matrix(GLOBAL_PREDICTORS)
     figures = {
-        "6": (build_fig6(runner), "Figure 6: Local predictors", False),
-        "7": (build_fig7(runner), "Figure 7: Global predictors", False),
-        "9": (build_fig9(runner), "Figure 9: Optimizations", True),
-        "10": (build_fig10(runner), "Figure 10: Table reuse", True),
+        "6": (build_fig6(local), "Figure 6: Local predictors", False),
+        "7": (build_fig7(matrix), "Figure 7: Global predictors", False),
+        "9": (build_fig9(matrix), "Figure 9: Optimizations", True),
+        "10": (build_fig10(matrix), "Figure 10: Table reuse", True),
     }
     built = {}
     for key, (figure, title, split) in figures.items():
         print()
         print(render_accuracy_figure(figure, title, split_sources=split))
         built[key] = figure
-    fig8 = build_fig8(runner)
+    fig8 = build_fig8(matrix)
     print()
     print(render_energy_figure(fig8))
     print()
-    print(render_table3(build_table3(runner)))
+    print(render_table3(build_table3(matrix)))
     print()
     print(render_checks(
         all_checks(built["6"], built["7"], fig8, built["9"], built["10"])
@@ -169,7 +184,7 @@ def _cmd_figure(args) -> int:
     number = args.number
     title = f"Figure {number} (measured, scale {args.scale})"
     if number == 8:
-        figure = build_fig8(runner)
+        figure = build_fig8(runner.run_matrix(FIG8_PREDICTORS))
         if args.svg:
             _write_svg(args.svg, render_energy_svg(figure, title))
         elif args.chart:
@@ -177,12 +192,18 @@ def _cmd_figure(args) -> int:
         else:
             print(render_energy_figure(figure))
         return 0
-    builders = {6: build_fig6, 7: build_fig7, 9: build_fig9, 10: build_fig10}
+    builders = {
+        6: (build_fig6, FIG6_PREDICTORS, "local"),
+        7: (build_fig7, FIG7_PREDICTORS, "global"),
+        9: (build_fig9, FIG9_PREDICTORS, "global"),
+        10: (build_fig10, FIG10_PREDICTORS, "global"),
+    }
     if number not in builders:
         print(f"no figure {number}; the paper has figures 6-10",
               file=sys.stderr)
         return 2
-    figure = builders[number](runner)
+    build, predictors, mode = builders[number]
+    figure = build(runner.run_matrix(predictors, mode=mode))
     if args.svg:
         _write_svg(args.svg, render_accuracy_svg(figure, title))
     elif args.chart:
@@ -208,7 +229,8 @@ def _cmd_table(args) -> int:
     if args.number == 1:
         print(render_table1(build_table1(runner)))
     elif args.number == 3:
-        print(render_table3(build_table3(runner)))
+        matrix = runner.run_matrix(TABLE3_VARIANTS)
+        print(render_table3(build_table3(matrix)))
     else:
         print("the paper has tables 1-3", file=sys.stderr)
         return 2
@@ -606,7 +628,7 @@ def _cmd_faults(args) -> int:
     import tempfile
 
     from repro.errors import TraceFormatError
-    from repro.sim.parallel import fork_available
+    from repro.config import fork_available
     from repro.sim.resilience import (
         CANNED_CHAOS_PLAN,
         ResiliencePolicy,

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.cache.page_cache import CacheConfig
 from repro.disk.power_model import DiskPowerParameters, fujitsu_mhf2043at
 from repro.errors import ConfigurationError
 
-#: Environment variable naming the default worker count of the parallel
-#: execution layer (:mod:`repro.sim.parallel`).
+#: Environment variable naming the default worker count of the cell
+#: executor (:func:`repro.sim.resilience.run_cells`).
 JOBS_ENV_VAR = "REPRO_JOBS"
 
 
@@ -45,6 +47,25 @@ def default_jobs() -> int:
     if value == 0:
         return os.cpu_count() or 1
     return value
+
+
+def resolve_jobs(jobs: Optional[int] = None) -> int:
+    """Normalize a worker-count request.
+
+    ``None`` defers to :func:`default_jobs` (the ``REPRO_JOBS``
+    environment variable, serial when unset); ``0`` or a negative count
+    means "all cores".
+    """
+    if jobs is None:
+        jobs = default_jobs()
+    if jobs <= 0:
+        jobs = os.cpu_count() or 1
+    return max(1, jobs)
+
+
+def fork_available() -> bool:
+    """Whether the platform supports the ``fork`` start method."""
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
 @dataclass(frozen=True, slots=True)

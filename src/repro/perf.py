@@ -266,8 +266,8 @@ def run_benchmarks(
         )
 
     if want("tape_build"):
-        # One columnar-tape construction — the per-execution cost every
-        # fused pass pays once and the tape cache then amortizes away.
+        # One replay-tape construction: the per-execution cost every
+        # fused pass pays once before its lanes replay the tape.
 
         def bench_tape_build() -> None:
             build_replay_tape(execution, filtered, config)

@@ -35,7 +35,7 @@ from typing import Callable, Optional
 
 from repro import faults
 from repro.config import SimulationConfig
-from repro.sim.parallel import fork_available
+from repro.config import fork_available
 from repro.sim.resilience import ResiliencePolicy
 from repro.serve.worker import ShardWorker, worker_main
 

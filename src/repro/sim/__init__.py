@@ -12,14 +12,14 @@ from repro.sim.engine import (
     evaluate_local_stream,
     run_global_execution,
 )
+from repro.config import resolve_jobs
 from repro.sim.experiment import ApplicationResult, ExperimentRunner
 from repro.sim.idle_periods import count_opportunities, stream_gaps
 from repro.sim.metrics import PredictionStats
-from repro.sim.parallel import (
+from repro.sim.resilience import (
     CellProgress,
     CellResult,
     ExperimentCell,
-    resolve_jobs,
     stderr_progress,
 )
 from repro.sim.sweep import SweepPoint, render_sweep, sweep

@@ -19,8 +19,8 @@ worker processes — skip straight to the simulation:
   :class:`~repro.traces.store.StoreBackedTrace`, which carries its
   manifest fingerprint.  That fingerprint equals
   :func:`trace_fingerprint` of the in-memory trace, so ``--store`` runs
-  and generated runs of the same content share every filter, tape and
-  fused entry.  Every other artifact is a pickle.
+  and generated runs of the same content share every filter and fused
+  entry.  Every other artifact is a pickle.
 * **Atomic writes, lock-free reads.**  A store writes to a private
   temporary file (or, for a trace, directory) in the cache directory and
   renames it into place, which is atomic on POSIX — a reader sees either
@@ -281,23 +281,6 @@ def filter_key(
         cache_config.capacity_bytes,
         cache_config.block_size,
         cache_config.flush_interval,
-    )
-
-
-def tape_key(
-    fingerprint: str, execution_index: int, config: "SimulationConfig"
-) -> str:
-    """Cache key of one execution's predictor-independent replay tape.
-
-    Keyed on the trace fingerprint × execution × the *full* simulation
-    configuration: the columnar tape bakes in gap boundaries, idle
-    energies, feedback classes, and the busy-energy sum, which depend
-    on the disk parameters, service times, cache geometry (through the
-    filtered stream) and the breakeven/wait-window thresholds alike —
-    ``repr(config)`` covers them all, like the variant-set digest.
-    """
-    return _digest(
-        "tape", SCHEMA_VERSION, fingerprint, execution_index, repr(config)
     )
 
 

@@ -18,12 +18,8 @@ duration formula is evaluated vectorized, then materialized with
 because both perform the same two IEEE-754 double operations per
 element).
 
-Two more column stores live here: :class:`ColumnarTape`, the
-predictor-independent replay skeleton that
-:func:`repro.sim.engine.build_replay_tape` fills in one sequential pass
-and whose per-step views every fused lane (:mod:`repro.sim.fused`)
-walks, and :class:`DeviceStateColumns`, the fleet engine's per-device
-accumulators.
+One more column store lives here: :class:`DeviceStateColumns`, the
+fleet engine's per-device accumulators.
 
 **Bit-identity contract:** every value handed back to the simulation is
 numerically identical — same bits — to what the row-oriented code
@@ -36,7 +32,7 @@ simulation recurrences, whose evaluation order is unchanged.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -44,237 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.cache.filter import DiskAccess
     from repro.config import SimulationConfig
     from repro.sim.experiment import ApplicationResult
-
-
-#: Replay-tape opcodes — the values of :class:`ColumnarTape`'s ``op``
-#: column and the first element of every replay-view step.  Defined here
-#: so the tape, its builder (:func:`repro.sim.engine.build_replay_tape`)
-#: and its consumers (:mod:`repro.sim.fused`) share one source.
-TAPE_SIMPLE = 0  #: access with no actionable gap (back-to-back or <= EPS)
-TAPE_GAP = 1  #: access ending a gap a shutdown could fire in
-TAPE_FORK = 2  #: process fork (liveness + try-point)
-TAPE_EXIT = 3  #: process exit (liveness + trailing feedback + try-point)
-
-#: Codes of the tape's ``fb_class`` column.  ``-1`` means "no feedback";
-#: non-negative codes index :data:`~repro.predictors.base.IdleClass` in
-#: (SUB_WINDOW, SHORT, LONG) order.
-FB_SUB_WINDOW = 0
-FB_SHORT = 1
-FB_LONG = 2
-
-#: The tape's per-step column arrays, in canonical order.
-_TAPE_ARRAY_FIELDS = (
-    "op",
-    "times",
-    "can_fire",
-    "record",
-    "window_start",
-    "busy_until",
-    "gap_length",
-    "idle_full",
-    "long_period",
-    "gap_end",
-    "busy_after",
-    "register",
-    "pids",
-    "access_index",
-    "anchor_max",
-    "fb_start",
-    "fb_end",
-    "fb_class",
-)
-
-#: The tape's whole-execution scalar fields.
-_TAPE_SCALAR_FIELDS = (
-    "start",
-    "end",
-    "initial_pids",
-    "busy_energy",
-    "n_accesses",
-    "end_can_fire",
-    "end_record",
-    "trailing",
-    "final_window_start",
-    "final_busy_until",
-    "final_gap_end",
-    "final_idle_full",
-    "final_long",
-    "final_anchor_max",
-)
-
-
-class ColumnarTape:
-    """Predictor-independent replay skeleton as parallel NumPy columns.
-
-    One row per merged-schedule step (accesses and liveness events,
-    schedule order).  Column semantics:
-
-    * ``op`` (u1) — :data:`TAPE_SIMPLE` / :data:`TAPE_GAP` /
-      :data:`TAPE_FORK` / :data:`TAPE_EXIT`;
-    * ``times`` (f8) — the step's event time;
-    * ``can_fire`` / ``record`` (bool) — the engine's try-shutdown gate
-      and its stats gate (distinct float predicates, kept separately on
-      purpose; ``record`` is only meaningful on access steps);
-    * ``window_start`` / ``busy_until`` (f8) — the decision window and
-      disk-busy state entering the step;
-    * ``gap_length`` / ``gap_end`` / ``idle_full`` / ``long_period`` —
-      the resolved gap of access steps (``idle_full`` is the no-shutdown
-      idle energy; zero on back-to-back accesses and liveness steps);
-    * ``busy_after`` (f8) — disk-busy time after an access is served;
-    * ``register`` (bool) — access by an unregistered pid (or fork
-      ``is_new``);
-    * ``pids`` (i8) / ``access_index`` (i8) — the step's process and its
-      position in the filtered access stream (``-1`` for liveness);
-    * ``anchor_max`` (f8) — the latest live intent anchor at the step's
-      try-point, ``NaN`` encoding "no try-point / no live anchors" (the
-      classic tape's ``None``);
-    * ``fb_start`` / ``fb_end`` (f8) and ``fb_class`` (i1) — the
-      per-process idle-feedback gap delivered at the step, ``fb_class``
-      of ``-1`` meaning no feedback (codes index ``IdleClass`` in
-      (SUB_WINDOW, SHORT, LONG) order).
-
-    The whole-execution scalars (``start`` … ``final_anchor_max``) carry
-    the trailing-gap state exactly like the historical tuple tape.
-
-    Tapes are built by :func:`repro.sim.engine.build_replay_tape` and
-    replayed by :mod:`repro.sim.fused`, whose lanes all iterate
-    :meth:`replay_views`.  Tapes pickle compactly (the memoized views
-    and the bound access stream are dropped), which is what lets the
-    artifact cache persist them per
-    (execution fingerprint × configuration).
-    """
-
-    __slots__ = _TAPE_ARRAY_FIELDS + _TAPE_SCALAR_FIELDS + (
-        "_accesses",
-        "_views",
-    )
-
-    def __init__(self) -> None:
-        self._accesses = None
-        self._views = None
-
-    def __len__(self) -> int:
-        return len(self.op)
-
-    def __getstate__(self) -> dict:
-        """Pickle the column arrays and scalars; memos are rebuilt."""
-        state = {
-            name: getattr(self, name) for name in _TAPE_ARRAY_FIELDS
-        }
-        state.update(
-            {name: getattr(self, name) for name in _TAPE_SCALAR_FIELDS}
-        )
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        """Restore columns and scalars; clear the transient memos."""
-        for name in _TAPE_ARRAY_FIELDS + _TAPE_SCALAR_FIELDS:
-            setattr(self, name, state[name])
-        self._accesses = None
-        self._views = None
-
-    def bind_accesses(self, accesses: Sequence["DiskAccess"]) -> None:
-        """Attach the filtered access stream the tape was built from.
-
-        The generic replay lane injects the actual
-        :class:`~repro.cache.filter.DiskAccess` objects into its step
-        views through the ``access_index`` column; they are *not* stored
-        on the tape (they are already cached/pickled elsewhere), so a
-        cache-restored tape must be re-bound before a generic lane runs.
-        """
-        if self._accesses is not accesses:
-            self._accesses = accesses
-            self._views = None
-
-    def replay_views(self) -> list:
-        """Per-step tuples for the replay lanes (memoized).
-
-        Runs of consecutive :data:`TAPE_SIMPLE` steps are grouped into a
-        single ``(TAPE_SIMPLE, items)`` entry — ``items`` being ``(pid,
-        access, feedback, busy_after, register, idle_full)`` tuples — so
-        the lanes dispatch once per run instead of once per step.
-        :data:`TAPE_GAP` / :data:`TAPE_FORK` / :data:`TAPE_EXIT` entries
-        carry the historical tuple layout, with prebuilt (shared,
-        immutable) :class:`~repro.predictors.base.IdleFeedback` objects
-        and ``anchor_max`` decoded back to ``None``-or-float.
-        """
-        views = self._views
-        if views is not None:
-            return views
-        accesses = self._accesses
-        if accesses is None:
-            raise ValueError(
-                "tape has no bound access stream; call bind_accesses() "
-                "before replaying a generic lane"
-            )
-        from repro.predictors.base import IdleClass, IdleFeedback
-
-        classes = (IdleClass.SUB_WINDOW, IdleClass.SHORT, IdleClass.LONG)
-        op_l = self.op.tolist()
-        t_l = self.times.tolist()
-        cf_l = self.can_fire.tolist()
-        rec_l = self.record.tolist()
-        ws_l = self.window_start.tolist()
-        bu_l = self.busy_until.tolist()
-        gl_l = self.gap_length.tolist()
-        if_l = self.idle_full.tolist()
-        lp_l = self.long_period.tolist()
-        ge_l = self.gap_end.tolist()
-        ba_l = self.busy_after.tolist()
-        reg_l = self.register.tolist()
-        pid_l = self.pids.tolist()
-        ai_l = self.access_index.tolist()
-        am_l = self.anchor_max.tolist()
-        fs_l = self.fb_start.tolist()
-        fe_l = self.fb_end.tolist()
-        fc_l = self.fb_class.tolist()
-        views = []
-        append = views.append
-        run: Optional[list] = None
-        for i in range(len(op_l)):
-            code = fc_l[i]
-            feedback = (
-                IdleFeedback(
-                    start=fs_l[i], end=fe_l[i], idle_class=classes[code]
-                )
-                if code >= 0
-                else None
-            )
-            op = op_l[i]
-            if op == TAPE_SIMPLE:
-                item = (
-                    pid_l[i], accesses[ai_l[i]], feedback, ba_l[i],
-                    reg_l[i], if_l[i],
-                )
-                if run is None:
-                    run = [item]
-                    append((TAPE_SIMPLE, run))
-                else:
-                    run.append(item)
-                continue
-            run = None
-            am = am_l[i]
-            if am != am:  # NaN encodes the classic tape's None
-                am = None
-            if op == TAPE_GAP:
-                append(
-                    (TAPE_GAP, t_l[i], cf_l[i], rec_l[i], ws_l[i],
-                     bu_l[i], gl_l[i], if_l[i], lp_l[i], ge_l[i],
-                     ba_l[i], reg_l[i], pid_l[i], feedback,
-                     accesses[ai_l[i]], am)
-                )
-            elif op == TAPE_FORK:
-                append(
-                    (TAPE_FORK, t_l[i], cf_l[i], ws_l[i], bu_l[i],
-                     pid_l[i], reg_l[i], am)
-                )
-            else:
-                append(
-                    (TAPE_EXIT, t_l[i], cf_l[i], ws_l[i], bu_l[i],
-                     pid_l[i], feedback, am)
-                )
-        self._views = views
-        return views
 
 
 class ColumnarAccesses:

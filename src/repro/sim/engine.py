@@ -13,9 +13,8 @@ Three entry points:
   tracing, multistate and serve path;
 * :func:`build_replay_tape` — one sequential pass over an execution's
   merged schedule that records the predictor-independent part of
-  :func:`run_global_execution` as a
-  :class:`~repro.sim.columnar.ColumnarTape`, which the fused kernel
-  (:mod:`repro.sim.fused`) replays once per predictor.
+  :func:`run_global_execution` as a :class:`ReplayTape`, which the
+  fused kernel (:mod:`repro.sim.fused`) replays once per predictor.
 
 Decision semantics: after each access a process's predictor leaves a
 standing :class:`~repro.predictors.base.ShutdownIntent`; the disk is shut
@@ -39,8 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.cache.filter import DiskAccess, FilterResult
 from repro.core.global_predictor import GlobalShutdownPredictor
 from repro.disk.disk import SimulatedDisk
@@ -48,22 +45,11 @@ from repro.disk.multistate import MultiStateDisk
 from repro.disk.energy import EnergyBreakdown
 from repro.errors import SimulationError
 from repro.predictors.base import (
-    IdleClass,
     IdleFeedback,
     LocalPredictor,
     PredictorSource,
     ShutdownIntent,
     classify_gap,
-)
-from repro.sim.columnar import (
-    FB_LONG,
-    FB_SHORT,
-    FB_SUB_WINDOW,
-    TAPE_EXIT,
-    TAPE_FORK,
-    TAPE_GAP,
-    TAPE_SIMPLE,
-    ColumnarTape,
 )
 from repro.predictors.registry import PredictorSpec
 from repro.config import SimulationConfig
@@ -155,51 +141,99 @@ def merged_schedule(
 # of the (execution, filter result, configuration) triple alone and is
 # *identical under every predictor*.  ``build_replay_tape`` factors that
 # predictor-independent skeleton out of the replay loop below into a
-# :class:`~repro.sim.columnar.ColumnarTape` — parallel NumPy columns,
-# one row per schedule step — that :mod:`repro.sim.fused` replays once
-# per predictor variant, touching only the per-variant state (predictor
-# instances, standing intents, the pending shutdown, stats and gap
-# energy).  Every boundary predicate and every float expression matches
-# the classic loop exactly, which is what makes fused results
-# bit-identical.
+# :class:`ReplayTape` of per-step tuples that :mod:`repro.sim.fused`
+# replays once per predictor variant, touching only the per-variant
+# state (predictor instances, standing intents, the pending shutdown,
+# stats and gap energy).  Every boundary predicate and every float
+# expression matches the classic loop exactly, which is what makes fused
+# results bit-identical.
 # ---------------------------------------------------------------------------
 
+#: Replay-tape opcodes: the first element of every :class:`ReplayTape`
+#: step view.
+TAPE_SIMPLE = 0  #: access with no actionable gap (back-to-back or <= EPS)
+TAPE_GAP = 1  #: access ending a gap a shutdown could fire in
+TAPE_FORK = 2  #: process fork (liveness + try-point)
+TAPE_EXIT = 3  #: process exit (liveness + trailing feedback + try-point)
 
-def _classify_code(
-    feedback_length: float, wait_window: float, breakeven: float
-) -> int:
-    """Feedback-class code of a resolved idle period (-1 = none).
 
-    Same thresholds as :func:`~repro.predictors.base.classify_gap`
-    including the 1e-9 delivery gate, returning the tape's ``fb_class``
-    code instead of an enum.
+@dataclass(slots=True)
+class ReplayTape:
+    """The predictor-independent replay skeleton of one execution.
+
+    ``views`` holds one tuple per merged-schedule step, in schedule
+    order, except that runs of consecutive :data:`TAPE_SIMPLE` steps are
+    grouped into one ``(TAPE_SIMPLE, items)`` entry, ``items`` being
+    ``(pid, access, feedback, busy_after, register, idle_full)`` tuples,
+    so the lanes dispatch once per run instead of once per access.  The
+    other steps are:
+
+    * ``(TAPE_GAP, time, can_fire, record, window_start, busy_until,
+      gap_length, idle_full, long_period, gap_end, busy_after, register,
+      pid, feedback, access, anchor_max)``;
+    * ``(TAPE_FORK, time, can_fire, window_start, busy_until, pid,
+      is_new, anchor_max)``;
+    * ``(TAPE_EXIT, time, can_fire, window_start, busy_until, pid,
+      feedback, anchor_max)``.
+
+    ``can_fire`` and ``record`` are the engine's try-shutdown gate and
+    its stats gate; ``window_start`` and ``busy_until`` the decision
+    window and disk-busy state entering the step; ``idle_full`` the
+    no-shutdown idle energy of the resolved gap; ``register`` marks an
+    access by an unregistered pid; ``feedback`` is the per-process
+    :class:`~repro.predictors.base.IdleFeedback` delivered at the step,
+    or ``None``; ``anchor_max`` is the latest live intent anchor at the
+    step's try-point, ``None`` when the step cannot fire or no process
+    is live.
+
+    The scalars carry the whole-execution state: the busy-energy sum,
+    the access count and the trailing gap after the last step.
     """
-    if feedback_length > 1e-9:
-        if feedback_length > breakeven:
-            return FB_LONG
-        if feedback_length > wait_window:
-            return FB_SHORT
-        return FB_SUB_WINDOW
-    return -1
+
+    views: list
+    start: float
+    end: float
+    initial_pids: tuple[int, ...]
+    busy_energy: float
+    n_accesses: int
+    end_can_fire: bool
+    end_record: bool
+    trailing: float
+    final_window_start: float
+    final_busy_until: float
+    final_gap_end: float
+    final_idle_full: float
+    final_long: bool
+    final_anchor_max: Optional[float]
+
+
+def _feedback(
+    start: float, end: float, wait_window: float, breakeven: float
+) -> Optional[IdleFeedback]:
+    """The idle feedback a process receives for the gap ``start``–``end``,
+    behind the 1e-9 delivery gate of
+    :class:`~repro.core.global_predictor.GlobalShutdownPredictor`."""
+    length = end - start
+    if length > 1e-9:
+        return IdleFeedback(
+            start=start,
+            end=end,
+            idle_class=classify_gap(length, wait_window, breakeven),
+        )
+    return None
 
 
 def build_replay_tape(
     execution: ExecutionLike,
     filtered: FilterResult,
     config: SimulationConfig,
-) -> ColumnarTape:
+) -> ReplayTape:
     """Build the shared replay skeleton of one execution (see
-    :class:`~repro.sim.columnar.ColumnarTape`).
+    :class:`ReplayTape`).
 
     One pass over the merged schedule, mirroring ``_run_local_based`` +
     :class:`~repro.disk.disk.SimulatedDisk` expression for expression,
-    fills the tape columns.  The same pass assembles the lanes' step
-    views (see :meth:`~repro.sim.columnar.ColumnarTape.replay_views`):
-    every per-step value is already in a local, so building the tuples
-    here costs a fraction of a post-build pass over the columns.  The
-    returned tape is bound to ``filtered.accesses`` (the generic replay
-    lane resolves ``access_index`` through it)."""
-    fb_classes = (IdleClass.SUB_WINDOW, IdleClass.SHORT, IdleClass.LONG)
+    assembles the lanes' step views from ``filtered.accesses``."""
     schedule = merged_schedule(execution, filtered)
     durations = filtered.columnar().durations_list(config)
     params = config.disk
@@ -208,31 +242,6 @@ def build_replay_tape(
     breakeven = config.breakeven
     wait_window = config.wait_window
     start, end = execution.start_time, execution.end_time
-    nan = float("nan")
-
-    c_op: list[int] = []
-    c_time: list[float] = []
-    c_cf: list[bool] = []
-    c_rec: list[bool] = []
-    c_ws: list[float] = []
-    c_bu: list[float] = []
-    c_gl: list[float] = []
-    c_if: list[float] = []
-    c_lp: list[bool] = []
-    c_ge: list[float] = []
-    c_ba: list[float] = []
-    c_reg: list[bool] = []
-    c_pid: list[int] = []
-    c_ai: list[int] = []
-    c_am: list[float] = []
-    c_fs: list[float] = []
-    c_fe: list[float] = []
-    c_fc: list[int] = []
-
-    tape = ColumnarTape()
-    tape.start = start
-    tape.end = end
-    tape.n_accesses = len(filtered.accesses)
 
     views: list = []
     views_append = views.append
@@ -244,7 +253,6 @@ def build_replay_tape(
     # completion (doubles as the per-process feedback gap start).
     anchors: dict[int, float] = {}
     initial_pids = tuple(execution.initial_pids)
-    tape.initial_pids = initial_pids
     for pid in initial_pids:
         anchors[pid] = start
 
@@ -256,14 +264,11 @@ def build_replay_tape(
             gap_length = time - busy_until
             record = gap_length > _EPS
             register = pid not in anchors
-            if register:
-                fb_start = nan
-                fb_class = -1
-            else:
-                fb_start = anchors[pid]
-                fb_class = _classify_code(
-                    time - fb_start, wait_window, breakeven
-                )
+            feedback = (
+                None
+                if register
+                else _feedback(anchors[pid], time, wait_window, breakeven)
+            )
             if time < busy_until - _EPS:
                 # Back-to-back: serialized behind the current request,
                 # no gap resolution.
@@ -275,43 +280,15 @@ def build_replay_tape(
             gap_end = time if time > busy_until else busy_until
             rel = gap_end - busy_until
             idle_full = idle_power * rel
-            anchor_max = (
-                max(anchors.values()) if (can_fire and anchors) else None
-            )
-            feedback = (
-                IdleFeedback(
-                    start=fb_start, end=time,
-                    idle_class=fb_classes[fb_class],
-                )
-                if fb_class >= 0
-                else None
-            )
-            is_gap = can_fire or record
-            c_op.append(TAPE_GAP if is_gap else TAPE_SIMPLE)
-            c_time.append(time)
-            c_cf.append(can_fire)
-            c_rec.append(record)
-            c_ws.append(window_start)
-            c_bu.append(busy_until)
-            c_gl.append(gap_length)
-            c_if.append(idle_full)
-            c_lp.append(rel > breakeven)
-            c_ge.append(gap_end)
-            c_ba.append(busy_after)
-            c_reg.append(register)
-            c_pid.append(pid)
-            c_ai.append(index)
-            c_am.append(nan if anchor_max is None else anchor_max)
-            c_fs.append(fb_start)
-            c_fe.append(time)
-            c_fc.append(fb_class)
-            if is_gap:
+            if can_fire or record:
                 simple_run = None
                 views_append(
                     (TAPE_GAP, time, can_fire, record, window_start,
                      busy_until, gap_length, idle_full, rel > breakeven,
                      gap_end, busy_after, register, pid, feedback,
-                     payload, anchor_max)
+                     payload,
+                     max(anchors.values()) if (can_fire and anchors)
+                     else None)
                 )
             else:
                 item = (
@@ -331,31 +308,11 @@ def build_replay_tape(
             pid = payload.pid
             can_fire = time > busy_until + _EPS
             is_new = pid not in anchors
-            anchor_max = (
-                max(anchors.values()) if (can_fire and anchors) else None
-            )
-            c_op.append(TAPE_FORK)
-            c_time.append(time)
-            c_cf.append(can_fire)
-            c_rec.append(False)
-            c_ws.append(window_start)
-            c_bu.append(busy_until)
-            c_gl.append(0.0)
-            c_if.append(0.0)
-            c_lp.append(False)
-            c_ge.append(0.0)
-            c_ba.append(0.0)
-            c_reg.append(is_new)
-            c_pid.append(pid)
-            c_ai.append(-1)
-            c_am.append(nan if anchor_max is None else anchor_max)
-            c_fs.append(nan)
-            c_fe.append(nan)
-            c_fc.append(-1)
             simple_run = None
             views_append(
                 (TAPE_FORK, time, can_fire, window_start, busy_until,
-                 pid, is_new, anchor_max)
+                 pid, is_new,
+                 max(anchors.values()) if (can_fire and anchors) else None)
             )
             if is_new:
                 anchors[pid] = time
@@ -372,80 +329,39 @@ def build_replay_tape(
             anchor_max = (
                 max(anchors.values()) if (can_fire and anchors) else None
             )
-            fb_class = _classify_code(time - anchor, wait_window, breakeven)
-            c_op.append(TAPE_EXIT)
-            c_time.append(time)
-            c_cf.append(can_fire)
-            c_rec.append(False)
-            c_ws.append(window_start)
-            c_bu.append(busy_until)
-            c_gl.append(0.0)
-            c_if.append(0.0)
-            c_lp.append(False)
-            c_ge.append(0.0)
-            c_ba.append(0.0)
-            c_reg.append(False)
-            c_pid.append(pid)
-            c_ai.append(-1)
-            c_am.append(nan if anchor_max is None else anchor_max)
             del anchors[pid]
-            c_fs.append(anchor)
-            c_fe.append(time)
-            c_fc.append(fb_class)
             simple_run = None
             views_append(
                 (TAPE_EXIT, time, can_fire, window_start, busy_until,
-                 pid,
-                 IdleFeedback(
-                     start=anchor, end=time,
-                     idle_class=fb_classes[fb_class],
-                 )
-                 if fb_class >= 0
-                 else None,
+                 pid, _feedback(anchor, time, wait_window, breakeven),
                  anchor_max)
             )
             if time > window_start:
                 window_start = time
 
-    tape.op = np.array(c_op, dtype=np.uint8)
-    tape.times = np.array(c_time, dtype=np.float64)
-    tape.can_fire = np.array(c_cf, dtype=bool)
-    tape.record = np.array(c_rec, dtype=bool)
-    tape.window_start = np.array(c_ws, dtype=np.float64)
-    tape.busy_until = np.array(c_bu, dtype=np.float64)
-    tape.gap_length = np.array(c_gl, dtype=np.float64)
-    tape.idle_full = np.array(c_if, dtype=np.float64)
-    tape.long_period = np.array(c_lp, dtype=bool)
-    tape.gap_end = np.array(c_ge, dtype=np.float64)
-    tape.busy_after = np.array(c_ba, dtype=np.float64)
-    tape.register = np.array(c_reg, dtype=bool)
-    tape.pids = np.array(c_pid, dtype=np.int64)
-    tape.access_index = np.array(c_ai, dtype=np.int64)
-    tape.anchor_max = np.array(c_am, dtype=np.float64)
-    tape.fb_start = np.array(c_fs, dtype=np.float64)
-    tape.fb_end = np.array(c_fe, dtype=np.float64)
-    tape.fb_class = np.array(c_fc, dtype=np.int8)
-    tape.busy_energy = busy_energy
-    # The views were assembled against this exact access list, so the
-    # tape comes out pre-bound; ``bind_accesses`` with the same object
-    # keeps the memo (a pickled clone still starts unbound).
-    tape._accesses = filtered.accesses
-    tape._views = views
     # Trailing gap: the final try-point and the finalize ledger's gap.
-    tape.end_can_fire = end > busy_until + _EPS
+    end_can_fire = end > busy_until + _EPS
     trailing = end - busy_until
-    tape.end_record = trailing > _EPS
-    tape.trailing = trailing
-    tape.final_window_start = window_start
-    tape.final_busy_until = busy_until
     gap_end = end if end > busy_until else busy_until
-    tape.final_gap_end = gap_end
-    tape.final_idle_full = idle_power * (gap_end - busy_until)
-    tape.final_long = gap_end - busy_until > breakeven
-    tape.final_anchor_max = (
-        max(anchors.values()) if (tape.end_can_fire and anchors) else None
+    return ReplayTape(
+        views=views,
+        start=start,
+        end=end,
+        initial_pids=initial_pids,
+        busy_energy=busy_energy,
+        n_accesses=len(filtered.accesses),
+        end_can_fire=end_can_fire,
+        end_record=trailing > _EPS,
+        trailing=trailing,
+        final_window_start=window_start,
+        final_busy_until=busy_until,
+        final_gap_end=gap_end,
+        final_idle_full=idle_power * (gap_end - busy_until),
+        final_long=gap_end - busy_until > breakeven,
+        final_anchor_max=(
+            max(anchors.values()) if (end_can_fire and anchors) else None
+        ),
     )
-    return tape
 
 
 def evaluate_local_stream(

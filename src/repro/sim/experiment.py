@@ -30,18 +30,20 @@ bit-identical to the in-memory path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.cache.filter import FilterResult, filter_execution
 from repro.disk.energy import EnergyBreakdown, sum_breakdowns
 from repro.errors import SimulationError
 from repro.predictors.registry import PredictorSpec, make_spec
-from repro.config import SimulationConfig
+from repro.config import SimulationConfig, resolve_jobs
 from repro.sim.engine import evaluate_local_stream, run_global_execution
 from repro.sim.metrics import PredictionStats
-from repro.sim.parallel import ExperimentCell, ProgressHook, resolve_jobs
 from repro.sim.tracing import SimTraceEvent, TraceRecorder, Tracer
 from repro.traces.trace import ApplicationTrace
+
+if TYPE_CHECKING:  # pragma: no cover - resilience imports this module
+    from repro.sim.resilience import ProgressHook
 
 
 @dataclass(slots=True)
@@ -105,7 +107,7 @@ class ExperimentRunner:
         #: Worker count of the matrix entry points (per-call ``jobs=``
         #: overrides it).
         self.jobs = resolve_jobs(jobs)
-        #: Hook receiving one :class:`~repro.sim.parallel.CellProgress`
+        #: Hook receiving one :class:`~repro.sim.resilience.CellProgress`
         #: event per finished or failed cell attempt.
         self.progress = progress
         #: When set, every run records a structured event trace into a
@@ -481,7 +483,12 @@ class ExperimentRunner:
         """
         # Imported lazily: both modules import this one.
         from repro.sim.fused import fused_eligible, run_fused_cells
-        from repro.sim.resilience import MatrixReport, cell_key, run_cells
+        from repro.sim.resilience import (
+            ExperimentCell,
+            MatrixReport,
+            cell_key,
+            run_cells,
+        )
 
         if mode not in ("global", "local"):
             raise ValueError(f"unknown mode {mode!r}")

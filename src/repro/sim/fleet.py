@@ -68,7 +68,7 @@ from repro.sim.fused import (
     run_fused_cells,
 )
 from repro.sim.metrics import PredictionStats
-from repro.sim.parallel import ExperimentCell, ProgressHook
+from repro.sim.resilience import ExperimentCell, ProgressHook
 
 #: Prediction-table scopes accepted by :func:`run_fleet`.
 TABLE_MODES = ("sharded", "shared")

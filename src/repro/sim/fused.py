@@ -11,16 +11,17 @@ pass per application:
    merged schedule **once**, producing the predictor-independent replay
    skeleton (gap boundaries, busy intervals, per-process idle feedback,
    liveness, try-points, the shared busy-energy sum) as a
-   :class:`~repro.sim.columnar.ColumnarTape` of parallel NumPy columns.
-   The tape exists because requests never stretch the timeline —
-   spin-up latency is energy-only — so the busy/gap structure is
-   identical under every predictor.  Tapes are cached in the artifact
-   cache keyed on (execution fingerprint × configuration), so warm
-   sweeps and fleets skip tape construction entirely.
+   :class:`~repro.sim.engine.ReplayTape` of per-step views.  The tape
+   exists because requests never stretch the timeline — spin-up
+   latency is energy-only — so the busy/gap structure is identical
+   under every predictor.  A tape lives only while its execution's
+   lanes replay it and is never persisted: a warm run reads the fused
+   outcome from the artifact cache instead of replaying, and
+   restoring a stored tape costs about what building it does.
 2. A per-variant *lane* replays the tape with only the per-predictor
    state: predictor instances and standing intents, the pending
    shutdown, prediction stats, and gap energy.  Every lane walks the
-   tape's prebuilt per-step views, with runs of consecutive no-gap
+   tape's per-step views, with runs of consecutive no-gap
    (``TAPE_SIMPLE``) steps grouped so the dispatch runs once per run.
    Three lane kinds, one function each:
 
@@ -69,16 +70,17 @@ from repro.errors import SimulationError
 from repro.predictors.base import PredictorSource
 from repro.predictors.registry import PredictorSpec
 from repro.config import SimulationConfig
-from repro.sim.columnar import (
-    ColumnarTape,
+from repro.sim.engine import (
     TAPE_FORK,
     TAPE_GAP,
     TAPE_SIMPLE,
+    ExecutionRunResult,
+    ReplayTape,
+    build_replay_tape,
 )
-from repro.sim.engine import ExecutionRunResult, build_replay_tape
 from repro.sim.experiment import ApplicationResult, ExperimentRunner
 from repro.sim.metrics import PredictionStats
-from repro.sim.parallel import ExperimentCell, ProgressHook
+from repro.sim.resilience import ExperimentCell, ProgressHook
 from repro.units import EPSILON
 
 _EPS = EPSILON
@@ -140,7 +142,7 @@ def fused_eligible(
 
 
 def replay_execution(
-    tape: ColumnarTape,
+    tape: ReplayTape,
     spec: PredictorSpec,
     config: SimulationConfig,
 ) -> ExecutionRunResult:
@@ -158,7 +160,7 @@ def replay_execution(
 
 
 def _finish(
-    tape: ColumnarTape,
+    tape: ReplayTape,
     config: SimulationConfig,
     stats: PredictionStats,
     energy: tuple[float, float, float, float],
@@ -187,7 +189,7 @@ def _finish(
 
 
 def _replay_local(
-    tape: ColumnarTape, spec: PredictorSpec, config: SimulationConfig
+    tape: ReplayTape, spec: PredictorSpec, config: SimulationConfig
 ) -> ExecutionRunResult:
     """Generic lane: full per-process predictor state, matching
     GlobalShutdownPredictor + engine + SimulatedDisk bit for bit.
@@ -233,7 +235,7 @@ def _replay_local(
     shutdown_count = delayed_requests = irritating = 0
     delay_seconds = 0.0
 
-    for step in tape.replay_views():
+    for step in tape.views:
         op = step[0]
         if op == TAPE_SIMPLE:
             for pid, access, feedback, busy_after, register, idle_full in (
@@ -522,7 +524,7 @@ def _replay_local(
 
 
 def _replay_constant(
-    tape: ColumnarTape, delay: float, config: SimulationConfig
+    tape: ReplayTape, delay: float, config: SimulationConfig
 ) -> ExecutionRunResult:
     """Constant-intent (timeout) lane.
 
@@ -551,7 +553,7 @@ def _replay_constant(
     shutdown_count = delayed_requests = irritating = 0
     delay_seconds = 0.0
 
-    for step in tape.replay_views():
+    for step in tape.views:
         op = step[0]
         if op == TAPE_SIMPLE:
             for item in step[1]:
@@ -719,7 +721,7 @@ def _replay_constant(
 
 
 def _replay_omniscient(
-    tape: ColumnarTape, spec: PredictorSpec, config: SimulationConfig
+    tape: ReplayTape, spec: PredictorSpec, config: SimulationConfig
 ) -> ExecutionRunResult:
     """Omniscient lane (Base / Ideal): the policy sees each gap in
     isolation, so one :meth:`shutdown_offset` call per recorded gap is
@@ -742,7 +744,7 @@ def _replay_omniscient(
     shutdown_count = delayed_requests = irritating = 0
     delay_seconds = 0.0
 
-    for step in tape.replay_views():
+    for step in tape.views:
         op = step[0]
         if op == TAPE_SIMPLE:
             for item in step[1]:
@@ -860,36 +862,24 @@ def run_fused_application(
     runner: ExperimentRunner,
     application: str,
     specs: Sequence[PredictorSpec],
-    *,
-    use_cache: bool = True,
 ) -> list[ApplicationResult]:
     """All ``specs`` over one application's trace history in one pass.
 
     Streams executions through
     :meth:`~repro.sim.experiment.ExperimentRunner.iter_filtered` (so
     store-backed traces stay memory-bounded), builds each execution's
-    tape once, and advances every lane over it.  With an artifact cache
-    attached to the runner, built tapes are persisted under
-    :func:`~repro.sim.artifact_cache.tape_key` (trace fingerprint ×
-    execution position × configuration), so warm sweeps and fleets skip
-    tape construction entirely.  Per variant, the sequence of factory
-    calls, feedback deliveries, and ``on_execution_end`` hooks is
-    exactly the classic
+    tape once, and advances every lane over it.  Per variant, the
+    sequence of factory calls, feedback deliveries, and
+    ``on_execution_end`` hooks is exactly the classic
     :meth:`~repro.sim.experiment.ExperimentRunner.run_global` sequence,
     so shared-table predictors (PCAP, LT) evolve identically.
     """
-    from repro.sim.artifact_cache import tape_key
-
     if not fused_supported(runner):
         raise SimulationError(
             "fused execution does not support structured tracing; "
             "use the classic per-cell path"
         )
     config = runner.config
-    cache = runner.artifact_cache if use_cache else None
-    app_fingerprint = (
-        runner.fingerprint(application) if cache is not None else None
-    )
     count = len(specs)
     stats = [PredictionStats() for _ in range(count)]
     ledgers: list[list[EnergyBreakdown]] = [[] for _ in range(count)]
@@ -901,22 +891,8 @@ def run_fused_application(
     irritating = [0] * count
     executions = 0
     for execution, filtered in runner.iter_filtered(application):
-        key = (
-            tape_key(app_fingerprint, executions, config)
-            if cache is not None
-            else None
-        )
         executions += 1
-        tape = None
-        if key is not None:
-            hit, value = cache.get(key)
-            if hit and isinstance(value, ColumnarTape):
-                tape = value
-                tape.bind_accesses(filtered.accesses)
-        if tape is None:
-            tape = build_replay_tape(execution, filtered, config)
-            if key is not None:
-                cache.put(key, tape)
+        tape = build_replay_tape(execution, filtered, config)
         for lane, spec in enumerate(specs):
             result = replay_execution(tape, spec, config)
             stats[lane].merge(result.stats)
@@ -1053,10 +1029,7 @@ def run_fused_cells(
                 return value.results
         specs = make_specs()
         results = run_fused_application(
-            runner,
-            application,
-            [specs[lane] for lane in lanes],
-            use_cache=use_cache,
+            runner, application, [specs[lane] for lane in lanes]
         )
         if key is not None:
             cache.put(key, FusedCellOutcome(application, results))

@@ -1,8 +1,11 @@
 """The cell executor: retries, timeouts, checkpoint/resume.
 
 :func:`run_cells` is the one executor of the experiment cells every
-matrix, suite, sweep and fleet decomposes into
-(:mod:`repro.sim.parallel`).  It runs them in-process with ``jobs=1``
+matrix, suite, sweep and fleet decomposes into: independent
+(application × predictor × configuration) simulations, each described
+by an :class:`ExperimentCell` and returning a picklable
+:class:`~repro.sim.experiment.ApplicationResult` (a fused cell returns
+one per predictor lane).  It runs them in-process with ``jobs=1``
 and on per-attempt forked workers otherwise, and it is built for long
 runs, where one crashed or hung worker must not cost hours of completed
 work:
@@ -46,6 +49,7 @@ import multiprocessing
 import os
 import pickle
 import random
+import sys
 import threading
 import time
 import traceback
@@ -62,15 +66,8 @@ from repro.faults import (  # noqa: F401  (re-exported public surface)
     FaultSpec,
     parse_fault_plan,
 )
+from repro.config import fork_available, resolve_jobs
 from repro.sim.experiment import ApplicationResult
-from repro.sim.parallel import (
-    CellProgress,
-    CellResult,
-    ExperimentCell,
-    ProgressHook,
-    fork_available,
-    resolve_jobs,
-)
 
 #: Canned chaos scenario used by ``repro faults`` and the CI chaos-smoke
 #: job: one worker crash that exhausts every retry (a terminal cell
@@ -92,6 +89,82 @@ CHECKPOINT_FORMAT = 1
 
 #: Pickle protocol for checkpointed results (matches the artifact cache).
 _PICKLE_PROTOCOL = 4
+
+
+@dataclass(frozen=True, slots=True)
+class ExperimentCell:
+    """One independent unit of an experiment matrix.
+
+    ``index`` is the cell's stable position in the decomposition; the
+    reducer folds results in index order, which pins down floating-point
+    summation order and makes parallel runs bit-identical to serial.
+    ``application`` and ``predictor`` are display labels for progress
+    reporting; the orchestrator that built the cell interprets ``index``
+    itself, so cells stay tiny on the wire.
+    """
+
+    index: int
+    application: str
+    predictor: str
+
+
+@dataclass(frozen=True, slots=True)
+class CellResult:
+    """One finished cell: its description, result, and wall time."""
+
+    cell: ExperimentCell
+    result: ApplicationResult
+    wall_time: float
+
+
+@dataclass(frozen=True, slots=True)
+class CellProgress:
+    """Progress event fired per completed cell and per failed attempt.
+
+    ``attempt`` is the attempt number the event reports on (0 for a
+    cell restored from a checkpoint); ``outcome`` is ``"ok"``,
+    ``"retry"`` (a failed attempt that will be retried), ``"failed"``
+    (terminal failure), or ``"resumed"``; ``degraded`` is set once the
+    executor has fallen back from the worker pool to in-process
+    execution.
+    """
+
+    cell: ExperimentCell
+    wall_time: float
+    completed: int
+    total: int
+    attempt: int = 1
+    outcome: str = "ok"
+    degraded: bool = False
+
+
+#: Signature of a progress hook.
+ProgressHook = Callable[[CellProgress], None]
+
+
+def stderr_progress(event: CellProgress) -> None:
+    """A ready-made progress hook: one line per cell on stderr.
+
+    Retries and failures are annotated so long runs show what the
+    recovery machinery is doing.
+    """
+    marker = ""
+    if event.outcome == "resumed":
+        marker = " (resumed from checkpoint)"
+    elif event.attempt > 1:
+        marker = f" [attempt {event.attempt}]"
+    if event.outcome == "retry":
+        marker += " RETRYING"
+    elif event.outcome == "failed":
+        marker += " FAILED"
+    if event.degraded:
+        marker += " [degraded: in-process]"
+    print(
+        f"  [{event.completed}/{event.total}] "
+        f"{event.cell.application} × {event.cell.predictor} "
+        f"({event.wall_time:.2f} s){marker}",
+        file=sys.stderr,
+    )
 
 
 @dataclass(frozen=True, slots=True)

@@ -29,7 +29,7 @@ from repro.config import SimulationConfig
 from repro.predictors.registry import PredictorSpec
 from repro.sim.experiment import ApplicationResult, ExperimentRunner
 from repro.sim.metrics import PredictionStats
-from repro.sim.parallel import ExperimentCell, ProgressHook
+from repro.sim.resilience import ExperimentCell, ProgressHook
 
 P = TypeVar("P")
 
@@ -97,7 +97,7 @@ def sweep(
 
     ``jobs`` selects the worker count (``None`` defers to
     ``REPRO_JOBS``); ``progress`` receives one
-    :class:`~repro.sim.parallel.CellProgress` event per finished cell.
+    :class:`~repro.sim.resilience.CellProgress` event per finished cell.
 
     ``checkpoint`` (a :class:`~repro.sim.resilience.CellCheckpoint` or
     a path) journals every completed cell so a killed sweep can be

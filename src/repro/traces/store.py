@@ -130,6 +130,14 @@ def decode_column_rows(payload: bytes) -> dict[str, np.ndarray]:
         columns[name] = np.frombuffer(payload, dtype=dtype, count=count,
                                       offset=offset)
         offset += count * dtype.itemsize
+    _check_row_codes(columns)
+    return columns
+
+
+def _check_row_codes(columns: dict) -> None:
+    """Raise :class:`TraceStoreError` naming the first row whose event
+    type code, or whose access kind code on an I/O row, this build does
+    not know (vectorized over the columns)."""
     etype, kind = columns["etype"], columns["kind"]
     for label, codes, bad in (
         ("event type", etype, etype > 2),
@@ -140,7 +148,6 @@ def decode_column_rows(payload: bytes) -> dict[str, np.ndarray]:
             raise TraceStoreError(
                 f"row {row}: unknown {label} code {int(codes[row])!r}"
             )
-    return columns
 
 
 def encode_event_rows(events: Iterable[TraceEvent]) -> bytes:
@@ -593,9 +600,10 @@ class TraceStore:
 
     Columns are memory-mapped lazily on first touch and validated
     against the manifest's row count; a missing or truncated column file
-    is quarantined and reported as a :class:`TraceStoreError`.  All
-    decoding goes through :meth:`decode_rows`, which materializes one
-    row window at a time.
+    is quarantined and reported as a :class:`TraceStoreError`, and so is
+    (without quarantine) a row with an unknown event type or access kind
+    code.  All decoding goes through :meth:`decode_rows`, which
+    materializes one row window at a time.
     """
 
     def __init__(self, path: str | os.PathLike[str]) -> None:
@@ -643,7 +651,7 @@ class TraceStore:
             raise TraceStoreError(
                 f"malformed store manifest {manifest_path}: {exc!r}"
             ) from exc
-        self._columns: dict[str, np.ndarray] = {}
+        self._columns: Optional[dict[str, np.ndarray]] = None
 
     @property
     def applications(self) -> list[str]:
@@ -702,10 +710,7 @@ class TraceStore:
                 windows.append((a, b))
         return windows
 
-    def _column(self, name: str, dtype_spec: str) -> np.ndarray:
-        memo = self._columns.get(name)
-        if memo is not None:
-            return memo
+    def _map_column(self, name: str, dtype_spec: str) -> np.ndarray:
         path = self.path / _COLUMN_DIR / f"{name}.bin"
         faults.corrupt_cache_read(path)
         dtype = np.dtype(dtype_spec)
@@ -724,16 +729,28 @@ class TraceStore:
                 f"quarantined to {aside} — re-pack the store"
             )
         if self.rows == 0:
-            column: np.ndarray = np.empty(0, dtype=dtype)
-        else:
-            column = np.memmap(path, dtype=dtype, mode="r",
-                               shape=(self.rows,))
-        self._columns[name] = column
-        return column
+            return np.empty(0, dtype=dtype)
+        return np.memmap(path, dtype=dtype, mode="r", shape=(self.rows,))
 
     def columns(self) -> dict[str, np.ndarray]:
-        """All memory-mapped columns, keyed by name."""
-        return {name: self._column(name, spec) for name, spec in COLUMNS}
+        """All memory-mapped columns, keyed by name (memoized).
+
+        The first call maps every column, size-checks each file against
+        the manifest and checks every row's codes, so no reader ever
+        meets a code it cannot decode.
+        """
+        if self._columns is None:
+            columns = {
+                name: self._map_column(name, spec) for name, spec in COLUMNS
+            }
+            try:
+                _check_row_codes(columns)
+            except TraceStoreError as exc:
+                raise TraceStoreError(
+                    f"store {self.path} is corrupt: {exc}; re-pack the store"
+                ) from None
+            self._columns = columns
+        return self._columns
 
     def _check_rows(self, start: int, stop: int) -> None:
         """Reject row windows outside ``[0, rows)``.

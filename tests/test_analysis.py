@@ -12,6 +12,9 @@ from repro.analysis.compare import (
     render_checks,
 )
 from repro.analysis.figures import (
+    FIG8_PREDICTORS,
+    FIG10_PREDICTORS,
+    GLOBAL_PREDICTORS,
     average_bars,
     average_savings,
     build_fig6,
@@ -95,15 +98,19 @@ def test_table2_matches_paper(disk_params):
 
 
 def test_table3_reports_entry_counts(runner):
-    rows = build_table3(runner, variants=("PCAP", "PCAPh"),
-                        applications=("alpha",))
+    variants = ("PCAP", "PCAPh")
+    matrix = runner.run_matrix(variants, applications=("alpha",))
+    rows = build_table3(matrix, variants=variants)
     assert rows[0].entries["PCAP"] >= 1
     assert rows[0].entries["PCAPh"] >= rows[0].entries["PCAP"]
 
 
 def test_fig6_and_fig7_structures(runner):
-    fig6 = build_fig6(runner, predictors=("TP", "PCAP"))
-    fig7 = build_fig7(runner, predictors=("TP", "PCAP"))
+    predictors = ("TP", "PCAP")
+    fig6 = build_fig6(
+        runner.run_matrix(predictors, mode="local"), predictors=predictors
+    )
+    fig7 = build_fig7(runner.run_matrix(predictors), predictors=predictors)
     for figure in (fig6, fig7):
         assert set(figure) == {"alpha", "mplayer"}
         bar = figure["alpha"]["PCAP"]
@@ -112,7 +119,8 @@ def test_fig6_and_fig7_structures(runner):
 
 
 def test_fig8_fractions_sum_to_one_for_base(runner):
-    fig8 = build_fig8(runner, predictors=("Base", "Ideal", "TP"))
+    predictors = ("Base", "Ideal", "TP")
+    fig8 = build_fig8(runner.run_matrix(predictors), predictors=predictors)
     base = fig8["alpha"]["Base"]
     assert base.total == pytest.approx(1.0)
     assert base.savings == pytest.approx(0.0)
@@ -120,22 +128,24 @@ def test_fig8_fractions_sum_to_one_for_base(runner):
 
 
 def test_fig9_and_fig10(runner):
-    fig9 = build_fig9(runner, predictors=("PCAP", "PCAPh"))
+    predictors = ("PCAP", "PCAPh")
+    fig9 = build_fig9(runner.run_matrix(predictors), predictors=predictors)
     assert fig9["alpha"]["PCAPh"].predictor == "PCAPh"
-    fig10 = build_fig10(runner)
+    fig10 = build_fig10(runner.run_matrix(FIG10_PREDICTORS))
     avg = average_bars(fig10, "PCAPa")
     assert avg.application == "average"
 
 
 def test_average_bars_arithmetic(runner):
-    figure = build_fig7(runner, predictors=("TP",))
+    figure = build_fig7(runner.run_matrix(("TP",)), predictors=("TP",))
     avg = average_bars(figure, "TP")
     manual = (figure["alpha"]["TP"].hit + figure["mplayer"]["TP"].hit) / 2
     assert avg.hit == pytest.approx(manual)
 
 
 def test_average_savings(runner):
-    fig8 = build_fig8(runner, predictors=("Base", "Ideal"))
+    predictors = ("Base", "Ideal")
+    fig8 = build_fig8(runner.run_matrix(predictors), predictors=predictors)
     value = average_savings(fig8, "Ideal")
     manual = (
         fig8["alpha"]["Ideal"].savings + fig8["mplayer"]["Ideal"].savings
@@ -144,7 +154,7 @@ def test_average_savings(runner):
 
 
 def test_fig10_checks_pass_on_toy_suite(runner):
-    fig10 = build_fig10(runner)
+    fig10 = build_fig10(runner.run_matrix(FIG10_PREDICTORS))
     results = fig10_checks(fig10)
     # The reuse collapse must reproduce even on the toy suite.
     collapse = next(c for c in results if "collapses" in c.name)
@@ -152,7 +162,7 @@ def test_fig10_checks_pass_on_toy_suite(runner):
 
 
 def test_fig8_checks_structure(runner):
-    fig8 = build_fig8(runner)
+    fig8 = build_fig8(runner.run_matrix(FIG8_PREDICTORS))
     results = fig8_checks(fig8)
     assert len(results) == 4
     assert all(isinstance(c.detail, str) for c in results)
@@ -164,16 +174,21 @@ def test_renderers_produce_text(runner, disk_params):
     table2 = render_table2(build_table2(disk_params))
     assert "Breakeven" in table2
     table3 = render_table3(
-        build_table3(runner, variants=("PCAP",), applications=("alpha",))
+        build_table3(
+            runner.run_matrix(("PCAP",), applications=("alpha",)),
+            variants=("PCAP",),
+        )
     )
     assert "PCAP" in table3
     fig = render_accuracy_figure(
-        build_fig7(runner, predictors=("TP",)), "Figure 7"
+        build_fig7(runner.run_matrix(("TP",)), predictors=("TP",)),
+        "Figure 7",
     )
     assert "AVERAGE" in fig
-    energy = render_energy_figure(build_fig8(runner))
+    fig8 = build_fig8(runner.run_matrix(FIG8_PREDICTORS))
+    energy = render_energy_figure(fig8)
     assert "savings" in energy
-    checks = render_checks(fig8_checks(build_fig8(runner)))
+    checks = render_checks(fig8_checks(fig8))
     assert "shape checks passed" in checks
 
 
@@ -184,13 +199,13 @@ def test_paper_data_self_consistency():
 
 
 # ---------------------------------------------------------------------------
-# Figures 7-10 and Table 3 run through the fused matrix
+# Figures 7-10 and Table 3 select from one fused global matrix
 # ---------------------------------------------------------------------------
 
 
 def test_table3_equals_run_global_table_sizes(small_suite):
     runner = ExperimentRunner(small_suite, SimulationConfig())
-    rows = build_table3(runner)
+    rows = build_table3(runner.run_matrix(GLOBAL_PREDICTORS))
     assert [row.application for row in rows] == runner.applications
     for row in rows:
         for variant in TABLE3_VARIANTS:
@@ -203,8 +218,9 @@ def test_table3_equals_run_global_table_sizes(small_suite):
 def test_untraced_global_builders_make_no_per_cell_replays(
     small_suite, monkeypatch
 ):
-    """Figures 7-10 and Table 3 compare several predictors each, so they
-    must run fused: a silent fallback to per-cell replays fails here."""
+    """The global matrix Figures 7-10 and Table 3 select from compares
+    several predictors, so it must run fused: a silent fallback to
+    per-cell replays fails here."""
     calls = []
     replay = experiment_module.run_global_execution
 
@@ -214,10 +230,12 @@ def test_untraced_global_builders_make_no_per_cell_replays(
 
     monkeypatch.setattr(experiment_module, "run_global_execution", counting)
     runner = ExperimentRunner(small_suite, SimulationConfig())
-    apps = ("mozilla", "nedit")
+    matrix = runner.run_matrix(
+        GLOBAL_PREDICTORS, applications=("mozilla", "nedit")
+    )
     for build in (build_fig7, build_fig8, build_fig9, build_fig10,
                   build_table3):
-        build(runner, applications=apps)
+        build(matrix)
     assert calls == []
     runner.run_global("nedit", "TP")  # the probe sees per-cell replays
     assert calls

@@ -5,7 +5,7 @@ from __future__ import annotations
 import multiprocessing
 
 from repro import faults
-from repro.analysis.figures import build_fig6
+from repro.analysis.figures import FIG6_PREDICTORS, build_fig6
 from repro.analysis.tables import build_table1
 from repro.cache.page_cache import CacheConfig
 from repro.config import SimulationConfig
@@ -252,6 +252,33 @@ def test_corrupt_cached_store_is_quarantined_and_rebuilt(tmp_path):
     assert warm.stats.corrupt == 0
 
 
+def test_cached_store_with_unknown_code_is_quarantined_and_rebuilt(
+    tmp_path,
+):
+    """A cached store whose column sizes are right but whose I/O row
+    carries an unknown access kind code is a corrupt entry: moved aside
+    whole and packed afresh from the generated trace."""
+    import numpy as np
+
+    generated = build_application("nedit", scale=0.1)
+    build_application("nedit", scale=0.1, cache=ArtifactCache(tmp_path))
+    path = ArtifactCache(tmp_path).trace_path_for(trace_key("nedit", 0.1))
+    etype = np.fromfile(path / "columns" / "etype.bin", dtype=np.uint8)
+    kind = np.fromfile(path / "columns" / "kind.bin", dtype=np.uint8)
+    kind[int(np.argmax(etype == 0))] = 200
+    kind.tofile(path / "columns" / "kind.bin")
+
+    cache = ArtifactCache(tmp_path)
+    rebuilt = build_application("nedit", scale=0.1, cache=cache)
+    assert cache.stats.corrupt == 1 and cache.stats.quarantined == 1
+    assert cache.stats.stores == 1
+    assert path.with_name(path.name + ".corrupt").is_dir()
+    _assert_same_events(rebuilt, generated)
+    warm = ArtifactCache(tmp_path)
+    assert warm.get_trace(trace_key("nedit", 0.1)) is not None
+    assert warm.stats.corrupt == 0
+
+
 def test_torn_store_is_quarantined_and_never_returned(tmp_path):
     generated = build_application("nedit", scale=0.1)
     cache = ArtifactCache(tmp_path)
@@ -323,7 +350,8 @@ def test_warm_suite_builds_table1_and_fig6_without_events(
         suite = build_suite(scale=0.1, applications=applications,
                             cache=cache)
         runner = ExperimentRunner(suite, jobs=1, artifact_cache=cache)
-        return suite, build_table1(runner), build_fig6(runner)
+        local = runner.run_matrix(FIG6_PREDICTORS, mode="local")
+        return suite, build_table1(runner), build_fig6(local)
 
     import repro.sim.experiment as experiment
 

@@ -272,3 +272,77 @@ def test_faults_plan_without_worker_faults_expects_no_retries(capsys):
     assert code == 0, out
     assert "[PASS] no retries expected (0 failed attempt(s))" in out
     assert "chaos verdict: OK" in out
+
+
+#: ``repro reproduce --scale 0.2`` stdout SHA-256, recorded before the
+#: figures shared one global matrix; it must not change in any mode.
+REPRODUCE_SHA256_SCALE_02 = (
+    "ae46e46faeabe4dc189b61ed01a4ad87045b6ddfacde0e3c170e08812cebfcd1"
+)
+
+
+def test_reproduce_plans_one_tape_and_one_replay_per_lane(
+    capsys, tmp_path, monkeypatch
+):
+    """``repro reproduce`` prints the same bytes with no cache and with
+    a cold and a warm ``--cache-dir``.  A cold run builds each
+    execution's tape once and replays it once per distinct global
+    predictor; a warm run serves every global lane from the cache."""
+    import hashlib
+
+    import repro.sim.fused as fused
+    from repro.analysis import GLOBAL_PREDICTORS
+    from repro.workloads import build_suite
+
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
+    calls = {"tape": 0, "replay": 0}
+    build_replay_tape = fused.build_replay_tape
+    replay_execution = fused.replay_execution
+
+    def counting_build(*args):
+        calls["tape"] += 1
+        return build_replay_tape(*args)
+
+    def counting_replay(*args):
+        calls["replay"] += 1
+        return replay_execution(*args)
+
+    monkeypatch.setattr(fused, "build_replay_tape", counting_build)
+    monkeypatch.setattr(fused, "replay_execution", counting_replay)
+    executions = sum(len(trace) for trace in build_suite(scale=0.2).values())
+    cold = {"tape": executions, "replay": executions * len(GLOBAL_PREDICTORS)}
+    cache_dir = str(tmp_path / "cache")
+    for argv, expected in (
+        ((), cold),
+        (("--cache-dir", cache_dir), cold),
+        (("--cache-dir", cache_dir), {"tape": 0, "replay": 0}),
+    ):
+        calls.update(tape=0, replay=0)
+        code, out, _ = run_cli(capsys, "reproduce", "--scale", "0.2", *argv)
+        assert code == 0
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == REPRODUCE_SHA256_SCALE_02, argv
+        assert calls == expected, argv
+
+
+def test_store_with_unknown_kind_code_is_one_error_line(capsys, tmp_path):
+    """A store whose column sizes are right but whose I/O row carries an
+    unknown access kind code fails with one ``error:`` line."""
+    import numpy as np
+
+    store = tmp_path / "store"
+    code, _, _ = run_cli(
+        capsys, "trace", "pack", "--scale", "0.1", "--app", "nedit",
+        "--out", str(store),
+    )
+    assert code == 0
+    etype = np.fromfile(store / "columns" / "etype.bin", dtype=np.uint8)
+    kind = np.fromfile(store / "columns" / "kind.bin", dtype=np.uint8)
+    row = int(np.argmax(etype == 0))
+    kind[row] = 200
+    kind.tofile(store / "columns" / "kind.bin")
+    code, out, err = run_cli(capsys, "table", "1", "--store", str(store))
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert f"row {row}: unknown access kind code 200" in err
+    assert "Traceback" not in err and out == ""

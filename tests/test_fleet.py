@@ -34,7 +34,7 @@ from repro.sim.fleet import (
     run_fleet,
 )
 from repro.sim.fused import run_fused_application
-from repro.sim.parallel import fork_available
+from repro.config import fork_available
 from repro.sim.resilience import ResiliencePolicy
 
 needs_fork = pytest.mark.skipif(

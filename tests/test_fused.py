@@ -37,7 +37,7 @@ from repro.sim.fused import (
     run_fused_application,
     run_fused_cells,
 )
-from repro.sim.parallel import fork_available
+from repro.config import fork_available
 from repro.sim.resilience import ResiliencePolicy
 from repro.sim.sweep import sweep
 from repro.workloads import build_suite, pack_generated

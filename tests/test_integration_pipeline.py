@@ -35,8 +35,9 @@ def test_table1_magnitudes_scale_with_suite(runner):
 
 
 def test_energy_sums_are_consistent(runner):
-    fig8 = build_fig8(runner, predictors=("Base", "TP"),
-                      applications=("xemacs",))
+    predictors = ("Base", "TP")
+    matrix = runner.run_matrix(predictors, applications=("xemacs",))
+    fig8 = build_fig8(matrix, predictors=predictors)
     base = fig8["xemacs"]["Base"]
     tp = fig8["xemacs"]["TP"]
     assert base.total == pytest.approx(1.0)
@@ -45,10 +46,9 @@ def test_energy_sums_are_consistent(runner):
 
 
 def test_table3_variant_ordering(runner):
-    rows = build_table3(
-        runner, variants=("PCAP", "PCAPfh"),
-        applications=("mozilla", "nedit"),
-    )
+    variants = ("PCAP", "PCAPfh")
+    matrix = runner.run_matrix(variants, applications=("mozilla", "nedit"))
+    rows = build_table3(matrix, variants=variants)
     for row in rows:
         # Extended keys can only fragment (grow) the table.
         assert row.entries["PCAPfh"] >= row.entries["PCAP"]

@@ -1,5 +1,5 @@
-"""Pooled execution of experiment cells (repro.sim.parallel types on
-the repro.sim.resilience executor).
+"""Pooled execution of experiment cells (the repro.sim.resilience
+executor and its cell types).
 
 The load-bearing property is determinism: a pooled run must be
 *bit-identical* to the in-process run, because the reducer folds cell
@@ -17,16 +17,20 @@ import pickle
 
 import pytest
 
-from repro.config import JOBS_ENV_VAR, SimulationConfig, default_jobs
+from repro.config import (
+    JOBS_ENV_VAR,
+    SimulationConfig,
+    default_jobs,
+    fork_available,
+    resolve_jobs,
+)
 from repro.errors import ConfigurationError, ExecutionError
 from repro.predictors.registry import tp_spec
 from repro.sim import resilience as resilience_module
 from repro.sim.experiment import ExperimentRunner
-from repro.sim.parallel import (
+from repro.sim.resilience import (
     CellProgress,
     ExperimentCell,
-    fork_available,
-    resolve_jobs,
     stderr_progress,
 )
 from repro.sim.sweep import sweep

@@ -22,21 +22,18 @@ import json
 import pytest
 
 from repro import faults
-from repro.config import SimulationConfig
+from repro.config import SimulationConfig, fork_available
 from repro.errors import ExecutionError, FaultPlanError
 from repro.faults import FaultPlan, FaultSpec, parse_fault_plan
 from repro.predictors.registry import tp_spec
 from repro.sim import resilience as resilience_module
 from repro.sim.experiment import ExperimentRunner
-from repro.sim.parallel import (
-    CellProgress,
-    ExperimentCell,
-    fork_available,
-    stderr_progress,
-)
 from repro.errors import CheckpointError
 from repro.sim.resilience import (
     CellCheckpoint,
+    CellProgress,
+    ExperimentCell,
+    stderr_progress,
     CellFailure,
     ResiliencePolicy,
     cell_key,

@@ -8,7 +8,7 @@ import pytest
 
 from repro.analysis.timeline import render_timeline, render_trace_summary
 from repro.sim.experiment import ExperimentRunner
-from repro.sim.parallel import fork_available
+from repro.config import fork_available
 from repro.sim.tracing import (
     AccessServed,
     GapResolved,

@@ -14,6 +14,8 @@ import sys
 import time
 
 from repro.analysis import (
+    FIG6_PREDICTORS,
+    FIG8_PREDICTORS,
     build_fig6,
     build_fig7,
     build_fig8,
@@ -35,12 +37,15 @@ def main() -> None:
         print(render_calibration(calibration_report(runner)))
     if what in ("figures", "all"):
         started = time.time()
+        local = runner.run_matrix(FIG6_PREDICTORS, mode="local")
+        # Figure 7's predictors are a subset of Figure 8's.
+        matrix = runner.run_matrix(FIG8_PREDICTORS)
         print()
-        print(render_accuracy_figure(build_fig6(runner), "Figure 6 (local)"))
+        print(render_accuracy_figure(build_fig6(local), "Figure 6 (local)"))
         print()
-        print(render_accuracy_figure(build_fig7(runner), "Figure 7 (global)"))
+        print(render_accuracy_figure(build_fig7(matrix), "Figure 7 (global)"))
         print()
-        print(render_energy_figure(build_fig8(runner)))
+        print(render_energy_figure(build_fig8(matrix)))
         print(f"[figures in {time.time() - started:.1f}s]")
 
 

@@ -35,7 +35,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.config import SimulationConfig
 from repro.sim.experiment import ExperimentRunner
 from repro.sim.fleet import replicate_devices, run_fleet
-from repro.sim.parallel import fork_available
+from repro.config import fork_available
 from repro.workloads import build_suite
 
 APPLICATIONS = ("mozilla", "writer")

@@ -59,7 +59,7 @@ from repro.predictors.registry import (
 from repro.sim.engine import build_replay_tape, run_global_execution
 from repro.sim.experiment import ExperimentRunner
 from repro.sim.fused import replay_execution, run_fused_cells
-from repro.sim.parallel import fork_available
+from repro.config import fork_available
 from repro.sim.sweep import sweep
 from repro.workloads import build_suite
 from tests.helpers import classic_matrix, classic_sweep
