@@ -80,12 +80,17 @@ def _checks_section(checks) -> list[str]:
     return lines
 
 
-def generate_report(runner: ExperimentRunner, *, scale: float) -> str:
-    """One Markdown document with every experiment's measured numbers."""
+def generate_report(runner: ExperimentRunner, *, workload: str) -> str:
+    """One Markdown document with every experiment's measured numbers.
+
+    ``workload`` names what the runner's suite is, e.g. ``"scale 0.5"``
+    for a generated suite or ``"store DIR"`` for a packed trace store.
+    """
     parts: list[str] = [
         "# Reproduction report (generated)",
         "",
-        f"Workload scale: {scale} (1.0 = the paper's Table 1 magnitudes).",
+        f"Workload: {workload} (scale 1.0 = the paper's Table 1 "
+        "magnitudes).",
         "All numbers measured by this run; paper values inline.",
         "",
         "## Table 1 — applications",

@@ -135,6 +135,13 @@ def _runner(args, applications: Optional[tuple[str, ...]] = None):
     return runner
 
 
+def _workload(args) -> str:
+    """What a suite command ran on: the packed store it read (which fixes
+    the workload, so ``--scale`` is ignored), or the generated scale."""
+    store = getattr(args, "store", None)
+    return f"store {store}" if store else f"scale {args.scale}"
+
+
 def _cmd_reproduce(args) -> int:
     runner = _runner(args)
     # Table 1 runs first: it fills the runner's filter memo, which the
@@ -169,7 +176,7 @@ def _cmd_reproduce(args) -> int:
 
 def _cmd_report(args) -> int:
     runner = _runner(args)
-    document = generate_report(runner, scale=args.scale)
+    document = generate_report(runner, workload=_workload(args))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as stream:
             stream.write(document)
@@ -180,21 +187,11 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    runner = _runner(args)
     number = args.number
-    title = f"Figure {number} (measured, scale {args.scale})"
-    if number == 8:
-        figure = build_fig8(runner.run_matrix(FIG8_PREDICTORS))
-        if args.svg:
-            _write_svg(args.svg, render_energy_svg(figure, title))
-        elif args.chart:
-            print(render_energy_chart(figure))
-        else:
-            print(render_energy_figure(figure))
-        return 0
     builders = {
         6: (build_fig6, FIG6_PREDICTORS, "local"),
         7: (build_fig7, FIG7_PREDICTORS, "global"),
+        8: (build_fig8, FIG8_PREDICTORS, "global"),
         9: (build_fig9, FIG9_PREDICTORS, "global"),
         10: (build_fig10, FIG10_PREDICTORS, "global"),
     }
@@ -203,8 +200,16 @@ def _cmd_figure(args) -> int:
               file=sys.stderr)
         return 2
     build, predictors, mode = builders[number]
-    figure = build(runner.run_matrix(predictors, mode=mode))
-    if args.svg:
+    figure = build(_runner(args).run_matrix(predictors, mode=mode))
+    title = f"Figure {number} (measured, {_workload(args)})"
+    if number == 8:
+        if args.svg:
+            _write_svg(args.svg, render_energy_svg(figure, title))
+        elif args.chart:
+            print(render_energy_chart(figure))
+        else:
+            print(render_energy_figure(figure))
+    elif args.svg:
         _write_svg(args.svg, render_accuracy_svg(figure, title))
     elif args.chart:
         print(render_accuracy_chart(figure, title))
@@ -222,18 +227,16 @@ def _write_svg(path: str, document: str) -> None:
 
 
 def _cmd_table(args) -> int:
-    if args.number == 2:
-        print(render_table2(build_table2(SimulationConfig().disk)))
-        return 0
-    runner = _runner(args)
-    if args.number == 1:
-        print(render_table1(build_table1(runner)))
-    elif args.number == 3:
-        matrix = runner.run_matrix(TABLE3_VARIANTS)
-        print(render_table3(build_table3(matrix)))
-    else:
+    if args.number not in (1, 2, 3):
         print("the paper has tables 1-3", file=sys.stderr)
         return 2
+    if args.number == 2:
+        print(render_table2(build_table2(SimulationConfig().disk)))
+    elif args.number == 1:
+        print(render_table1(build_table1(_runner(args))))
+    else:
+        matrix = _runner(args).run_matrix(TABLE3_VARIANTS)
+        print(render_table3(build_table3(matrix)))
     return 0
 
 
@@ -249,7 +252,7 @@ def _cmd_simulate(args) -> int:
     recorder = TraceRecorder() if args.trace_out else None
     result = runner.run_global(args.app, args.predictor, tracer=recorder)
     stats = result.stats
-    print(f"{args.app} x {result.predictor} (scale {args.scale}, "
+    print(f"{args.app} x {result.predictor} ({_workload(args)}, "
           f"{result.executions} executions)")
     print(f"  disk accesses      : {result.total_disk_accesses}")
     print(f"  idle periods       : {stats.opportunities}")
@@ -282,7 +285,7 @@ def _cmd_trace(args) -> int:
     )
     stats = result.stats
     title = (f"{args.app} x {result.predictor} decision timeline "
-             f"(scale {args.scale}, {result.executions} executions)")
+             f"({_workload(args)}, {result.executions} executions)")
     print(render_timeline(recorder.events, limit=args.limit, title=title))
     print()
     print(render_trace_summary(recorder.counts()))
@@ -521,7 +524,7 @@ def _cmd_run(args) -> int:
         runner, len(predictors), multistate=args.multistate
     )
     print(f"resilient run: {len(predictors)} predictor(s) × "
-          f"{len(apps)} application(s), scale {args.scale}"
+          f"{len(apps)} application(s), {_workload(args)}"
           + (" [fused]" if fused_active else ""))
     print(_render_run_results(report.matrix))
     print()
@@ -562,12 +565,9 @@ def _cmd_fleet(args) -> int:
         policy=policy,
         checkpoint=checkpoint,
     )
-    workload = (
-        f"store {args.store}" if args.store else f"scale {args.scale}"
-    )
     print(f"fleet run: {len(devices)} device(s) over {len(apps)} "
           f"application(s), {len(predictors)} predictor lane(s), "
-          f"{args.tables} tables, {workload}")
+          f"{args.tables} tables, {_workload(args)}")
     print(result.render(percentiles))
     if args.per_device:
         print()

@@ -474,10 +474,11 @@ class StoredExecution:
 
         One mapping per chunk window, each value a slice of the store's
         memory-mapped column array — no event objects are materialized
-        and no bytes are copied.  The page-cache filter
-        (:func:`repro.cache.filter.filter_execution`) consumes these
-        exactly as it consumes an in-memory execution's one chunk, so
-        memory stays bounded by the chunk grid.
+        and no bytes are copied.  The page-cache filter's replay loop
+        for a substituted cache object
+        (:func:`repro.cache.filter.filter_execution` with ``cache=``)
+        consumes these exactly as it consumes an in-memory execution's
+        one chunk, so its memory stays bounded by the chunk grid.
         """
         cols = self._store.columns()
         for start, stop in self.chunk_windows():

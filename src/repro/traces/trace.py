@@ -18,11 +18,11 @@ prediction-table-reuse experiments operate on.
 
 **Streaming protocol.**  Downstream consumers (the cache filter, the
 simulation engine) drive executions through the :class:`ExecutionLike`
-protocol — metadata attributes plus
+protocol — metadata attributes plus ``columns``,
 :meth:`~ExecutionTrace.iter_column_chunks` and
 :meth:`~ExecutionTrace.liveness_events` — which
-:class:`~repro.traces.store.StoredExecution` implements one on-disk
-chunk window at a time.  An :class:`ExecutionTrace` is one chunk, so
+:class:`~repro.traces.store.StoredExecution` implements over
+memory-mapped column views, one on-disk chunk window at a time.  An :class:`ExecutionTrace` is one chunk, so
 both share one code path and produce bit-identical results.
 """
 
@@ -161,8 +161,11 @@ class ExecutionLike(Protocol):
     """What the filter and the engine need from one execution.
 
     Implemented in memory by :class:`ExecutionTrace` and on disk by
-    :class:`~repro.traces.store.StoredExecution`.
-    ``iter_column_chunks`` must yield the rows in canonical order;
+    :class:`~repro.traces.store.StoredExecution`.  ``columns`` maps each
+    :data:`COLUMNS` name to the whole execution's rows (the plain LRU
+    page-cache filter reads them at once; a store maps them without
+    copying); ``iter_column_chunks`` must yield the same rows in
+    canonical order, one bounded window at a time.
     ``liveness_events`` must return the (small) fork/exit subset, also
     in order.  ``iter_events`` builds event objects for the boundaries
     that want them (:mod:`repro.traces.filters`).
@@ -171,6 +174,9 @@ class ExecutionLike(Protocol):
     application: str
     execution_index: int
     initial_pids: frozenset[int]
+
+    @property
+    def columns(self) -> dict[str, np.ndarray]: ...
 
     @property
     def start_time(self) -> float: ...

@@ -30,10 +30,17 @@ def test_table1_small_scale(capsys):
     assert "mozilla" in out
 
 
-def test_unknown_table_number(capsys):
-    code, _, err = run_cli(capsys, "table", "9", "--scale", "0.1")
-    assert code == 2
-    assert "tables 1-3" in err
+def _refuse_suite(*args, **kwargs):
+    raise AssertionError("built a suite for a number the paper lacks")
+
+
+def test_unknown_table_number(capsys, monkeypatch):
+    # Rejected before any trace is generated.
+    monkeypatch.setattr("repro.cli.build_suite", _refuse_suite)
+    for number in ("9", "4"):
+        code, _, err = run_cli(capsys, "table", number)
+        assert code == 2
+        assert "tables 1-3" in err
 
 
 def test_figure7(capsys):
@@ -67,10 +74,12 @@ def test_figure8(capsys):
     assert "savings" in out
 
 
-def test_unknown_figure(capsys):
-    code, _, err = run_cli(capsys, "figure", "3", "--scale", "0.1")
-    assert code == 2
-    assert "figures 6-10" in err
+def test_unknown_figure(capsys, monkeypatch):
+    monkeypatch.setattr("repro.cli.build_suite", _refuse_suite)
+    for number in ("3", "11"):
+        code, _, err = run_cli(capsys, "figure", number)
+        assert code == 2
+        assert f"no figure {number}; the paper has figures 6-10" in err
 
 
 def test_simulate(capsys):
@@ -346,3 +355,28 @@ def test_store_with_unknown_kind_code_is_one_error_line(capsys, tmp_path):
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert f"row {row}: unknown access kind code 200" in err
     assert "Traceback" not in err and out == ""
+
+
+@pytest.fixture(scope="module")
+def nedit_store(tmp_path_factory):
+    store = tmp_path_factory.mktemp("label") / "store"
+    assert main(["trace", "pack", "--scale", "0.1", "--app", "nedit",
+                 "--out", str(store)]) == 0
+    return str(store)
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--predictor", "TP", "--app", "nedit"),
+    ("figure", "7"),
+    ("simulate", "--app", "nedit", "--predictor", "TP"),
+    ("trace", "--app", "nedit", "--predictor", "TP", "--limit", "1"),
+    ("report",),
+    ("fleet", "--devices", "2", "--predictor", "TP", "--app", "nedit"),
+])
+def test_store_backed_commands_name_the_store(capsys, nedit_store, argv):
+    """A store fixes the workload, so ``--scale`` (default 0.5) is ignored
+    and must not be printed as the scale the command ran at."""
+    code, out, _ = run_cli(capsys, *argv, "--store", nedit_store)
+    assert code == 0
+    assert f"store {nedit_store}" in out
+    assert "scale 0.5" not in out
