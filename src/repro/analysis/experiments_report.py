@@ -99,8 +99,10 @@ def generate_report(runner: ExperimentRunner, *, workload: str) -> str:
         "| total I/Os (paper) |",
         "|---|---|---|---|---|",
     ]
-    # Table 1 runs first: it fills the runner's filter memo, which the
-    # local matrix then reads instead of filtering each execution again.
+    # Table 1 runs first: on a cold run it fills the runner's filter
+    # memo, which the local matrix then reads instead of filtering each
+    # execution again.  Only a cold run depends on this order: a warm
+    # one reads Table 1's rows and every cell from the artifact cache.
     for row in build_table1(runner):
         paper = PAPER_TABLE1.get(row.application, (0, 0, 0, 0))
         parts.append(

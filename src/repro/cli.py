@@ -144,8 +144,10 @@ def _workload(args) -> str:
 
 def _cmd_reproduce(args) -> int:
     runner = _runner(args)
-    # Table 1 runs first: it fills the runner's filter memo, which the
-    # local matrix then reads instead of filtering each execution again.
+    # Table 1 runs first: on a cold run it fills the runner's filter
+    # memo, which the local matrix then reads instead of filtering each
+    # execution again.  Only a cold run depends on this order: a warm
+    # one reads Table 1's rows and every cell from the artifact cache.
     print(render_table1(build_table1(runner)))
     print()
     print(render_table2(build_table2(runner.config.disk)))
@@ -899,9 +901,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--progress", action="store_true",
                        help="report per-cell progress on stderr")
         p.add_argument("--cache-dir", metavar="DIR", default=None,
-                       help="persist generated traces and filter results "
-                            "in DIR (default: $REPRO_CACHE_DIR; unset "
-                            "disables the artifact cache)")
+                       help="persist generated traces, filter results, "
+                            "cell outcomes and Table 1 rows in DIR "
+                            "(default: $REPRO_CACHE_DIR; unset disables "
+                            "the artifact cache)")
         p.add_argument("--store", metavar="DIR", default=None,
                        help="run against a packed trace store (see "
                             "'repro trace pack') with memory-bounded "

@@ -407,7 +407,8 @@ def _artifact_cache_times(
     """(cold, warm) wall-clock of the cached suite pipeline at ``scale``.
 
     The pipeline is trace generation plus page-cache filtering of every
-    suite application — the two stages the artifact cache persists.
+    suite application — the two input stages the artifact cache
+    persists (it also keeps cell outcomes and Table 1 rows).
     """
     import repro.workloads.suite as suite_module
     from repro.config import SimulationConfig

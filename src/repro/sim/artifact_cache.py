@@ -1,26 +1,43 @@
 """Persistent, content-addressed artifact cache for deterministic stages.
 
-Two stages of every experiment are deterministic pure functions of their
-inputs and dominate cold-start wall clock: workload trace generation
-(:func:`repro.workloads.build_application`) and page-cache filtering
-(:func:`repro.cache.filter.filter_execution`).  This module caches both
-on disk so repeated runs — locally, in CI, and across the fork pool's
-worker processes — skip straight to the simulation:
+Every stage of an experiment is a deterministic pure function of its
+inputs, so this module keeps their products on disk and repeated runs —
+locally, in CI, and across the fork pool's worker processes — skip the
+stages whose products they find.  The cache holds:
+
+* each generated application trace (:func:`trace_key`), as a trace
+  store (:func:`repro.workloads.build_application`);
+* each execution's page-cache filter result (:func:`filter_key`), a
+  pickled :class:`~repro.cache.filter.FilterResult`;
+* each fused cell's outcome (:func:`fused_key`), a pickled
+  :class:`~repro.sim.fused.FusedCellOutcome`, and each shared-table
+  fleet run's (:func:`fleet_key`), a list of them;
+* each per-cell matrix outcome, a pickled
+  :class:`~repro.sim.experiment.ApplicationResult` under the cell's
+  checkpoint key (:func:`repro.sim.resilience.cell_key`);
+* each application's Table 1 row (:func:`table1_key`), a pickled
+  :class:`~repro.analysis.tables.Table1Row`.
+
+A warm run therefore generates, filters and replays nothing (a traced
+run reads no cell outcome, because a cached one carries no events).
 
 * **Content addressing.**  Entries are keyed by a BLAKE2b digest over
   every input that determines the output: the application name and scale
   plus a schema version for generated traces; a fingerprint of the trace
-  events plus the cache configuration plus a schema version for filtered
-  results.  Changing any input (or bumping :data:`SCHEMA_VERSION` when
-  the artifact layout changes) changes the key, so stale entries are
-  never *read* — they are simply orphaned.
+  content plus the configuration (and, for cell outcomes, the predictor
+  labels) plus a schema version for the rest.  Changing any input (or
+  bumping :data:`SCHEMA_VERSION` when the layout of a pickled type —
+  ``FilterResult``, ``FusedCellOutcome``, ``ApplicationResult`` or
+  ``Table1Row`` — or the meaning of a key component changes) changes
+  the key, so stale entries are never *read* — they are simply
+  orphaned.
 * **One trace format.**  A generated trace is kept as a trace store
   (:mod:`repro.traces.store`), and a hit returns the lazily read
   :class:`~repro.traces.store.StoreBackedTrace`, which carries its
   manifest fingerprint.  That fingerprint equals
   :func:`trace_fingerprint` of the in-memory trace, so ``--store`` runs
-  and generated runs of the same content share every filter and fused
-  entry.  Every other artifact is a pickle.
+  and generated runs of the same content share every entry keyed by
+  it.  Every other artifact is a pickle.
 * **Atomic writes, lock-free reads.**  A store writes to a private
   temporary file (or, for a trace, directory) in the cache directory and
   renames it into place, which is atomic on POSIX — a reader sees either
@@ -66,8 +83,10 @@ from repro.traces.store import (
 )
 from repro.traces.trace import ApplicationTrace
 
-#: Bump whenever the pickled artifact layout (or the meaning of a key
-#: component) changes; old entries are orphaned rather than misread.
+#: Bump whenever the layout of a pickled artifact type (``FilterResult``,
+#: ``FusedCellOutcome``, ``ApplicationResult``, ``Table1Row``) or the
+#: meaning of a key component changes; old entries are orphaned rather
+#: than misread.  It also feeds checkpoint cell keys.
 SCHEMA_VERSION = 1
 
 #: Environment variable naming the default on-disk cache directory.
@@ -173,6 +192,23 @@ class ArtifactCache:
                 pass
             raise
         self.stats.stores += 1
+
+    def get_checked(self, key: str, kind: type, application: str) -> Any:
+        """The ``kind`` instance cached for ``application`` under ``key``,
+        or ``None``.
+
+        An entry of another type, or one naming another application, is
+        a miss like an unreadable one: the caller recomputes it and its
+        ``put`` replaces the entry.
+        """
+        hit, value = self.get(key)
+        if (
+            hit
+            and isinstance(value, kind)
+            and value.application == application
+        ):
+            return value
+        return None
 
     def get_or_compute(self, key: str, compute: Callable[[], Any]) -> Any:
         """The cached value for ``key``, computing and storing on a miss."""
@@ -282,6 +318,16 @@ def filter_key(
         cache_config.block_size,
         cache_config.flush_interval,
     )
+
+
+def table1_key(fingerprint: str, config: "SimulationConfig") -> str:
+    """Cache key of one application's Table 1 row.
+
+    The row counts the application's filtered accesses and the idle
+    periods longer than the breakeven time, so it is a function of the
+    trace content and the whole simulation configuration.
+    """
+    return _digest("table1", SCHEMA_VERSION, fingerprint, repr(config))
 
 
 def variant_set_fingerprint(

@@ -116,7 +116,8 @@ class ExperimentRunner:
         self.tracing = tracing
         self.trace_capacity = trace_capacity
         #: Optional :class:`~repro.sim.artifact_cache.ArtifactCache`
-        #: persisting filter results on disk across processes and runs.
+        #: persisting filter results and untraced cell outcomes on disk
+        #: across processes and runs.
         self.artifact_cache = artifact_cache
         self._filtered: dict[str, list[FilterResult]] = {}
         #: application → content fingerprint, shared with clones (it
@@ -480,6 +481,13 @@ class ExperimentRunner:
         one record per (application, predictor) under the same key, so
         a journal resumes under either: adding a predictor re-runs only
         the new lanes.
+
+        With an artifact cache attached and tracing off, every cell's
+        outcome is cached too — a per-cell result under its journal key
+        (:func:`~repro.sim.resilience.cell_key`), a fused cell's under
+        :func:`~repro.sim.artifact_cache.fused_key` — and cached cells
+        are served before any cell runs or a worker starts, so a warm
+        matrix filters and forks nothing.
         """
         # Imported lazily: both modules import this one.
         from repro.sim.fused import fused_eligible, run_fused_cells
@@ -527,16 +535,11 @@ class ExperimentRunner:
             for column, name in enumerate(names)
         ]
 
-        def run_cell(cell: ExperimentCell) -> ApplicationResult:
-            if mode == "local":
-                return self.run_local(cell.application, cell.predictor)
-            return self.run_global(
-                cell.application, cell.predictor, multistate=multistate
-            )
-
-        self.prewarm(apps)
+        # A traced result carries its event stream, which a cached one
+        # would not replay, so only untraced cells use the cache.
+        cache = None if self.tracing else self.artifact_cache
         keys = None
-        if checkpoint is not None:
+        if checkpoint is not None or cache is not None:
             keys = [
                 cell_key(
                     self.fingerprint(cell.application),
@@ -547,6 +550,23 @@ class ExperimentRunner:
                 )
                 for cell in cells
             ]
+
+        def lookup(cell: ExperimentCell) -> Optional[ApplicationResult]:
+            return cache.get_checked(
+                keys[cell.index], ApplicationResult, cell.application
+            )
+
+        def run_cell(cell: ExperimentCell) -> ApplicationResult:
+            if mode == "local":
+                result = self.run_local(cell.application, cell.predictor)
+            else:
+                result = self.run_global(
+                    cell.application, cell.predictor, multistate=multistate
+                )
+            if cache is not None:
+                cache.put(keys[cell.index], result)
+            return result
+
         ledger = run_cells(
             cells,
             run_cell,
@@ -559,6 +579,11 @@ class ExperimentRunner:
             # free to differ between resumes; only the run *shape*
             # (mode, multistate) must match.
             provenance={"mode": mode, "multistate": bool(multistate)},
+            lookup=lookup if cache is not None else None,
+            # Only applications with cells left to run are filtered.
+            prepare=lambda pending: self.prewarm(
+                [cell.application for cell in pending]
+            ),
         )
         for item in ledger.results:
             row = matrix.setdefault(item.cell.application, {})

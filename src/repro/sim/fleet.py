@@ -311,13 +311,13 @@ def _shared_outcomes(
         predictor=f"fleet-shared[{len(labels)}]",
     )
 
+    key = fleet_key(fingerprint, "shared")
+
+    def lookup(cell: ExperimentCell) -> Optional[list[FusedCellOutcome]]:
+        hit, value = cache.get(key)
+        return value if hit and isinstance(value, list) else None
+
     def run_cell(cell: ExperimentCell) -> list[FusedCellOutcome]:
-        key = None
-        if cache is not None:
-            key = fleet_key(fingerprint, "shared")
-            hit, value = cache.get(key)
-            if hit and isinstance(value, list):
-                return value
         specs = make_specs()
         outcomes = [
             FusedCellOutcome(
@@ -326,7 +326,7 @@ def _shared_outcomes(
             )
             for app in apps
         ]
-        if key is not None:
+        if cache is not None:
             cache.put(key, outcomes)
         return outcomes
 
@@ -355,6 +355,7 @@ def _shared_outcomes(
         checkpoint=checkpoint,
         cell_keys=keys,
         provenance=provenance,
+        lookup=lookup if cache is not None else None,
     )
     outcomes: dict[str, FusedCellOutcome] = {}
     for item in ledger.results:

@@ -954,7 +954,9 @@ def run_fused_cells(
     label) :func:`~repro.sim.resilience.cell_key` the per-cell path
     writes.  A resumed run restores each journalled lane as a cell of
     its own and runs one fused cell per application over the lanes the
-    journal lacks.
+    journal lacks.  A cell whose outcome the artifact cache holds
+    (:func:`~repro.sim.artifact_cache.fused_key`) is served from it
+    before any cell runs or a worker starts.
 
     The cells run on :func:`~repro.sim.resilience.run_cells` under
     ``policy`` (default :class:`~repro.sim.resilience.ResiliencePolicy`).
@@ -1015,27 +1017,30 @@ def run_fused_cells(
         for index, (app, lanes) in enumerate(plan)
     ]
 
+    def cache_key(cell: ExperimentCell) -> str:
+        application, lanes = plan[cell.index]
+        return fused_key(
+            runner.fingerprint(application),
+            config,
+            tuple(label_tuple[lane] for lane in lanes),
+        )
+
+    def lookup(cell: ExperimentCell) -> Optional[list[ApplicationResult]]:
+        value = cache.get_checked(
+            cache_key(cell), FusedCellOutcome, cell.application
+        )
+        return None if value is None else value.results
+
     def run_cell(cell: ExperimentCell) -> list[ApplicationResult]:
         application, lanes = plan[cell.index]
-        key = None
-        if cache is not None:
-            key = fused_key(
-                runner.fingerprint(application),
-                config,
-                tuple(label_tuple[lane] for lane in lanes),
-            )
-            hit, value = cache.get(key)
-            if hit and isinstance(value, FusedCellOutcome):
-                return value.results
         specs = make_specs()
         results = run_fused_application(
             runner, application, [specs[lane] for lane in lanes]
         )
-        if key is not None:
-            cache.put(key, FusedCellOutcome(application, results))
+        if cache is not None:
+            cache.put(cache_key(cell), FusedCellOutcome(application, results))
         return results
 
-    runner.prewarm(apps)
     try:
         ledger = run_cells(
             cells,
@@ -1046,6 +1051,11 @@ def run_fused_cells(
             checkpoint=checkpoint,
             cell_keys=keys,
             provenance={"mode": "global", "multistate": False},
+            lookup=lookup if cache is not None else None,
+            # Only applications with cells left to run are filtered.
+            prepare=lambda pending: runner.prewarm(
+                [cell.application for cell in pending]
+            ),
         )
     finally:
         if owned is not None:

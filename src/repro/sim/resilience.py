@@ -30,6 +30,11 @@ work:
   per record, keyed by the same content-hash scheme the artifact cache
   uses (:func:`cell_key`).  Re-running with the same checkpoint skips
   completed cells, so a killed multi-hour sweep resumes where it died.
+* **Cells served from a cache.**  A caller's ``lookup`` answers for
+  every cell the checkpoint does not restore, in this process and
+  before any worker starts; an answered cell is journalled and
+  reported like a run one but never runs, so a fully cached matrix
+  forks nothing.
 
 Results fold in cell order whatever the worker count or completion
 order, so a pooled run is bit-identical to an in-process one — asserted
@@ -122,9 +127,10 @@ class CellProgress:
     """Progress event fired per completed cell and per failed attempt.
 
     ``attempt`` is the attempt number the event reports on (0 for a
-    cell restored from a checkpoint); ``outcome`` is ``"ok"``,
-    ``"retry"`` (a failed attempt that will be retried), ``"failed"``
-    (terminal failure), or ``"resumed"``; ``degraded`` is set once the
+    cell restored from a checkpoint or served from a cache);
+    ``outcome`` is ``"ok"``, ``"retry"`` (a failed attempt that will be
+    retried), ``"failed"`` (terminal failure), ``"resumed"`` or
+    ``"cached"``; ``degraded`` is set once the
     executor has fallen back from the worker pool to in-process
     execution.
     """
@@ -151,6 +157,8 @@ def stderr_progress(event: CellProgress) -> None:
     marker = ""
     if event.outcome == "resumed":
         marker = " (resumed from checkpoint)"
+    elif event.outcome == "cached":
+        marker = " (served from the artifact cache)"
     elif event.attempt > 1:
         marker = f" [attempt {event.attempt}]"
     if event.outcome == "retry":
@@ -248,6 +256,9 @@ CellOutcome = Union[CellResult, CellFailure]
 #: that returns a sequence of results (a fused cell's lanes).
 CellKey = Union[str, tuple[str, ...]]
 
+#: A cell's result from a cache, or ``None`` on a miss (see run_cells).
+CellLookup = Callable[[ExperimentCell], Optional[Any]]
+
 
 @dataclass(slots=True)
 class RunLedger:
@@ -257,6 +268,8 @@ class RunLedger:
     retries: list[RetryEvent] = field(default_factory=list)
     degraded: bool = False
     resumed: int = 0
+    #: Cells a ``lookup`` served without running them.
+    cached: int = 0
 
     @property
     def results(self) -> list[CellResult]:
@@ -272,9 +285,13 @@ class RunLedger:
         """The human-readable failure/retry ledger."""
         failures = self.failures
         ok = len(self.outcomes) - len(failures)
+        served = (
+            f", {self.cached} served from the artifact cache"
+            if self.cached else ""
+        )
         lines = [
             f"resilience ledger: {len(self.outcomes)} cells — {ok} ok "
-            f"({self.resumed} resumed from checkpoint), "
+            f"({self.resumed} resumed from checkpoint{served}), "
             f"{len(failures)} failed, {len(self.retries)} failed "
             f"attempt(s), degraded={'yes' if self.degraded else 'no'}"
         ]
@@ -631,6 +648,7 @@ class _Executor:
         progress: Optional[ProgressHook],
         checkpoint: Optional[CellCheckpoint],
         keys: Optional[Sequence[CellKey]],
+        lookup: Optional[CellLookup] = None,
     ) -> None:
         self.cells = cells
         self.run_cell = run_cell
@@ -638,11 +656,13 @@ class _Executor:
         self.progress = progress
         self.checkpoint = checkpoint
         self.keys = keys
+        self.lookup = lookup
         self.total = len(cells)
         self.outcomes: list[Optional[CellOutcome]] = [None] * self.total
         self.retries: list[RetryEvent] = []
         self.completed = 0
         self.resumed = 0
+        self.cached = 0
         self.degraded = False
         self.incidents = 0
 
@@ -670,8 +690,9 @@ class _Executor:
             sum(wall for _, wall in entries),  # type: ignore[misc]
         )
 
-    def resume_from_checkpoint(self) -> list[_Pending]:
-        """Terminal outcomes for checkpointed cells; the rest as pending."""
+    def restore(self) -> list[_Pending]:
+        """Terminal outcomes for checkpointed and cache-served cells; the
+        rest as pending.  A served cell is journalled like a run one."""
         pending: list[_Pending] = []
         for position, cell in enumerate(self.cells):
             if self.checkpoint is not None and self.keys is not None:
@@ -685,11 +706,21 @@ class _Executor:
                     self.completed += 1
                     self._emit(cell, wall, attempt=0, outcome="resumed")
                     continue
-            pending.append(_Pending(position, cell))
+            item = _Pending(position, cell)
+            if self.lookup is not None:
+                start = time.perf_counter()
+                result = self.lookup(cell)
+                if result is not None:
+                    self.cached += 1
+                    item.attempt = 0
+                    self.success(item, result, time.perf_counter() - start,
+                                 outcome="cached")
+                    continue
+            pending.append(item)
         return pending
 
     def success(self, item: _Pending, result: ApplicationResult,
-                wall: float) -> None:
+                wall: float, *, outcome: str = "ok") -> None:
         self.outcomes[item.position] = CellResult(
             cell=item.cell, result=result, wall_time=wall
         )
@@ -705,7 +736,7 @@ class _Executor:
                         part, item.cell, value, wall / len(key)
                     )
         self.completed += 1
-        self._emit(item.cell, wall, attempt=item.attempt, outcome="ok")
+        self._emit(item.cell, wall, attempt=item.attempt, outcome=outcome)
 
     def failure(self, item: _Pending, kind: str, message: str,
                 tb: str, wall: float) -> bool:
@@ -739,6 +770,7 @@ class _Executor:
             retries=self.retries,
             degraded=self.degraded,
             resumed=self.resumed,
+            cached=self.cached,
         )
 
     # -- in-process path ----------------------------------------------------
@@ -976,6 +1008,8 @@ def run_cells(
     ] = None,
     cell_keys: Optional[Sequence[CellKey]] = None,
     provenance: Optional[dict] = None,
+    lookup: Optional[CellLookup] = None,
+    prepare: Optional[Callable[[list[ExperimentCell]], None]] = None,
 ) -> RunLedger:
     """Execute every cell; outcomes come back in cell order.
 
@@ -993,6 +1027,15 @@ def run_cells(
     mode, multistate) and makes a resume from a journal written by an
     incompatible run fail with :class:`~repro.errors.CheckpointError`
     instead of silently mixing result shapes.
+
+    ``lookup`` serves cells from a cache: it is asked, in this process
+    and before any cell runs, for every cell the checkpoint does not
+    restore, and a result it returns (``None`` is a miss) becomes the
+    cell's outcome, journalled and reported as ``"cached"``.
+    ``prepare`` then receives the cells left to run, in cell order,
+    before any of them runs or a worker starts — the place to warm
+    state that forked workers inherit.  Nothing is forked when every
+    cell is restored or served.
     """
     cell_list = list(cells)
     policy = policy or ResiliencePolicy()
@@ -1015,11 +1058,13 @@ def run_cells(
                 checkpoint.close()
             raise
     executor = _Executor(
-        cell_list, run_cell, policy, progress, checkpoint, keys
+        cell_list, run_cell, policy, progress, checkpoint, keys, lookup
     )
     try:
-        pending = executor.resume_from_checkpoint()
+        pending = executor.restore()
         if pending:
+            if prepare is not None:
+                prepare([item.cell for item in pending])
             workers = min(resolve_jobs(jobs), len(pending))
             if workers > 1 and fork_available():
                 executor.run_pool(pending, workers)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 
 from repro import faults
@@ -15,9 +16,11 @@ from repro.sim.artifact_cache import (
     ArtifactCache,
     filter_key,
     resolve_cache,
+    table1_key,
     trace_key,
 )
 from repro.sim.experiment import ExperimentRunner
+from repro.sim.resilience import cell_key
 from repro.traces.store import (
     MANIFEST_NAME,
     StoreBackedTrace,
@@ -462,6 +465,171 @@ def test_parallel_suite_identical_with_cache(tmp_path):
         suite, config, artifact_cache=ArtifactCache(tmp_path)
     ).run_suite("PCAP", jobs=2)
     assert parallel == serial
+
+
+# ------------------------------------- cell outcomes and Table 1 rows --
+
+
+def _cell_path(runner, cache, application, predictor, **shape):
+    return cache.path_for(cell_key(
+        runner.fingerprint(application), predictor, runner.config, **shape
+    ))
+
+
+def test_cell_keys_separate_mode_multistate_config_and_fingerprint():
+    fingerprint = "ab" * 20
+    config = SimulationConfig()
+    key = cell_key(fingerprint, "PCAP", config)
+    assert key == cell_key(fingerprint, "PCAP", SimulationConfig())
+    assert key == cell_key(fingerprint, "PCAP", config, mode="global",
+                           multistate=False)
+    others = {
+        cell_key(fingerprint, "PCAP", config, mode="local"),
+        cell_key(fingerprint, "PCAP", config, multistate=True),
+        cell_key(fingerprint, "PCAP",
+                 SimulationConfig(wait_window=2.0)),
+        cell_key(fingerprint, "PCAP", SimulationConfig(
+            cache=CacheConfig(capacity_bytes=512 * 1024))),
+        cell_key("cd" * 20, "PCAP", config),
+        cell_key(fingerprint, "TP", config),
+    }
+    assert key not in others and len(others) == 6
+    # A Table 1 row is keyed by the same content and configuration.
+    assert table1_key(fingerprint, config) == table1_key(
+        fingerprint, SimulationConfig())
+    assert table1_key(fingerprint, config) != table1_key("cd" * 20, config)
+    assert table1_key(fingerprint, config) != table1_key(
+        fingerprint, SimulationConfig(wait_window=2.0))
+
+
+def test_truncated_cell_and_table1_entries_are_recomputed(tmp_path):
+    suite = _tiny_suite()
+
+    def run(cache):
+        runner = ExperimentRunner(suite, artifact_cache=cache)
+        return (runner, build_table1(runner),
+                runner.run_matrix(FIG6_PREDICTORS, mode="local"),
+                runner.run_matrix(["PCAP"], multistate=True))
+
+    runner, table1, local, multistate = run(ArtifactCache(tmp_path))
+    cache = ArtifactCache(tmp_path)
+    torn = [
+        _cell_path(runner, cache, "alpha", FIG6_PREDICTORS[0], mode="local"),
+        _cell_path(runner, cache, "beta", "PCAP", multistate=True),
+        cache.path_for(table1_key(runner.fingerprint("beta"),
+                                  runner.config)),
+    ]
+    for path in torn:
+        blob = path.read_bytes()
+        path.write_bytes(blob[: len(blob) // 2])
+    _, warm_table1, warm_local, warm_multistate = run(cache)
+    assert (warm_table1, warm_local, warm_multistate) == (
+        table1, local, multistate)
+    assert cache.stats.quarantined == len(torn)
+    for path in torn:
+        assert path.with_name(path.name + ".corrupt").exists()
+    # The recomputed entries were published again.
+    healed = ArtifactCache(tmp_path)
+    run(healed)
+    assert healed.stats.misses == 0 and healed.stats.stores == 0
+
+
+def test_entries_for_another_application_are_recomputed(tmp_path):
+    suite = _tiny_suite()
+    cache = ArtifactCache(tmp_path)
+    runner = ExperimentRunner(suite, artifact_cache=cache)
+    expected = runner.run_matrix(["PCAP"])
+    rows = build_table1(runner)
+    alpha = runner.fingerprint("alpha")
+    # Beta's outcome and row under alpha's keys, and a key holding an
+    # object of the wrong type: none of them may be served.
+    cache.put(cell_key(alpha, "PCAP", runner.config),
+              expected["beta"]["PCAP"])
+    cache.put(table1_key(alpha, runner.config), rows[1])
+    cache.put(table1_key(runner.fingerprint("beta"), runner.config),
+              "not a row")
+    fresh = ExperimentRunner(suite, artifact_cache=ArtifactCache(tmp_path))
+    assert fresh.run_matrix(["PCAP"]) == expected
+    assert build_table1(fresh) == rows
+
+
+def test_traced_runner_neither_reads_nor_writes_cell_entries(tmp_path):
+    suite = _tiny_suite()
+    cache = ArtifactCache(tmp_path)
+    untraced = ExperimentRunner(suite, artifact_cache=cache)
+    planted = untraced.run_matrix(["PCAP"])["alpha"]["PCAP"]
+    # A wrong result under a real key: a traced run must not serve it.
+    cache.put(
+        cell_key(untraced.fingerprint("alpha"), "PCAP", untraced.config),
+        dataclasses.replace(planted, executions=999),
+    )
+    traced = ExperimentRunner(suite, tracing=True, artifact_cache=cache)
+    result = traced.run_matrix(["PCAP", "TP"], mode="local")
+    row = result["alpha"]["PCAP"]
+    assert row.executions == 2 and row.trace_events
+    for name in ("PCAP", "TP"):
+        assert not _cell_path(traced, cache, "alpha", name,
+                              mode="local").exists()
+    global_row = traced.run_matrix(["PCAP"])["alpha"]["PCAP"]
+    assert global_row.executions == 2 and global_row.trace_events
+
+
+def test_warm_matrix_starts_no_worker(tmp_path, monkeypatch):
+    """Every cell of a warm matrix — fused, single-lane, multistate and
+    local — is served before the executor could fork, at any jobs."""
+    import repro.sim.resilience as resilience
+
+    suite = _tiny_suite()
+    shapes = (
+        (["PCAP", "TP"], {}),
+        (["PCAP"], {}),
+        (["PCAP"], {"multistate": True}),
+        (list(FIG6_PREDICTORS), {"mode": "local"}),
+    )
+    cold = ExperimentRunner(suite, artifact_cache=ArtifactCache(tmp_path))
+    expected = [
+        cold.run_matrix(names, jobs=2, **shape) for names, shape in shapes
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm matrix ran a cell")
+
+    monkeypatch.setattr(resilience._Executor, "run_pool", refuse)
+    monkeypatch.setattr(resilience._Executor, "run_in_process", refuse)
+    events = []
+    cache = ArtifactCache(tmp_path)
+    warm = ExperimentRunner(suite, artifact_cache=cache,
+                            progress=events.append)
+    cells = 0
+    for (names, shape), matrix in zip(shapes, expected):
+        report = warm.run_matrix_resilient(names, jobs=2, **shape)
+        assert report.matrix == matrix
+        assert report.ledger.cached == len(report.ledger.outcomes)
+        assert "served from the artifact cache" in report.ledger.render()
+        cells += len(report.ledger.outcomes)
+    assert len(events) == cells
+    assert {event.outcome for event in events} == {"cached"}
+    # One get per cell: no application was filtered for the pool.
+    assert cache.stats.hits == cells and cache.stats.misses == 0
+
+
+def test_served_cells_are_journalled_and_the_journal_comes_first(tmp_path):
+    """A cell served from the cache is journalled like a run one, and a
+    resumed run restores it from the journal without asking the cache."""
+    suite = _tiny_suite()
+    ExperimentRunner(
+        suite, artifact_cache=ArtifactCache(tmp_path / "cache")
+    ).run_matrix(["PCAP"])
+    journal = tmp_path / "journal.jsonl"
+    for resumed, cached in ((0, 2), (2, 0)):
+        cache = ArtifactCache(tmp_path / "cache")
+        report = ExperimentRunner(
+            suite, artifact_cache=cache
+        ).run_matrix_resilient(["PCAP"], checkpoint=journal)
+        assert report.complete
+        assert (report.ledger.resumed, report.ledger.cached) == (
+            resumed, cached)
+        assert cache.stats.hits == cached
 
 
 # ------------------------------------------------------- concurrency --

@@ -296,42 +296,114 @@ def test_reproduce_plans_one_tape_and_one_replay_per_lane(
     """``repro reproduce`` prints the same bytes with no cache and with
     a cold and a warm ``--cache-dir``.  A cold run builds each
     execution's tape once and replays it once per distinct global
-    predictor; a warm run serves every global lane from the cache."""
+    predictor; a warm run serves every global lane, every Fig 6 local
+    cell and every Table 1 row from the cache, so it replays nothing,
+    counts no gap and reads no filter result."""
     import hashlib
 
+    import repro.analysis.tables as tables
+    import repro.sim.experiment as experiment
     import repro.sim.fused as fused
     from repro.analysis import GLOBAL_PREDICTORS
+    from repro.config import SimulationConfig
+    from repro.sim.artifact_cache import (
+        ArtifactCache,
+        filter_key,
+        trace_fingerprint,
+    )
     from repro.workloads import build_suite
 
     monkeypatch.delenv("REPRO_JOBS", raising=False)
-    calls = {"tape": 0, "replay": 0}
-    build_replay_tape = fused.build_replay_tape
-    replay_execution = fused.replay_execution
+    suite = build_suite(scale=0.2)
+    filter_keys = {
+        filter_key(trace_fingerprint(trace), execution.execution_index,
+                   SimulationConfig().cache)
+        for trace in suite.values()
+        for execution in trace
+    }
+    calls = {}
 
-    def counting_build(*args):
-        calls["tape"] += 1
-        return build_replay_tape(*args)
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
 
-    def counting_replay(*args):
-        calls["replay"] += 1
-        return replay_execution(*args)
+    get = ArtifactCache.get
 
-    monkeypatch.setattr(fused, "build_replay_tape", counting_build)
-    monkeypatch.setattr(fused, "replay_execution", counting_replay)
-    executions = sum(len(trace) for trace in build_suite(scale=0.2).values())
-    cold = {"tape": executions, "replay": executions * len(GLOBAL_PREDICTORS)}
+    def counting_get(self, key):
+        calls["filter_get"] += key in filter_keys
+        return get(self, key)
+
+    monkeypatch.setattr(
+        fused, "build_replay_tape", counting("tape", fused.build_replay_tape)
+    )
+    monkeypatch.setattr(
+        fused, "replay_execution",
+        counting("replay", fused.replay_execution),
+    )
+    monkeypatch.setattr(
+        experiment, "evaluate_local_stream",
+        counting("local", experiment.evaluate_local_stream),
+    )
+    monkeypatch.setattr(
+        tables, "stream_gaps", counting("gaps", tables.stream_gaps)
+    )
+    monkeypatch.setattr(ArtifactCache, "get", counting_get)
+    executions = len(filter_keys)
     cache_dir = str(tmp_path / "cache")
-    for argv, expected in (
-        ((), cold),
-        (("--cache-dir", cache_dir), cold),
-        (("--cache-dir", cache_dir), {"tape": 0, "replay": 0}),
+    runs = {}
+    for name, argv in (
+        ("uncached", ()),
+        ("cold", ("--cache-dir", cache_dir)),
+        ("warm", ("--cache-dir", cache_dir)),
     ):
-        calls.update(tape=0, replay=0)
+        calls.update(tape=0, replay=0, local=0, gaps=0, filter_get=0)
         code, out, _ = run_cli(capsys, "reproduce", "--scale", "0.2", *argv)
         assert code == 0
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-        assert digest == REPRODUCE_SHA256_SCALE_02, argv
-        assert calls == expected, argv
+        assert digest == REPRODUCE_SHA256_SCALE_02, name
+        runs[name] = dict(calls)
+    uncached = runs["uncached"]
+    assert uncached["tape"] == executions
+    assert uncached["replay"] == executions * len(GLOBAL_PREDICTORS)
+    assert uncached["local"] > 0 and uncached["gaps"] > 0
+    assert uncached["filter_get"] == 0
+    # A cold run reads each filter result once: Table 1 fills the filter
+    # memo that the local and global matrices then read.
+    assert runs["cold"] == {**uncached, "filter_get": executions}
+    assert runs["warm"] == dict.fromkeys(uncached, 0)
+
+
+def test_reproduce_reads_fig6_and_table1_filled_by_their_commands(
+    capsys, tmp_path, monkeypatch
+):
+    """A cache filled only by ``repro figure 6`` and ``repro table 1``
+    serves ``reproduce`` every local cell and Table 1 row: it evaluates
+    no local stream and counts no gap, and prints the same bytes."""
+    import hashlib
+
+    import repro.analysis.tables as tables
+    import repro.sim.experiment as experiment
+
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
+    cache = ("--scale", "0.2", "--cache-dir", str(tmp_path / "cache"))
+    for argv in (("figure", "6"), ("table", "1")):
+        code, _, _ = run_cli(capsys, *argv, *cache)
+        assert code == 0
+    calls = []
+    monkeypatch.setattr(
+        experiment, "evaluate_local_stream",
+        lambda *a, **k: calls.append("local"),
+    )
+    monkeypatch.setattr(
+        tables, "stream_gaps", lambda *a, **k: calls.append("gaps")
+    )
+    code, out, _ = run_cli(capsys, "reproduce", *cache)
+    assert code == 0
+    assert calls == []
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == REPRODUCE_SHA256_SCALE_02
 
 
 def test_store_with_unknown_kind_code_is_one_error_line(capsys, tmp_path):
