@@ -29,66 +29,31 @@ Subpackages:
 * :mod:`repro.analysis` — tables, figures, paper comparison.
 """
 
-from repro.cache import CacheConfig, DiskAccess, PageCache, filter_execution
-from repro.core import (
-    GlobalShutdownPredictor,
-    PCAPPredictor,
-    PCAPVariant,
-    PredictionTable,
-)
-from repro.disk import (
-    DiskPowerParameters,
-    EnergyBreakdown,
-    SimulatedDisk,
-    fujitsu_mhf2043at,
-)
-from repro.predictors import (
-    KNOWN_PREDICTORS,
-    LocalPredictor,
-    PredictorSpec,
-    ShutdownIntent,
-    make_spec,
-)
-from repro.sim import (
-    ApplicationResult,
-    ExperimentRunner,
-    PredictionStats,
-    SimulationConfig,
-    paper_config,
-)
-from repro.traces import ApplicationTrace, ExecutionTrace, IOEvent
-from repro.workloads import APPLICATIONS, build_application, build_suite
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "APPLICATIONS",
-    "ApplicationResult",
-    "ApplicationTrace",
-    "CacheConfig",
-    "DiskAccess",
-    "DiskPowerParameters",
-    "EnergyBreakdown",
-    "ExecutionTrace",
-    "ExperimentRunner",
-    "GlobalShutdownPredictor",
-    "IOEvent",
-    "KNOWN_PREDICTORS",
-    "LocalPredictor",
-    "PCAPPredictor",
-    "PCAPVariant",
-    "PageCache",
-    "PredictionStats",
-    "PredictionTable",
-    "PredictorSpec",
-    "ShutdownIntent",
-    "SimulatedDisk",
-    "SimulationConfig",
-    "__version__",
-    "build_application",
-    "build_suite",
-    "filter_execution",
-    "fujitsu_mhf2043at",
-    "make_spec",
-    "paper_config",
-]
+# Re-exported lazily: ``import repro`` imports no subpackage (and so no
+# NumPy); each name's subpackage loads on first use.
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".cache": ("CacheConfig", "DiskAccess", "PageCache", "filter_execution"),
+    ".core": (
+        "GlobalShutdownPredictor", "PCAPPredictor", "PCAPVariant",
+        "PredictionTable",
+    ),
+    ".disk": (
+        "DiskPowerParameters", "EnergyBreakdown", "SimulatedDisk",
+        "fujitsu_mhf2043at",
+    ),
+    ".predictors": (
+        "KNOWN_PREDICTORS", "LocalPredictor", "PredictorSpec",
+        "ShutdownIntent", "make_spec",
+    ),
+    ".sim": (
+        "ApplicationResult", "ExperimentRunner", "PredictionStats",
+        "SimulationConfig", "paper_config",
+    ),
+    ".traces": ("ApplicationTrace", "ExecutionTrace", "IOEvent"),
+    ".workloads": ("APPLICATIONS", "build_application", "build_suite"),
+})
+__all__ += ["__version__"]

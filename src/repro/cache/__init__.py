@@ -1,39 +1,17 @@
 """File-cache substrate (paper §6: 256 KB Linux-like cache, LRU, 30 s
 dirty-data flush timer)."""
 
-from repro.cache.filter import (
-    DiskAccess,
-    FilterResult,
-    filter_application,
-    filter_execution,
-)
-from repro.cache.lru import LRUMapping
-from repro.cache.pc_eviction import PCAwarePageCache, PCReusePredictor
-from repro.cache.prefetch import PCStridePredictor, PrefetchingPageCache
-from repro.cache.page_cache import (
-    CacheConfig,
-    CacheStats,
-    CachedBlock,
-    PageCache,
-    WriteBack,
-)
-from repro.cache.writeback import FLUSH_FD, coalesce_writebacks
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CacheConfig",
-    "CacheStats",
-    "CachedBlock",
-    "DiskAccess",
-    "FLUSH_FD",
-    "FilterResult",
-    "LRUMapping",
-    "PCAwarePageCache",
-    "PCStridePredictor",
-    "PCReusePredictor",
-    "PageCache",
-    "PrefetchingPageCache",
-    "WriteBack",
-    "coalesce_writebacks",
-    "filter_application",
-    "filter_execution",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".filter": (
+        "DiskAccess", "FilterResult", "filter_application", "filter_execution",
+    ),
+    ".lru": ("LRUMapping",),
+    ".pc_eviction": ("PCAwarePageCache", "PCReusePredictor"),
+    ".prefetch": ("PCStridePredictor", "PrefetchingPageCache"),
+    ".page_cache": (
+        "CacheConfig", "CacheStats", "CachedBlock", "PageCache", "WriteBack",
+    ),
+    ".writeback": ("FLUSH_FD", "coalesce_writebacks"),
+})

@@ -30,10 +30,9 @@ on pickling (workers and the artifact cache rebuild them lazily).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, NamedTuple, Optional
-
-import numpy as np
 
 from repro.cache.page_cache import CacheConfig, CacheStats, PageCache, WriteBack
 from repro.cache.writeback import FLUSH_FD, coalesce_writebacks
@@ -41,6 +40,8 @@ from repro.traces.events import KERNEL_FLUSH_PC, AccessType
 from repro.traces.trace import KIND_CODE, ExecutionLike
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle)
+    import numpy as np
+
     from repro.sim.columnar import ColumnarAccesses
 
 
@@ -152,18 +153,24 @@ _SYNC = KIND_CODE[AccessType.SYNC_WRITE]
 _FLUSH = KIND_CODE[AccessType.FLUSH]
 
 
-def _code_table(*kinds: AccessType) -> np.ndarray:
-    table = np.zeros(256, dtype=bool)  # indexed by the u1 ``kind`` column
-    table[[KIND_CODE[kind] for kind in kinds]] = True
-    return table
-
-
 #: Rows that touch their block range (CLOSE rows touch none), and the
 #: rows whose misses are fetched as one disk access.
-_TOUCHES = _code_table(
+_TOUCHES = (
     AccessType.READ, AccessType.OPEN, AccessType.WRITE, AccessType.SYNC_WRITE
 )
-_FETCHES = _code_table(AccessType.READ, AccessType.OPEN)
+_FETCHES = (AccessType.READ, AccessType.OPEN)
+
+
+@functools.cache
+def _code_table(kinds: tuple[AccessType, ...]) -> np.ndarray:
+    """Mask of ``kinds``, indexed by the u1 ``kind`` column (built once)."""
+    import numpy as np
+
+    table = np.zeros(256, dtype=bool)
+    table[[KIND_CODE[kind] for kind in kinds]] = True
+    table.setflags(write=False)  # shared by every call
+    return table
+
 
 #: Cells per block of the bulk window count in :func:`_nth_new_block`.
 _BULK_CELLS = 1 << 18
@@ -231,7 +238,11 @@ def _lru_touches(
     touch of its block.  A re-touch fewer than ``capacity`` touches later
     must hit, so only the farther ones count distinct blocks.
     """
-    counts = np.where(_TOUCHES[kind], np.maximum(block_count, 0), 0)
+    import numpy as np
+
+    counts = np.where(
+        _code_table(_TOUCHES)[kind], np.maximum(block_count, 0), 0
+    )
     start = np.concatenate(([0], np.cumsum(counts)))
     row = np.repeat(np.arange(len(kind)), counts)
     position = np.arange(int(start[-1]))
@@ -262,6 +273,8 @@ def _nth_new_block(
     scanned while its window's block is among the ``n`` most recent, so
     the work stays O(``n`` · touches).
     """
+    import numpy as np
+
     found = np.full(len(after), -1)
     seen = np.zeros(len(after), dtype=np.int64)
     width = 2 * n
@@ -322,6 +335,8 @@ def _write_back_groups(
     wake-ups (or, at row ``len(rows)``, the final flush) and phase 1 its
     forced write-backs.
     """
+    import numpy as np
+
     row, start, order, same, prev, miss = touches
     position = np.arange(len(prev))
     # Wake-up times accumulate like PageCache's ``_next_flush += interval``
@@ -386,6 +401,8 @@ def _filter_lru(
     Equal to :func:`_replay` through a fresh :class:`PageCache`, accesses
     in order and cache statistics, without simulating the cache.
     """
+    import numpy as np
+
     columns = execution.columns
     rows = np.flatnonzero(columns["etype"] == 0)  # fork/exit: no traffic
     time = columns["time"][rows]
@@ -401,7 +418,9 @@ def _filter_lru(
         np.count_nonzero(miss[written])
     )
     row_misses = np.bincount(touches.row[miss], minlength=len(rows))
-    own = np.flatnonzero((_FETCHES[kind] & (row_misses > 0)) | (kind == _SYNC))
+    own = np.flatnonzero(
+        (_code_table(_FETCHES)[kind] & (row_misses > 0)) | (kind == _SYNC)
+    )
     own_rows = rows[own]
     fields = [  # DiskAccess's fields, in order
         time[own],

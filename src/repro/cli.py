@@ -62,10 +62,9 @@ from typing import Optional, Sequence
 
 from repro import faults
 
-from repro.analysis.ascii_charts import (
-    render_accuracy_chart,
-    render_energy_chart,
-)
+# Module level holds what ``repro reproduce`` runs, and no more: its
+# warm run must import neither NumPy nor the other commands' modules
+# (DESIGN §10, "Start-up").  The other commands import what they use.
 from repro.analysis.compare import all_checks, render_checks
 from repro.analysis.figures import (
     FIG6_PREDICTORS,
@@ -80,8 +79,6 @@ from repro.analysis.figures import (
     build_fig9,
     build_fig10,
 )
-from repro.analysis.experiments_report import generate_report
-from repro.analysis.svg_charts import render_accuracy_svg, render_energy_svg
 from repro.analysis.report import (
     render_accuracy_figure,
     render_energy_figure,
@@ -95,22 +92,13 @@ from repro.analysis.tables import (
     build_table2,
     build_table3,
 )
-from repro.analysis.timeline import render_timeline, render_trace_summary
 from repro.config import SimulationConfig
 from repro.errors import ReproError
 from repro.predictors.registry import KNOWN_PREDICTORS
 from repro.sim.artifact_cache import resolve_cache
 from repro.sim.experiment import ExperimentRunner
 from repro.sim.resilience import stderr_progress
-from repro.sim.tracing import TraceRecorder, write_jsonl
-from repro.traces.io_format import (
-    read_application_trace,
-    write_application_trace,
-)
-from repro.traces.stats import TraceSummary
-from repro.traces.strace_import import parse_strace
-from repro.traces.trace import ApplicationTrace
-from repro.workloads import APPLICATIONS, build_suite
+from repro.workloads.suite import APPLICATIONS, build_suite
 
 
 def _runner(args, applications: Optional[tuple[str, ...]] = None):
@@ -177,6 +165,8 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from repro.analysis.experiments_report import generate_report
+
     runner = _runner(args)
     document = generate_report(runner, workload=_workload(args))
     if args.out:
@@ -201,6 +191,15 @@ def _cmd_figure(args) -> int:
         print(f"no figure {number}; the paper has figures 6-10",
               file=sys.stderr)
         return 2
+    from repro.analysis.ascii_charts import (
+        render_accuracy_chart,
+        render_energy_chart,
+    )
+    from repro.analysis.svg_charts import (
+        render_accuracy_svg,
+        render_energy_svg,
+    )
+
     build, predictors, mode = builders[number]
     figure = build(_runner(args).run_matrix(predictors, mode=mode))
     title = f"Figure {number} (measured, {_workload(args)})"
@@ -243,12 +242,16 @@ def _cmd_table(args) -> int:
 
 
 def _write_trace(path: str, events) -> None:
+    from repro.sim.tracing import write_jsonl
+
     with open(path, "w", encoding="utf-8") as stream:
         written = write_jsonl(events, stream)
     print(f"wrote {written} trace events to {path}")
 
 
 def _cmd_simulate(args) -> int:
+    from repro.sim.tracing import TraceRecorder
+
     runner = _runner(args, applications=(args.app,))
     base = runner.run_global(args.app, "Base")
     recorder = TraceRecorder() if args.trace_out else None
@@ -278,6 +281,9 @@ def _cmd_trace(args) -> int:
         print("error: repro trace needs --app (or a subcommand: pack, info)",
               file=sys.stderr)
         return 2
+    from repro.analysis.timeline import render_timeline, render_trace_summary
+    from repro.sim.tracing import TraceRecorder
+
     runner = _runner(args, applications=(args.app,))
     recorder = TraceRecorder(
         capacity=args.capacity if args.capacity > 0 else None
@@ -361,6 +367,8 @@ def _cmd_trace_info(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from repro.traces.io_format import write_application_trace
+
     suite = build_suite(scale=args.scale, applications=(args.app,))
     trace = suite[args.app]
     with open(args.out, "w", encoding="utf-8") as stream:
@@ -371,6 +379,11 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_import_strace(args) -> int:
+    from repro.sim.tracing import TraceRecorder
+    from repro.traces.io_format import write_application_trace
+    from repro.traces.strace_import import parse_strace
+    from repro.traces.trace import ApplicationTrace
+
     with open(args.input, "r", encoding="utf-8") as stream:
         execution, stats = parse_strace(stream, application=args.app)
     print(f"imported {stats.io_events} I/O events, {stats.forks} forks, "
@@ -636,6 +649,10 @@ def _cmd_faults(args) -> int:
         ResiliencePolicy,
         parse_fault_plan,
     )
+    from repro.traces.io_format import (
+        read_application_trace,
+        write_application_trace,
+    )
 
     plan_text = args.plan or CANNED_CHAOS_PLAN
     user_jobs = args.jobs
@@ -863,6 +880,9 @@ def _cmd_faults(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
+    from repro.traces.io_format import read_application_trace
+    from repro.traces.stats import TraceSummary
+
     with open(args.input, "r", encoding="utf-8") as stream:
         trace = read_application_trace(stream)
     summary = TraceSummary.of(trace)

@@ -1,65 +1,28 @@
 """The paper's contribution: PCAP and the Global Shutdown Predictor."""
 
-from repro.core.confidence import ConfidenceEstimator
-from repro.core.global_predictor import (
-    GlobalDecision,
-    GlobalShutdownPredictor,
-)
-from repro.core.history import IdleHistoryRegister
-from repro.core.pcap import PCAPPredictor
-from repro.core.persistence import (
-    dump_table,
-    load_table,
-    load_table_file,
-    save_table_file,
-)
-from repro.core.signature import (
-    SIGNATURE_BITS,
-    SIGNATURE_MASK,
-    PathSignature,
-    fold_pc,
-    signature_of_path,
-)
-from repro.core.table import PredictionTable, TableStats, storage_bytes
-from repro.core.variants import (
-    PAPER_HISTORY_LENGTH,
-    PCAPVariant,
-    PCAPVariantConfig,
-    pcap,
-    pcap_a,
-    pcap_c,
-    pcap_f,
-    pcap_fh,
-    pcap_h,
-    pcap_p,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ConfidenceEstimator",
-    "GlobalDecision",
-    "GlobalShutdownPredictor",
-    "IdleHistoryRegister",
-    "PAPER_HISTORY_LENGTH",
-    "PCAPPredictor",
-    "PCAPVariant",
-    "PCAPVariantConfig",
-    "PathSignature",
-    "PredictionTable",
-    "SIGNATURE_BITS",
-    "SIGNATURE_MASK",
-    "TableStats",
-    "dump_table",
-    "fold_pc",
-    "load_table",
-    "load_table_file",
-    "pcap",
-    "pcap_a",
-    "pcap_c",
-    "pcap_f",
-    "pcap_fh",
-    "pcap_h",
-    "pcap_p",
-    "save_table_file",
-    "signature_of_path",
-    "storage_bytes",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".confidence": ("ConfidenceEstimator",),
+    ".global_predictor": ("GlobalDecision", "GlobalShutdownPredictor"),
+    ".history": ("IdleHistoryRegister",),
+    ".pcap": ("PCAPPredictor",),
+    ".persistence": (
+        "dump_table", "load_table", "load_table_file", "save_table_file",
+    ),
+    ".signature": (
+        "SIGNATURE_BITS", "SIGNATURE_MASK", "PathSignature", "fold_pc",
+        "signature_of_path",
+    ),
+    ".table": ("PredictionTable", "TableStats", "storage_bytes"),
+    ".variants": (
+        "PAPER_HISTORY_LENGTH", "PCAPVariant", "PCAPVariantConfig", "pcap_a",
+        "pcap_c", "pcap_f", "pcap_fh", "pcap_h", "pcap_p",
+    ),
+})
+
+# ``pcap`` is also a submodule's name, so it is bound eagerly (see
+# :mod:`repro._lazy`).
+from repro.core.variants import pcap  # noqa: E402
+
+__all__ += ["pcap"]

@@ -23,10 +23,9 @@ handled by the engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro._tracing import ProcessExited, ProcessStarted
-from repro.cache.filter import DiskAccess
 from repro.errors import SimulationError
 from repro.predictors.base import (
     IdleClass,
@@ -36,6 +35,9 @@ from repro.predictors.base import (
     ShutdownIntent,
     classify_gap,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cache.filter import DiskAccess
 
 
 @dataclass(slots=True)

@@ -21,9 +21,8 @@ One :class:`PCAPPredictor` instance is attached to one process; the
 
 from __future__ import annotations
 
-from typing import Hashable, Optional
+from typing import TYPE_CHECKING, Hashable, Optional
 
-from repro.cache.filter import DiskAccess
 from repro.core.confidence import ConfidenceEstimator
 from repro.core.history import IdleHistoryRegister
 from repro.core.signature import PathSignature
@@ -37,6 +36,9 @@ from repro.predictors.base import (
     ShutdownIntent,
 )
 from repro._tracing import HistoryUpdate, SignatureLookup, TableTrain
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cache.filter import DiskAccess
 
 
 class PCAPPredictor(LocalPredictor):

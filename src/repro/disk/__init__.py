@@ -11,27 +11,14 @@ Public surface:
 * :class:`DiskState` — power states.
 """
 
-from repro.disk.disk import GapReport, SimulatedDisk
-from repro.disk.energy import EnergyBreakdown, sum_breakdowns
-from repro.disk.multistate import MultiStateDisk
-from repro.disk.power_model import DiskPowerParameters, fujitsu_mhf2043at
-from repro.disk.states import (
-    LEGAL_TRANSITIONS,
-    DiskState,
-    check_transition,
-    is_spun_up,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DiskPowerParameters",
-    "DiskState",
-    "EnergyBreakdown",
-    "GapReport",
-    "LEGAL_TRANSITIONS",
-    "MultiStateDisk",
-    "SimulatedDisk",
-    "check_transition",
-    "fujitsu_mhf2043at",
-    "is_spun_up",
-    "sum_breakdowns",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".disk": ("GapReport", "SimulatedDisk"),
+    ".energy": ("EnergyBreakdown", "sum_breakdowns"),
+    ".multistate": ("MultiStateDisk",),
+    ".power_model": ("DiskPowerParameters", "fujitsu_mhf2043at"),
+    ".states": (
+        "LEGAL_TRANSITIONS", "DiskState", "check_transition", "is_spun_up",
+    ),
+})

@@ -1,73 +1,25 @@
 """Shutdown predictors: the protocol, baselines, and classic schemes."""
 
-from repro.predictors.adaptive_timeout import AdaptiveTimeoutPredictor
-from repro.predictors.always_on import AlwaysOnPolicy, AlwaysOnPredictor
-from repro.predictors.base import (
-    IdleClass,
-    IdleFeedback,
-    LocalPredictor,
-    OmniscientPolicy,
-    PredictorSource,
-    ShutdownIntent,
-    classify_gap,
-)
-from repro.predictors.exponential_average import ExponentialAveragePredictor
-from repro.predictors.learning_tree import (
-    PAPER_LT_HISTORY,
-    LearningTree,
-    LTPredictor,
-    LTVariant,
-)
-from repro.predictors.oracle import OraclePolicy
-from repro.predictors.previous_busy import PreviousBusyPredictor
-from repro.predictors.stochastic import StochasticTimeoutPredictor
-from repro.predictors.registry import (
-    KNOWN_PREDICTORS,
-    PredictorSpec,
-    at_spec,
-    base_spec,
-    exp_spec,
-    lt_spec,
-    make_spec,
-    oracle_spec,
-    pb_spec,
-    pcap_spec,
-    st_spec,
-    tp_spec,
-)
-from repro.predictors.timeout import PAPER_TIMEOUT, TimeoutPredictor
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdaptiveTimeoutPredictor",
-    "AlwaysOnPolicy",
-    "AlwaysOnPredictor",
-    "ExponentialAveragePredictor",
-    "IdleClass",
-    "IdleFeedback",
-    "KNOWN_PREDICTORS",
-    "LTPredictor",
-    "LTVariant",
-    "LearningTree",
-    "LocalPredictor",
-    "OmniscientPolicy",
-    "OraclePolicy",
-    "PreviousBusyPredictor",
-    "StochasticTimeoutPredictor",
-    "PAPER_LT_HISTORY",
-    "PAPER_TIMEOUT",
-    "PredictorSource",
-    "PredictorSpec",
-    "ShutdownIntent",
-    "TimeoutPredictor",
-    "at_spec",
-    "base_spec",
-    "classify_gap",
-    "exp_spec",
-    "lt_spec",
-    "make_spec",
-    "oracle_spec",
-    "pb_spec",
-    "st_spec",
-    "pcap_spec",
-    "tp_spec",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".adaptive_timeout": ("AdaptiveTimeoutPredictor",),
+    ".always_on": ("AlwaysOnPolicy", "AlwaysOnPredictor"),
+    ".base": (
+        "IdleClass", "IdleFeedback", "LocalPredictor", "OmniscientPolicy",
+        "PredictorSource", "ShutdownIntent", "classify_gap",
+    ),
+    ".exponential_average": ("ExponentialAveragePredictor",),
+    ".learning_tree": (
+        "PAPER_LT_HISTORY", "LearningTree", "LTPredictor", "LTVariant",
+    ),
+    ".oracle": ("OraclePolicy",),
+    ".previous_busy": ("PreviousBusyPredictor",),
+    ".stochastic": ("StochasticTimeoutPredictor",),
+    ".registry": (
+        "KNOWN_PREDICTORS", "PredictorSpec", "at_spec", "base_spec",
+        "exp_spec", "lt_spec", "make_spec", "oracle_spec", "pb_spec",
+        "pcap_spec", "st_spec", "tp_spec",
+    ),
+    ".timeout": ("PAPER_TIMEOUT", "TimeoutPredictor"),
+})

@@ -19,7 +19,8 @@ The timeout is clamped to ``[min_timeout, max_timeout]``.
 
 from __future__ import annotations
 
-from repro.cache.filter import DiskAccess
+from typing import TYPE_CHECKING
+
 from repro.errors import ConfigurationError
 from repro.predictors.base import (
     IdleFeedback,
@@ -27,6 +28,9 @@ from repro.predictors.base import (
     PredictorSource,
     ShutdownIntent,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cache.filter import DiskAccess
 
 
 class AdaptiveTimeoutPredictor(LocalPredictor):

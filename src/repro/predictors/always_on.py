@@ -7,10 +7,12 @@ policy used directly by the energy simulator.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.cache.filter import DiskAccess
 from repro.predictors.base import LocalPredictor, OmniscientPolicy, ShutdownIntent
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cache.filter import DiskAccess
 
 
 class AlwaysOnPredictor(LocalPredictor):

@@ -14,7 +14,8 @@ be applied to all dynamic predictors").
 
 from __future__ import annotations
 
-from repro.cache.filter import DiskAccess
+from typing import TYPE_CHECKING
+
 from repro.errors import ConfigurationError
 from repro.predictors.base import (
     IdleFeedback,
@@ -22,6 +23,9 @@ from repro.predictors.base import (
     PredictorSource,
     ShutdownIntent,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cache.filter import DiskAccess
 
 
 class ExponentialAveragePredictor(LocalPredictor):

@@ -26,28 +26,13 @@ counter-indexed hash stream, so equal seeds give equal results across
 serial, pooled, fused, store-backed, and crash-retried runs.
 """
 
-from repro.predictors.learned.feedback import (
-    PIControllerVariant,
-    PIFeedbackPredictor,
-)
-from repro.predictors.learned.qdpm import (
-    QDPMPredictor,
-    QDPMVariant,
-    exploration_draw,
-)
-from repro.predictors.learned.ski_rental import (
-    LearnedSkiRentalPredictor,
-    LearnedSkiRentalVariant,
-    multistate_schedule,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LearnedSkiRentalPredictor",
-    "LearnedSkiRentalVariant",
-    "PIControllerVariant",
-    "PIFeedbackPredictor",
-    "QDPMPredictor",
-    "QDPMVariant",
-    "exploration_draw",
-    "multistate_schedule",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".feedback": ("PIControllerVariant", "PIFeedbackPredictor"),
+    ".qdpm": ("QDPMPredictor", "QDPMVariant", "exploration_draw"),
+    ".ski_rental": (
+        "LearnedSkiRentalPredictor", "LearnedSkiRentalVariant",
+        "multistate_schedule",
+    ),
+})

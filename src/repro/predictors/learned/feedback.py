@@ -32,7 +32,8 @@ replays stay bit-identical.
 
 from __future__ import annotations
 
-from repro.cache.filter import DiskAccess
+from typing import TYPE_CHECKING
+
 from repro.config import SimulationConfig
 from repro.errors import ConfigurationError
 from repro.predictors.base import (
@@ -42,6 +43,9 @@ from repro.predictors.base import (
     PredictorSource,
     ShutdownIntent,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cache.filter import DiskAccess
 
 
 class PIControllerVariant:

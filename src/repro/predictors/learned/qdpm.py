@@ -36,9 +36,8 @@ table, and learning persists across executions within the cell.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.cache.filter import DiskAccess
 from repro.config import SimulationConfig
 from repro.errors import ConfigurationError
 from repro.predictors.base import (
@@ -48,6 +47,9 @@ from repro.predictors.base import (
     PredictorSource,
     ShutdownIntent,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cache.filter import DiskAccess
 
 _MASK64 = (1 << 64) - 1
 

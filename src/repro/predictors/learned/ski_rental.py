@@ -33,9 +33,8 @@ matching :mod:`repro.disk.multistate`'s low-power-idle extension.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.cache.filter import DiskAccess
 from repro.config import SimulationConfig
 from repro.core.variants import PCAPVariant, PCAPVariantConfig
 from repro.errors import ConfigurationError
@@ -45,6 +44,9 @@ from repro.predictors.base import (
     PredictorSource,
     ShutdownIntent,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cache.filter import DiskAccess
 
 
 def multistate_schedule(

@@ -26,9 +26,8 @@ Implementation notes (documented deviations):
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.cache.filter import DiskAccess
 from repro.errors import ConfigurationError
 from repro.predictors.base import (
     IdleClass,
@@ -37,6 +36,9 @@ from repro.predictors.base import (
     PredictorSource,
     ShutdownIntent,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cache.filter import DiskAccess
 
 #: History length the paper found best for LT (§6.1).
 PAPER_LT_HISTORY = 8

@@ -15,7 +15,8 @@ idle period iff the burst so far is shorter than ``busy_threshold``.
 
 from __future__ import annotations
 
-from repro.cache.filter import DiskAccess
+from typing import TYPE_CHECKING
+
 from repro.errors import ConfigurationError
 from repro.predictors.base import (
     IdleClass,
@@ -24,6 +25,9 @@ from repro.predictors.base import (
     PredictorSource,
     ShutdownIntent,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cache.filter import DiskAccess
 
 
 class PreviousBusyPredictor(LocalPredictor):

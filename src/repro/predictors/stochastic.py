@@ -22,8 +22,8 @@ With no history yet it falls back to the breakeven timeout (Karlin's
 from __future__ import annotations
 
 import bisect
+from typing import TYPE_CHECKING
 
-from repro.cache.filter import DiskAccess
 from repro.disk.power_model import DiskPowerParameters
 from repro.errors import ConfigurationError
 from repro.predictors.base import (
@@ -32,6 +32,9 @@ from repro.predictors.base import (
     PredictorSource,
     ShutdownIntent,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cache.filter import DiskAccess
 
 
 class StochasticTimeoutPredictor(LocalPredictor):

@@ -9,13 +9,17 @@ to the breakeven time (5.43 s) per Karlin et al.'s competitive argument.
 
 from __future__ import annotations
 
-from repro.cache.filter import DiskAccess
+from typing import TYPE_CHECKING
+
 from repro.errors import ConfigurationError
 from repro.predictors.base import (
     LocalPredictor,
     PredictorSource,
     ShutdownIntent,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cache.filter import DiskAccess
 
 #: The paper's timeout value (§6.1).
 PAPER_TIMEOUT = 10.0

@@ -14,27 +14,13 @@ decisions and table contents — proven against the offline
 :mod:`repro.serve.harness` under injected faults.
 """
 
-from repro.serve.client import ServeClient, control_request
-from repro.serve.daemon import ServeDaemon
-from repro.serve.harness import (
-    ScenarioResult,
-    run_scenario,
-    verify_equivalence,
-)
-from repro.serve.state import ShardJournal
-from repro.serve.supervisor import ShardSupervisor
-from repro.serve.worker import ShardWorker, shard_of, table_snapshot
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ScenarioResult",
-    "ServeClient",
-    "ServeDaemon",
-    "ShardJournal",
-    "ShardSupervisor",
-    "ShardWorker",
-    "control_request",
-    "run_scenario",
-    "shard_of",
-    "table_snapshot",
-    "verify_equivalence",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".client": ("ServeClient", "control_request"),
+    ".daemon": ("ServeDaemon",),
+    ".harness": ("ScenarioResult", "run_scenario", "verify_equivalence"),
+    ".state": ("ShardJournal",),
+    ".supervisor": ("ShardSupervisor",),
+    ".worker": ("ShardWorker", "shard_of", "table_snapshot"),
+})

@@ -127,6 +127,11 @@ class ServeDaemon:
             self.address = f"{host}:{port}"
             self.control_address = f"{host}:{port + 1}"
 
+        # The shard workers filter and replay in NumPy: import it once
+        # here, before they fork, instead of once per worker start
+        # (DESIGN §10, "Start-up").
+        import numpy  # noqa: F401
+
         self.supervisors = [
             ShardSupervisor(
                 shard, str(self.state_dir),

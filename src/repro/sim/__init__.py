@@ -1,62 +1,30 @@
 """Trace-driven simulation: configuration, engine, metrics, experiments."""
 
-from repro.sim.artifact_cache import (
-    ArtifactCache,
-    resolve_cache,
-    trace_fingerprint,
-)
-from repro.sim.columnar import ColumnarAccesses
-from repro.sim.config import SimulationConfig, paper_config
-from repro.sim.engine import (
-    ExecutionRunResult,
-    evaluate_local_stream,
-    run_global_execution,
-)
-from repro.config import resolve_jobs
-from repro.sim.experiment import ApplicationResult, ExperimentRunner
-from repro.sim.idle_periods import count_opportunities, stream_gaps
-from repro.sim.metrics import PredictionStats
-from repro.sim.resilience import (
-    CellProgress,
-    CellResult,
-    ExperimentCell,
-    stderr_progress,
-)
-from repro.sim.sweep import SweepPoint, render_sweep, sweep
-from repro.sim.tracing import (
-    SimTraceEvent,
-    TraceRecorder,
-    read_jsonl,
-    summarize,
-    write_jsonl,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ApplicationResult",
-    "ArtifactCache",
-    "ColumnarAccesses",
-    "resolve_cache",
-    "trace_fingerprint",
-    "SimTraceEvent",
-    "TraceRecorder",
-    "read_jsonl",
-    "summarize",
-    "write_jsonl",
-    "CellProgress",
-    "CellResult",
-    "ExecutionRunResult",
-    "ExperimentCell",
-    "ExperimentRunner",
-    "PredictionStats",
-    "SweepPoint",
-    "SimulationConfig",
-    "count_opportunities",
-    "evaluate_local_stream",
-    "paper_config",
-    "render_sweep",
-    "resolve_jobs",
-    "stderr_progress",
-    "sweep",
-    "run_global_execution",
-    "stream_gaps",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".artifact_cache": ("ArtifactCache", "resolve_cache", "trace_fingerprint"),
+    ".columnar": ("ColumnarAccesses",),
+    ".config": ("SimulationConfig", "paper_config"),
+    ".engine": (
+        "ExecutionRunResult", "evaluate_local_stream", "run_global_execution",
+    ),
+    "..config": ("resolve_jobs",),
+    ".experiment": ("ApplicationResult", "ExperimentRunner"),
+    ".idle_periods": ("count_opportunities", "stream_gaps"),
+    ".metrics": ("PredictionStats",),
+    ".resilience": (
+        "CellProgress", "CellResult", "ExperimentCell", "stderr_progress",
+    ),
+    ".sweep": ("SweepPoint", "render_sweep"),
+    ".tracing": (
+        "SimTraceEvent", "TraceRecorder", "read_jsonl", "summarize",
+        "write_jsonl",
+    ),
+})
+
+# ``sweep`` is also a submodule's name, so it is bound eagerly (see
+# :mod:`repro._lazy`).
+from repro.sim.sweep import sweep  # noqa: E402
+
+__all__ += ["sweep"]

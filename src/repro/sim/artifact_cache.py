@@ -226,10 +226,11 @@ class ArtifactCache:
     def get_trace(self, key: str) -> Optional[StoreBackedTrace]:
         """The cached trace under ``key``, or ``None`` on a miss.
 
-        The store is opened and every column touched, which size-checks
-        each column file against the manifest; a store that fails to
-        open is quarantined and reported as a miss, like any corrupt
-        entry.  A hit reads no events: they decode lazily on demand.
+        The store is opened and checked (:meth:`TraceStore.check`): every
+        column file is size-checked against the manifest and every row's
+        codes are checked, without NumPy.  A store that fails is
+        quarantined and reported as a miss, like any corrupt entry.  A
+        hit maps no column and reads no event: they load on demand.
         """
         path = self.trace_path_for(key)
         if not path.exists():
@@ -237,7 +238,7 @@ class ArtifactCache:
             return None
         try:
             store = TraceStore(path)
-            store.columns()
+            store.check()
             (application,) = store.applications
             trace = store.trace(application)
         except (TraceStoreError, AttributeError, KeyError, TypeError,

@@ -36,9 +36,8 @@ DESIGN.md, "columnar bit-identity contract").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.cache.filter import DiskAccess, FilterResult
 from repro.core.global_predictor import GlobalShutdownPredictor
 from repro.disk.disk import SimulatedDisk
 from repro.disk.multistate import MultiStateDisk
@@ -66,6 +65,9 @@ from repro.sim.tracing import (
 from repro.traces.events import ExitEvent, ForkEvent
 from repro.traces.trace import ExecutionLike
 from repro.units import EPSILON
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cache.filter import DiskAccess, FilterResult
 
 _EPS = EPSILON
 

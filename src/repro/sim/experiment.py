@@ -260,7 +260,15 @@ class ExperimentRunner:
         chunks straight from the shared on-disk store (with an artifact
         cache attached, the filter results are shared through it
         instead).
+
+        NumPy is imported here in any case.  No module imports it at
+        load time (a warm run that computes nothing never needs it), so
+        a forked worker would otherwise import it once per cell attempt,
+        which costs more than the warm run saves (DESIGN §10,
+        "Start-up").
         """
+        import numpy  # noqa: F401  (inherited by forked workers)
+
         for application in applications or self.applications:
             if not getattr(self._trace(application), "streaming", False):
                 self.filtered(application)

@@ -53,11 +53,10 @@ import hashlib
 import json
 import os
 import pickle
+import re
 import tempfile
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Optional
-
-import numpy as np
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Optional
 
 from repro import faults
 from repro.errors import TraceStoreError
@@ -70,6 +69,9 @@ from repro.traces.trace import (
     events_from_columns,
     lifetimes_of,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 #: Bump whenever the column layout or the manifest schema changes; old
 #: stores are rejected with a clear error instead of being misread.
@@ -88,8 +90,43 @@ _KIND_VALUES: tuple[str, ...] = tuple(kind.value for kind in AccessType)
 #: Pickle protocol for fingerprint hashing (same as the artifact cache).
 _PICKLE_PROTOCOL = 4
 
+
+def _itemsize(spec: str) -> int:
+    """Bytes per value of a :data:`COLUMNS` dtype spec (its last digit)."""
+    return int(spec[-1])
+
+
 #: Bytes per row when the columns are laid end to end (wire encoding).
-EVENT_ROW_BYTES = sum(np.dtype(spec).itemsize for _, spec in COLUMNS)
+EVENT_ROW_BYTES = sum(_itemsize(spec) for _, spec in COLUMNS)
+
+#: A byte that is not an event type code (``etype``), and one that is not
+#: an access kind code (``kind``): both columns hold one byte per row.
+_UNKNOWN_ETYPE = re.compile(rb"[^\x00-\x02]")
+_UNKNOWN_KIND = re.compile(rb"[^\x00-\x%02x]" % (len(_KIND_VALUES) - 1))
+
+
+def _check_row_codes(etype, kind) -> None:
+    """Raise :class:`TraceStoreError` naming the first row whose event
+    type code, or whose access kind code on an I/O row, this build does
+    not know.
+
+    ``etype`` and ``kind`` are the two one-byte columns as any buffer
+    (bytes read from a store's column files, or arrays), so a store is
+    checked without NumPy.  A fork or exit row's ``kind`` is not a code
+    and is not checked.
+    """
+    bad = _UNKNOWN_ETYPE.search(etype)
+    if bad is not None:
+        row = bad.start()
+        raise TraceStoreError(
+            f"row {row}: unknown event type code {int(etype[row])!r}"
+        )
+    for bad in _UNKNOWN_KIND.finditer(kind):
+        row = bad.start()
+        if etype[row] == 0:
+            raise TraceStoreError(
+                f"row {row}: unknown access kind code {int(kind[row])!r}"
+            )
 
 
 def encode_column_rows(columns: dict) -> bytes:
@@ -101,6 +138,8 @@ def encode_column_rows(columns: dict) -> bytes:
     ``ROWS`` frame body of the serve protocol (:mod:`repro.serve`):
     :data:`EVENT_ROW_BYTES` per row, row count implied by the length.
     """
+    import numpy as np
+
     return b"".join(
         np.ascontiguousarray(columns[name], dtype=np.dtype(spec)).tobytes()
         for name, spec in COLUMNS
@@ -122,6 +161,8 @@ def decode_column_rows(payload: bytes) -> dict[str, np.ndarray]:
             f"row payload of {len(payload)} byte(s) is not a multiple "
             f"of the {EVENT_ROW_BYTES}-byte row size"
         )
+    import numpy as np
+
     count = len(payload) // EVENT_ROW_BYTES
     columns = {}
     offset = 0
@@ -130,24 +171,8 @@ def decode_column_rows(payload: bytes) -> dict[str, np.ndarray]:
         columns[name] = np.frombuffer(payload, dtype=dtype, count=count,
                                       offset=offset)
         offset += count * dtype.itemsize
-    _check_row_codes(columns)
+    _check_row_codes(columns["etype"], columns["kind"])
     return columns
-
-
-def _check_row_codes(columns: dict) -> None:
-    """Raise :class:`TraceStoreError` naming the first row whose event
-    type code, or whose access kind code on an I/O row, this build does
-    not know (vectorized over the columns)."""
-    etype, kind = columns["etype"], columns["kind"]
-    for label, codes, bad in (
-        ("event type", etype, etype > 2),
-        ("access kind", kind, (etype == 0) & (kind >= len(_KIND_VALUES))),
-    ):
-        if bad.any():
-            row = int(np.argmax(bad))
-            raise TraceStoreError(
-                f"row {row}: unknown {label} code {int(codes[row])!r}"
-            )
 
 
 def encode_event_rows(events: Iterable[TraceEvent]) -> bytes:
@@ -308,6 +333,8 @@ class StoreWriter:
         :class:`StoredExecution` being re-packed both work — and must
         already be in canonical order.
         """
+        import numpy as np
+
         if self._closed:
             raise TraceStoreError("writer is closed")
         application = execution.application
@@ -348,6 +375,8 @@ class StoreWriter:
 
     def _flush_rows(self, count: int) -> None:
         """Write the first ``count`` buffered rows to the column files."""
+        import numpy as np
+
         for name, _ in COLUMNS:
             pending = self._buffers[name]
             block = pending[0] if len(pending) == 1 else np.concatenate(pending)
@@ -523,6 +552,8 @@ class StoredExecution:
 
     def materialize(self) -> ExecutionTrace:
         """An in-memory :class:`ExecutionTrace` with identical rows."""
+        import numpy as np
+
         return ExecutionTrace(
             self.application, self.execution_index,
             {name: np.array(col) for name, col in self.columns.items()},
@@ -599,11 +630,12 @@ class StoreBackedTrace:
 class TraceStore:
     """Reader over a packed trace store directory.
 
-    Columns are memory-mapped lazily on first touch and validated
-    against the manifest's row count; a missing or truncated column file
-    is quarantined and reported as a :class:`TraceStoreError`, and so is
+    :meth:`check` validates every column file against the manifest's row
+    count without NumPy: a missing or truncated column file is
+    quarantined and reported as a :class:`TraceStoreError`, and so is
     (without quarantine) a row with an unknown event type or access kind
-    code.  All decoding goes through :meth:`decode_rows`, which
+    code.  Columns are memory-mapped lazily on first touch, after that
+    check.  All decoding goes through :meth:`decode_rows`, which
     materializes one row window at a time.
     """
 
@@ -652,6 +684,7 @@ class TraceStore:
             raise TraceStoreError(
                 f"malformed store manifest {manifest_path}: {exc!r}"
             ) from exc
+        self._checked = False
         self._columns: Optional[dict[str, np.ndarray]] = None
 
     @property
@@ -711,11 +744,13 @@ class TraceStore:
                 windows.append((a, b))
         return windows
 
-    def _map_column(self, name: str, dtype_spec: str) -> np.ndarray:
-        path = self.path / _COLUMN_DIR / f"{name}.bin"
+    def _column_path(self, name: str) -> Path:
+        return self.path / _COLUMN_DIR / f"{name}.bin"
+
+    def _check_column_size(self, name: str, dtype_spec: str) -> None:
+        path = self._column_path(name)
         faults.corrupt_cache_read(path)
-        dtype = np.dtype(dtype_spec)
-        expected = self.rows * dtype.itemsize
+        expected = self.rows * _itemsize(dtype_spec)
         try:
             actual = os.stat(path).st_size
         except OSError:
@@ -729,27 +764,47 @@ class TraceStore:
                 f"({actual} bytes, manifest expects {expected}); "
                 f"quarantined to {aside} — re-pack the store"
             )
-        if self.rows == 0:
-            return np.empty(0, dtype=dtype)
-        return np.memmap(path, dtype=dtype, mode="r", shape=(self.rows,))
+
+    def check(self) -> None:
+        """Validate the column files once, without NumPy.
+
+        Size-checks every column file against the manifest, then reads
+        the one-byte ``etype`` and ``kind`` columns and checks every
+        row's codes byte by byte, so no reader ever meets a code it
+        cannot decode.  :meth:`columns` calls it first.
+        """
+        if self._checked:
+            return
+        for name, spec in COLUMNS:
+            self._check_column_size(name, spec)
+        try:
+            _check_row_codes(*(
+                self._column_path(name).read_bytes()
+                for name in ("etype", "kind")
+            ))
+        except TraceStoreError as exc:
+            raise TraceStoreError(
+                f"store {self.path} is corrupt: {exc}; re-pack the store"
+            ) from None
+        self._checked = True
 
     def columns(self) -> dict[str, np.ndarray]:
         """All memory-mapped columns, keyed by name (memoized).
 
-        The first call maps every column, size-checks each file against
-        the manifest and checks every row's codes, so no reader ever
-        meets a code it cannot decode.
+        The first call runs :meth:`check`, then maps every column.
         """
         if self._columns is None:
-            columns = {
-                name: self._map_column(name, spec) for name, spec in COLUMNS
-            }
-            try:
-                _check_row_codes(columns)
-            except TraceStoreError as exc:
-                raise TraceStoreError(
-                    f"store {self.path} is corrupt: {exc}; re-pack the store"
-                ) from None
+            self.check()
+            import numpy as np
+
+            columns = {}
+            for name, spec in COLUMNS:
+                dtype = np.dtype(spec)
+                columns[name] = (
+                    np.memmap(self._column_path(name), dtype=dtype, mode="r",
+                              shape=(self.rows,))
+                    if self.rows else np.empty(0, dtype=dtype)
+                )
             self._columns = columns
         return self._columns
 

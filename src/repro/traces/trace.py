@@ -29,9 +29,9 @@ both share one code path and produce bit-identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Protocol, runtime_checkable
-
-import numpy as np
+from typing import (
+    TYPE_CHECKING, Iterable, Iterator, Protocol, runtime_checkable,
+)
 
 from repro.errors import TraceError
 from repro.traces.events import (
@@ -42,6 +42,9 @@ from repro.traces.events import (
     TraceEvent,
     event_sort_key,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 #: Column schema, in row-encoding order.  ``etype``: 0 = I/O, 1 = fork,
 #: 2 = exit.  ``kind`` is the :class:`~repro.traces.events.AccessType`
@@ -66,11 +69,20 @@ _KIND_BY_CODE: tuple[AccessType, ...] = tuple(AccessType)
 
 #: Sort rank of each ``etype`` code: forks before I/O before exits at the
 #: same instant (:func:`~repro.traces.events.event_sort_key`).
-_RANK = np.array([1, 0, 2], dtype=np.int8)
+_RANK = (1, 0, 2)
+
+
+def _ranks(etype: np.ndarray) -> np.ndarray:
+    """The :data:`_RANK` of every row's ``etype`` code."""
+    import numpy as np
+
+    return np.array(_RANK, dtype=np.int8)[etype]
 
 
 def columns_from_rows(rows: list[tuple]) -> dict[str, np.ndarray]:
     """Columns from row tuples laid out as :data:`COLUMNS`."""
+    import numpy as np
+
     values = list(zip(*rows)) if rows else [()] * len(COLUMNS)
     return {
         name: np.array(column, dtype=np.dtype(spec))
@@ -226,6 +238,8 @@ class ExecutionTrace:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExecutionTrace):
             return NotImplemented
+        import numpy as np
+
         return (
             self.application == other.application
             and self.execution_index == other.execution_index
@@ -238,8 +252,10 @@ class ExecutionTrace:
 
     def sorted(self) -> "ExecutionTrace":
         """A copy with rows in canonical order (one stable sort)."""
+        import numpy as np
+
         columns = self.columns
-        order = np.lexsort((_RANK[columns["etype"]], columns["time"]))
+        order = np.lexsort((_ranks(columns["etype"]), columns["time"]))
         return ExecutionTrace(
             self.application, self.execution_index,
             {name: column[order] for name, column in columns.items()},
@@ -253,6 +269,8 @@ class ExecutionTrace:
         pid that is not alive, no fork of a live one), times >= 0,
         32-bit program counters, block counts >= 0 and self-forks.
         """
+        import numpy as np
+
         columns = self.columns
         etype, time, pid, aux = (
             columns[name] for name in ("etype", "time", "pid", "aux")
@@ -268,7 +286,7 @@ class ExecutionTrace:
                 )
 
         step = np.diff(time)
-        reject((step < 0) | ((step == 0) & (np.diff(_RANK[etype]) < 0)),
+        reject((step < 0) | ((step == 0) & (np.diff(_ranks(etype)) < 0)),
                "events out of order", 1)
         io = etype == 0
         pc = columns["pc"]
@@ -313,6 +331,8 @@ class ExecutionTrace:
 
     def liveness_events(self) -> list[TraceEvent]:
         """The fork/exit subset of the event stream, in order."""
+        import numpy as np
+
         rows = np.flatnonzero(self.columns["etype"])
         return [
             ForkEvent(time, pid, parent) if code == 1 else ExitEvent(time, pid)
@@ -330,6 +350,8 @@ class ExecutionTrace:
     @property
     def io_event_count(self) -> int:
         """Number of I/O rows (uniform with stored executions)."""
+        import numpy as np
+
         return int(np.count_nonzero(self.columns["etype"] == 0))
 
     @property

@@ -1,85 +1,31 @@
 """Synthetic workload substrate: behaviour models of the paper's six
 traced applications (Table 1), plus the generator machinery."""
 
-from repro.workloads.activities import (
-    HelperProcess,
-    IOStep,
-    Phase,
-    Routine,
-    RoutineMix,
-    Think,
-    ThinkTimeModel,
-    burst,
-    read_loop,
-    routine,
-)
-from repro.workloads.aliasing import build_pc_alias
-from repro.workloads.extremes import (
-    build_chaos,
-    build_clockwork,
-    build_extremes,
-    build_shapeshifter,
-)
-from repro.workloads.calibration import (
-    CalibrationRow,
-    calibration_report,
-    render_calibration,
-)
-from repro.workloads.base import (
-    ApplicationSpec,
-    FileSpace,
-    TraceBuilder,
-    build_application_trace,
-    build_execution,
-    execution_count,
-)
-from repro.workloads.rng import lognormal, make_rng, stable_pc, stable_seed
-from repro.workloads.streaming import (
-    iter_application_executions,
-    iter_suite_executions,
-    pack_generated,
-)
-from repro.workloads.suite import (
-    APPLICATIONS,
-    application_spec,
-    build_application,
-    build_suite,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "APPLICATIONS",
-    "ApplicationSpec",
-    "CalibrationRow",
-    "FileSpace",
-    "HelperProcess",
-    "IOStep",
-    "Phase",
-    "Routine",
-    "RoutineMix",
-    "Think",
-    "ThinkTimeModel",
-    "TraceBuilder",
-    "application_spec",
-    "build_application",
-    "build_application_trace",
-    "build_execution",
-    "build_chaos",
-    "build_clockwork",
-    "build_extremes",
-    "build_pc_alias",
-    "build_shapeshifter",
-    "build_suite",
-    "burst",
-    "calibration_report",
-    "execution_count",
-    "iter_application_executions",
-    "iter_suite_executions",
-    "lognormal",
-    "make_rng",
-    "pack_generated",
-    "read_loop",
-    "render_calibration",
-    "routine",
-    "stable_pc",
-    "stable_seed",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".activities": (
+        "HelperProcess", "IOStep", "Phase", "Routine", "RoutineMix", "Think",
+        "ThinkTimeModel", "burst", "read_loop", "routine",
+    ),
+    ".aliasing": ("build_pc_alias",),
+    ".extremes": (
+        "build_chaos", "build_clockwork", "build_extremes",
+        "build_shapeshifter",
+    ),
+    ".calibration": (
+        "CalibrationRow", "calibration_report", "render_calibration",
+    ),
+    ".base": (
+        "ApplicationSpec", "FileSpace", "TraceBuilder",
+        "build_application_trace", "build_execution", "execution_count",
+    ),
+    ".rng": ("lognormal", "make_rng", "stable_pc", "stable_seed"),
+    ".streaming": (
+        "iter_application_executions", "iter_suite_executions",
+        "pack_generated",
+    ),
+    ".suite": (
+        "APPLICATIONS", "application_spec", "build_application", "build_suite",
+    ),
+})

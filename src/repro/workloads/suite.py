@@ -8,33 +8,33 @@ actions per execution (tests use small scales; benches use 1.0).
 
 from __future__ import annotations
 
+import importlib
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from repro.traces.trace import ApplicationTrace
-from repro.workloads import impress, mozilla, mplayer, nedit, writer, xemacs
-from repro.workloads.base import ApplicationSpec, build_application_trace
 
-#: Table 1 order.
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.workloads.base import ApplicationSpec
+
+#: Table 1 order; each name is also its generator's module in this
+#: package, imported only to generate (a cached trace needs none).
 APPLICATIONS = ("mozilla", "writer", "impress", "xemacs", "nedit", "mplayer")
-
-_SPEC_BUILDERS = {
-    "mozilla": mozilla.spec,
-    "writer": writer.spec,
-    "impress": impress.spec,
-    "xemacs": xemacs.spec,
-    "nedit": nedit.spec,
-    "mplayer": mplayer.spec,
-}
 
 
 def application_spec(name: str) -> ApplicationSpec:
     """The behavioural spec of one suite application."""
-    try:
-        return _SPEC_BUILDERS[name]()
-    except KeyError:
+    if name not in APPLICATIONS:
         raise KeyError(
             f"unknown application {name!r}; suite has {APPLICATIONS}"
-        ) from None
+        )
+    return importlib.import_module(f"repro.workloads.{name}").spec()
+
+
+def _generate(name: str, scale: float) -> ApplicationTrace:
+    from repro.workloads.base import build_application_trace
+
+    return build_application_trace(application_spec(name), scale=scale)
 
 
 def build_application(
@@ -53,14 +53,14 @@ def build_application(
     cached trace holds the same events as a fresh build.
     """
     if cache is None:
-        return build_application_trace(application_spec(name), scale=scale)
+        return _generate(name, scale)
     from repro.sim.artifact_cache import trace_key
 
     key = trace_key(name, scale)
     stored = cache.get_trace(key)
     if stored is not None:
         return stored
-    trace = build_application_trace(application_spec(name), scale=scale)
+    trace = _generate(name, scale)
     for _attempt in range(2):
         cache.put_trace(key, trace)
         stored = cache.get_trace(key)

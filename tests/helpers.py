@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from typing import Iterable, Sequence
 
+import repro
 from repro.cache.filter import DiskAccess
 from repro.traces.events import AccessType, ExitEvent, ForkEvent, IOEvent
 from repro.traces.trace import ExecutionTrace
@@ -122,6 +126,19 @@ def two_process_execution(
     ).sorted()
     execution.validate()
     return execution
+
+
+def run_python(*argv: str, cwd) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on ``argv`` with ``repro`` importable and
+    no ``REPRO_*`` variable set; it must exit 0."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    done = subprocess.run(
+        [sys.executable, *argv], cwd=cwd, env=env, capture_output=True,
+        text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done
 
 
 # ---------------------------------------------------------------------------

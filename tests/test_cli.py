@@ -452,3 +452,51 @@ def test_store_backed_commands_name_the_store(capsys, nedit_store, argv):
     assert code == 0
     assert f"store {nedit_store}" in out
     assert "scale 0.5" not in out
+
+
+# -- start-up: what a fresh interpreter imports ---------------------------
+
+#: Runs ``repro.cli.main`` on its arguments in a fresh interpreter, then
+#: reports on stderr whether NumPy was ever imported.
+_MAIN_REPORTING_NUMPY = """\
+import sys
+from repro.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print(f"numpy imported: {'numpy' in sys.modules}", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _fresh_cli(*argv, cwd):
+    """Run the CLI in a fresh interpreter; returns ``(stdout, imported
+    NumPy)``."""
+    from tests.helpers import run_python
+
+    done = run_python("-c", _MAIN_REPORTING_NUMPY, *argv, cwd=cwd)
+    report = done.stderr.splitlines()[-1]
+    assert report.startswith("numpy imported: "), done.stderr
+    return done.stdout, report == "numpy imported: True"
+
+
+def test_warm_reproduce_never_imports_numpy(tmp_path):
+    """A warm ``reproduce`` serves every cell and Table 1 row from the
+    artifact cache, so it touches no column data and must not import
+    NumPy: not plain, not at ``--jobs 2``, and not off a packed store
+    whose content the generated run cached.  Each prints the cold run's
+    bytes."""
+    cache = str(tmp_path / "cache")
+    store = str(tmp_path / "store")
+    scale = ("--scale", "0.1")
+    cold, imported = _fresh_cli("reproduce", *scale, "--cache-dir", cache,
+                                cwd=tmp_path)
+    assert imported  # a cold run generates, filters and replays
+    _fresh_cli("trace", "pack", *scale, "--out", store, cwd=tmp_path)
+    for argv in (
+        ("reproduce", *scale, "--cache-dir", cache),
+        ("reproduce", *scale, "--cache-dir", cache, "--jobs", "2"),
+        ("reproduce", "--store", store, "--cache-dir", cache),
+    ):
+        out, imported = _fresh_cli(*argv, cwd=tmp_path)
+        assert out == cold, argv
+        assert not imported, argv

@@ -32,7 +32,6 @@ from repro.workloads import (
     APPLICATIONS,
     application_spec,
     build_application_trace,
-    build_suite,
     pack_generated,
 )
 
@@ -449,3 +448,118 @@ class TestChunkBoundaries:
             runner = ExperimentRunner(store.suite(), SimulationConfig())
             results.append(runner.run_global("nedit", "PCAP"))
         assert results[0] == results[1]
+
+
+def _mixed_execution():
+    """I/O rows first and last, a fork and an exit between them."""
+    from repro.traces.events import ExitEvent, ForkEvent
+    from repro.traces.trace import ExecutionTrace
+    from tests.helpers import io_event
+
+    return ExecutionTrace.from_events("demo", 0, [
+        io_event(0.0, pid=1),
+        ForkEvent(1.0, 2, 1),
+        io_event(2.0, pid=2, block_start=1),
+        ExitEvent(3.0, 2),
+        io_event(4.0, pid=1, block_start=2),
+    ], initial_pids=(1,))
+
+
+def _poke(store_dir, column, row, code):
+    """Overwrite one byte of a one-byte column file in place."""
+    with open(store_dir / "columns" / f"{column}.bin", "r+b") as stream:
+        stream.seek(row)
+        stream.write(bytes([code]))
+
+
+@pytest.mark.parametrize(("column", "row", "code", "problem"), [
+    ("etype", 0, 3, "row 0: unknown event type code 3"),
+    ("etype", 4, 255, "row 4: unknown event type code 255"),
+    ("kind", 0, 6, "row 0: unknown access kind code 6"),
+    ("kind", 4, 200, "row 4: unknown access kind code 200"),
+    # A fork or exit row's kind is no code, so any byte passes.
+    ("kind", 1, 200, None),
+    ("kind", 3, 6, None),
+])
+class TestRowCodes:
+    """The wire decoder, the store reader and the artifact cache's hit
+    check run one byte-level check of the ``etype`` and ``kind``
+    columns, with one message, at any row."""
+
+    def test_wire_decoder(self, column, row, code, problem):
+        from repro.traces.store import decode_column_rows, encode_column_rows
+
+        columns = _mixed_execution().columns
+        columns[column][row] = code
+        payload = encode_column_rows(columns)
+        if problem is None:
+            assert decode_column_rows(payload)[column][row] == code
+            return
+        with pytest.raises(TraceStoreError, match=problem):
+            decode_column_rows(payload)
+
+    def test_store_columns(self, tmp_path, column, row, code, problem):
+        store_dir = tmp_path / "store"
+        with StoreWriter(store_dir) as writer:
+            writer.write_execution(_mixed_execution())
+        _poke(store_dir, column, row, code)
+        store = TraceStore(store_dir)
+        if problem is None:
+            assert store.columns()[column][row] == code
+            return
+        with pytest.raises(TraceStoreError, match=f"corrupt: {problem}"):
+            store.columns()
+        # A bad code is reported; only a wrongly sized file is moved aside.
+        assert not list((store_dir / "columns").glob("*.corrupt"))
+
+    def test_artifact_cache_hit_check(self, tmp_path, column, row, code,
+                                      problem):
+        from repro.sim.artifact_cache import ArtifactCache
+        from repro.traces.trace import ApplicationTrace
+
+        cache = ArtifactCache(tmp_path / "cache")
+        key = "ab" * 20
+        cache.put_trace(key, ApplicationTrace("demo", [_mixed_execution()]))
+        path = cache.trace_path_for(key)
+        _poke(path, column, row, code)
+        trace = cache.get_trace(key)
+        if problem is None:
+            assert trace is not None and cache.stats.hits == 1
+            return
+        assert trace is None
+        assert cache.stats.corrupt == 1 and cache.stats.quarantined == 1
+        aside = path.with_name(path.name + ".corrupt")
+        assert aside.is_dir() and not path.exists()
+        with pytest.raises(TraceStoreError, match=problem):
+            TraceStore(aside).check()
+
+
+def test_hit_check_reads_each_column_once(tmp_path, monkeypatch):
+    """The cache's hit check passes every column through the
+    ``cache.corrupt-read`` fault site once, and mapping the columns
+    afterwards passes none through it again."""
+    from repro.sim.artifact_cache import ArtifactCache
+    from repro.traces.trace import COLUMNS, ApplicationTrace
+
+    cache = ArtifactCache(tmp_path)
+    key = "cd" * 20
+    cache.put_trace(key, ApplicationTrace("demo", [_mixed_execution()]))
+    seen = []
+    monkeypatch.setattr(faults, "corrupt_cache_read",
+                        lambda path: seen.append(path.name))
+    trace = cache.get_trace(key)
+    assert sorted(seen) == sorted(f"{name}.bin" for name, _ in COLUMNS)
+    assert trace.executions[0].columns["etype"].tolist() == [0, 1, 0, 2, 0]
+    assert len(seen) == len(COLUMNS)
+
+
+def test_row_bytes_match_numpy_itemsizes():
+    """The store sizes its columns from the dtype specs' widths."""
+    import numpy as np
+
+    from repro.traces.store import EVENT_ROW_BYTES
+    from repro.traces.trace import COLUMNS
+
+    assert EVENT_ROW_BYTES == sum(
+        np.dtype(spec).itemsize for _, spec in COLUMNS
+    )
