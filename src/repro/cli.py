@@ -623,7 +623,6 @@ def _cmd_serve(args) -> int:
         state_dir=args.state_dir,
         predictor=args.predictor,
         shards=args.shards,
-        checkpoint_every=args.checkpoint_every,
         stall_timeout=args.stall_timeout,
         max_pending_bytes=args.max_pending_bytes,
         max_queue=args.max_queue,
@@ -1129,16 +1128,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tcp", metavar="HOST:PORT",
                    help="TCP listen address (control socket at PORT+1)")
     p.add_argument("--state-dir", required=True, metavar="DIR",
-                   help="shard journals, checkpoint segments, and the "
-                        "quarantine live here; an existing state dir is "
-                        "recovered on startup")
+                   help="shard journals (each execution's rows and "
+                        "decision) and the quarantine live here; an "
+                        "existing state dir is recovered on startup")
     p.add_argument("--predictor", choices=KNOWN_PREDICTORS, default="PCAP")
     p.add_argument("--shards", type=int, default=2, metavar="N",
                    help="supervised worker subprocesses; applications "
                         "hash to shards (default 2)")
-    p.add_argument("--checkpoint-every", type=int, default=32, metavar="N",
-                   help="journal records between compactions into "
-                        "columnar checkpoint segments (default 32)")
     p.add_argument("--stall-timeout", type=float, default=30.0,
                    metavar="SEC",
                    help="per-execution worker deadline before the "

@@ -20,11 +20,13 @@ Robustness behaviors, all deterministic and chaos-testable:
   queue already holds ``max_queue`` jobs, is shed with a typed NACK
   (``backpressure`` / ``overloaded``) and disconnected; it can
   reconnect and resubmit later (idempotently).
-* **Malformed frames** — an undecodable payload (the
-  ``serve.frame_truncate`` site truncates one deliberately) is
-  **quarantined**: the raw bytes are written to
-  ``state_dir/quarantine/<client>-<n>.corrupt`` (the store's
-  ``*.corrupt`` convention) and the client gets a ``malformed`` NACK.
+* **Malformed frames** — an undecodable payload (a header that is
+  not JSON, rows off the row grid or with a type or kind code the
+  store does not know; the ``serve.frame_truncate`` site truncates one
+  deliberately) is **quarantined** before it reaches a shard: the raw
+  bytes are written to ``state_dir/quarantine/<client>-<n>.corrupt``
+  (the store's ``*.corrupt`` convention) and the client gets a
+  ``malformed`` NACK.
 * **Connection drops** — the ``serve.conn_drop`` site severs a chosen
   client's connection mid-stream; the client reconnects and resubmits,
   and journal dedup in the worker makes the redelivery exact.
@@ -46,13 +48,13 @@ from typing import Optional
 
 from repro import faults
 from repro.config import SimulationConfig
-from repro.errors import ServeError, ServeProtocolError
+from repro.errors import ServeError, ServeProtocolError, TraceStoreError
 from repro.sim.metrics import PredictionStats
 from repro.sim.resilience import ResiliencePolicy
 from repro.serve import protocol
 from repro.serve.supervisor import ShardSupervisor
 from repro.serve.worker import shard_of
-from repro.traces.store import EVENT_ROW_BYTES
+from repro.traces.store import EVENT_ROW_BYTES, decode_column_rows
 
 _ACCEPT_BACKLOG = 64
 _RECV_SIZE = 65536
@@ -89,7 +91,6 @@ class ServeDaemon:
         predictor: str = "PCAP",
         config: Optional[SimulationConfig] = None,
         shards: int = 2,
-        checkpoint_every: int = 32,
         stall_timeout: float = 30.0,
         max_pending_bytes: int = 8 * 1024 * 1024,
         max_queue: int = 64,
@@ -135,8 +136,7 @@ class ServeDaemon:
         self.supervisors = [
             ShardSupervisor(
                 shard, str(self.state_dir),
-                predictor=predictor, config=self.config,
-                checkpoint_every=checkpoint_every, policy=policy,
+                predictor=predictor, config=self.config, policy=policy,
                 stall_timeout=stall_timeout, max_queue=max_queue,
             )
             for shard in range(shards)
@@ -322,12 +322,14 @@ class ServeDaemon:
         conn.pending_bytes = 0
         header = pending["header"]
         rows = bytes(pending["rows"])
-        if len(rows) % EVENT_ROW_BYTES:
-            self._reject_malformed(
-                conn, rows,
-                f"row payload of {len(rows)} byte(s) off the "
-                f"{EVENT_ROW_BYTES}-byte row grid",
-            )
+        # The store's own check (row grid, type and kind codes) runs
+        # before queueing: a payload the worker's decode would reject
+        # must be quarantined once, not crash the shard on every
+        # redelivery.
+        try:
+            decode_column_rows(rows)
+        except TraceStoreError as exc:
+            self._reject_malformed(conn, rows, str(exc))
             return
         try:
             application = str(header["application"])
@@ -416,7 +418,6 @@ class ServeDaemon:
         merged = PredictionStats()
         shard_stats = []
         for supervisor in self.supervisors:
-            entry = supervisor.health()
             collected: dict = {}
 
             def receive(kind: str, payload: dict,
@@ -430,6 +431,9 @@ class ServeDaemon:
                     if supervisor.conn is not None and \
                             supervisor.conn.poll(0.05):
                         supervisor.on_readable()
+            # After the pump: a worker answers only once it has
+            # replayed its journal, so ``recovered`` is final here.
+            entry = supervisor.health()
             if collected:
                 entry["executions"] = collected.get("executions", 0)
                 entry["applications"] = collected.get("applications", [])

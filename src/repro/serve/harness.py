@@ -85,7 +85,6 @@ def spawn_daemon(
     state_dir: str,
     predictor: str = "PCAP",
     shards: int = 2,
-    checkpoint_every: int = 8,
     stall_timeout: float = 5.0,
     fault_plan: Optional[str] = None,
     extra_args: tuple[str, ...] = (),
@@ -107,7 +106,6 @@ def spawn_daemon(
          "--state-dir", state_dir,
          "--predictor", predictor,
          "--shards", str(shards),
-         "--checkpoint-every", str(checkpoint_every),
          "--stall-timeout", str(stall_timeout),
          *extra_args],
         env=env,
@@ -147,7 +145,6 @@ def run_scenario(
     shards: int = 2,
     scale: float = 0.05,
     applications: Optional[tuple[str, ...]] = None,
-    checkpoint_every: int = 8,
     stall_timeout: float = 5.0,
     fault_plan: Optional[str] = None,
     kill_worker_after: Optional[int] = None,
@@ -167,8 +164,7 @@ def run_scenario(
     result = ScenarioResult()
     daemon = spawn_daemon(
         socket_path=socket_path, state_dir=state_dir,
-        predictor=predictor, shards=shards,
-        checkpoint_every=checkpoint_every, stall_timeout=stall_timeout,
+        predictor=predictor, shards=shards, stall_timeout=stall_timeout,
         fault_plan=fault_plan,
     )
     control = socket_path + ".ctl"

@@ -11,86 +11,83 @@ worker ran.
 
 Layout of ``state_dir/shard-<k>/``::
 
-    journal.jsonl         # append-only, fsynced per record
-    segments/seg-00000/   # compacted row data: a trace store
-    quarantine/           # malformed frames, *.corrupt (daemon-owned)
+    rows.bin        # append-only ROWS payloads, end to end, fsynced
+    journal.jsonl   # append-only records, fsynced per record
 
 Journal records::
 
-    {"type": "provenance", "predictor": ..., "config": ..., "format": 1}
+    {"type": "provenance", "predictor": ..., "config": ..., "format": 2}
     {"type": "execution", "app_seq": 3, "application": "mozilla",
      "client": "c1", "client_seq": 2, "execution_index": 5,
-     "initial_pids": [100], "rows": "<base64 columnar rows>",
+     "initial_pids": [100], "offset": 19800, "length": 6600,
      "decision": {...}}
 
-Recovery reads inline rows straight back into columns and compacted
-ones from their segment's memory-mapped columns; neither builds event
-objects.
+Each execution's rows are written once, as the ``ROWS`` payload the
+worker has already decoded and checked
+(:func:`~repro.traces.store.decode_column_rows`): appended to
+``rows.bin`` and fsynced, then pointed at by its record's byte
+``offset`` and ``length``, fsynced in turn.  The decision is released
+only after both.  Neither file is ever rewritten, and recovery reads
+each payload straight back into columns, building no event objects.
 
-Every ``checkpoint_every`` executions the journal is **compacted**: the
-accumulated row payloads are packed into a trace-store segment
-(:class:`~repro.traces.store.StoreWriter` — chunked column files plus
-an atomically-published manifest carrying BLAKE2b provenance
-fingerprints), and the journal is atomically rewritten with each
-compacted record's ``rows`` replaced by a ``{"segment": k, "pos": i}``
-pointer.  Both steps are crash-ordered: the segment manifest is
-published before the journal rewrite, and the rewrite itself is
-tmp-file + ``os.replace`` + fsync, so a crash at any instant leaves
-either the old journal (rows inline) or the new one (rows in a fully
-published segment) — never a state that cannot replay.
+Loading follows the same crash order:
 
-A torn final journal line (crash mid-append) is truncated away on
-load, mirroring :class:`repro.sim.resilience.CellCheckpoint`; the
-daemon then re-answers the affected client's retry idempotently.
+* a torn final journal line (crash mid-append) is truncated away,
+  mirroring :class:`repro.sim.resilience.CellCheckpoint`; the daemon
+  then re-answers the affected client's retry idempotently;
+* garbage mid-journal refuses to load;
+* ``rows.bin`` bytes past the last record's payload (a crash between
+  the two appends) are truncated away, so the next payload lands right
+  after the last record's;
+* a record whose payload runs past the end of ``rows.bin`` refuses to
+  load;
+* a journal of another format refuses to load, as a provenance
+  mismatch does.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Iterator, Optional
 
 from repro.errors import ServeError
-from repro.traces.store import StoreWriter, TraceStore, decode_column_rows
-from repro.traces.trace import ExecutionLike, ExecutionTrace
+from repro.traces.store import decode_column_rows
+from repro.traces.trace import ExecutionTrace
 
 #: Journal schema version.
-JOURNAL_FORMAT = 1
+JOURNAL_FORMAT = 2
 
 JOURNAL_NAME = "journal.jsonl"
-_SEGMENT_DIR = "segments"
+ROWS_NAME = "rows.bin"
 
 
 class ShardJournal:
-    """Append-only, compacting execution journal of one shard."""
+    """Append-only execution journal of one shard."""
 
     def __init__(
         self,
         shard_dir: str | os.PathLike[str],
         *,
         provenance: Optional[dict] = None,
-        checkpoint_every: int = 32,
     ) -> None:
-        if checkpoint_every < 1:
-            raise ServeError("checkpoint_every must be at least 1")
         self.shard_dir = Path(shard_dir)
         self.shard_dir.mkdir(parents=True, exist_ok=True)
         self.path = self.shard_dir / JOURNAL_NAME
-        self.checkpoint_every = checkpoint_every
+        self.rows_path = self.shard_dir / ROWS_NAME
         self.provenance: Optional[dict] = None
         #: Records in append order (the replay tape).
         self.records: list[dict] = []
         #: ``(client, client_seq) -> decision`` for idempotent retries.
         self.decisions: dict[tuple[str, int], dict] = {}
+        #: Bytes of torn appends cut from both files on load.
         self.torn_bytes = 0
         self._stream = None
-        self._uncompacted = 0
-        self._next_segment = 0
+        self._rows = None
         if self.path.exists():
             self._load()
+        self._trim_rows()
         if provenance is not None:
             self._declare_provenance(provenance)
 
@@ -129,23 +126,47 @@ class ShardJournal:
     def _ingest(self, record: dict) -> None:
         rtype = record.get("type")
         if rtype == "provenance":
-            self.provenance = record
-            return
-        if rtype != "execution":
+            found = record.get("format")
+        elif rtype == "execution":
+            if "length" in record:
+                self.records.append(record)
+                self.decisions[
+                    (str(record["client"]), int(record["client_seq"]))
+                ] = record["decision"]
+                return
+            found = 1  # rows inline or in a segment
+        else:
             raise ServeError(
                 f"shard journal {self.path} holds an unknown record "
                 f"type {rtype!r}"
             )
-        self.records.append(record)
-        self.decisions[
-            (str(record["client"]), int(record["client_seq"]))
-        ] = record["decision"]
-        segment = record.get("segment")
-        if segment is None:
-            self._uncompacted += 1
-        else:
-            self._next_segment = max(self._next_segment,
-                                     int(segment["segment"]) + 1)
+        if found != JOURNAL_FORMAT:
+            raise ServeError(
+                f"shard directory {self.shard_dir} holds a format-{found} "
+                f"journal and this build reads format {JOURNAL_FORMAT} "
+                "only; remove the state directory to reset its state"
+            )
+        self.provenance = record
+
+    def _trim_rows(self) -> None:
+        """Cut payload bytes no record points at (a torn append) from
+        ``rows.bin``; refuse records whose payload it does not hold."""
+        end = max((record["offset"] + record["length"]
+                   for record in self.records), default=0)
+        try:
+            size = self.rows_path.stat().st_size
+        except FileNotFoundError:
+            size = 0
+        if end > size:
+            raise ServeError(
+                f"shard journal {self.path} points at {end} byte(s) of "
+                f"rows but {self.rows_path} holds {size}; remove the "
+                "shard directory to reset its state"
+            )
+        if size > end:
+            self.torn_bytes += size - end
+            with open(self.rows_path, "r+b") as stream:
+                stream.truncate(end)
 
     def _declare_provenance(self, provenance: dict) -> None:
         declared = {"type": "provenance", "format": JOURNAL_FORMAT,
@@ -185,8 +206,15 @@ class ShardJournal:
         rows: bytes,
         decision: dict,
     ) -> None:
-        """Durably journal one processed execution (fsync before the
-        decision is released to the client)."""
+        """Durably journal one processed execution: its ``ROWS`` payload
+        to ``rows.bin``, then its record, each fsynced before the
+        decision is released to the client."""
+        if self._rows is None:
+            self._rows = open(self.rows_path, "ab")
+        offset = self._rows.tell()
+        self._rows.write(rows)
+        self._rows.flush()
+        os.fsync(self._rows.fileno())
         record = {
             "type": "execution",
             "app_seq": len(self.records),
@@ -195,102 +223,42 @@ class ShardJournal:
             "client_seq": client_seq,
             "execution_index": execution_index,
             "initial_pids": list(initial_pids),
-            "rows": base64.b64encode(rows).decode("ascii"),
+            "offset": offset,
+            "length": len(rows),
             "decision": decision,
         }
         self._append(record)
         self.records.append(record)
         self.decisions[(client, client_seq)] = decision
-        self._uncompacted += 1
-        if self._uncompacted >= self.checkpoint_every:
-            self.compact()
 
-    # -- compaction ----------------------------------------------------
-    def compact(self) -> Optional[Path]:
-        """Move inline row payloads into a trace-store segment.
-
-        Returns the new segment path, or ``None`` when nothing was
-        pending.  The segment is published (atomic manifest) *before*
-        the journal is rewritten to point at it, so a crash between the
-        two steps only costs the compaction, never the state.
-        """
-        pending = [r for r in self.records if r.get("segment") is None]
-        if not pending:
-            return None
-        segment_index = self._next_segment
-        segment_dir = (self.shard_dir / _SEGMENT_DIR /
-                       f"seg-{segment_index:05d}")
-        positions: dict[str, int] = {}
-        with StoreWriter(segment_dir) as writer:
-            for record in pending:
-                execution = self._execution_from(record)
-                writer.write_execution(execution)
-                app = record["application"]
-                record["segment"] = {
-                    "segment": segment_index,
-                    "pos": positions.get(app, 0),
-                }
-                record.pop("rows", None)
-                positions[app] = positions.get(app, 0) + 1
-        self._rewrite_journal()
-        self._next_segment = segment_index + 1
-        self._uncompacted = 0
-        return segment_dir
-
-    def _rewrite_journal(self) -> None:
-        if self._stream is not None:
-            self._stream.close()
-            self._stream = None
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.shard_dir, prefix=".journal-", suffix=".tmp"
-        )
-        with os.fdopen(fd, "w", encoding="utf-8") as stream:
-            if self.provenance is not None:
-                stream.write(json.dumps(self.provenance) + "\n")
-            for record in self.records:
-                stream.write(json.dumps(record) + "\n")
-            stream.flush()
-            os.fsync(stream.fileno())
-        os.replace(tmp_name, self.path)
+    def compact(self) -> None:
+        """Nothing to move: every payload is written once, where it
+        stays.  Returns ``None``; perfbench's worker probe patches this
+        name."""
+        return None
 
     # -- replay --------------------------------------------------------
-    def _segment_store(self, index: int) -> TraceStore:
-        memo = getattr(self, "_segment_memo", None)
-        if memo is None:
-            memo = self._segment_memo = {}
-        store = memo.get(index)
-        if store is None:
-            store = TraceStore(
-                self.shard_dir / _SEGMENT_DIR / f"seg-{index:05d}"
-            )
-            memo[index] = store
-        return store
-
-    def _execution_from(self, record: dict) -> ExecutionLike:
-        """One journaled execution: its inline rows read into columns, or
-        its compacted rows in a segment store."""
-        segment = record.get("segment")
-        if segment is not None:
-            store = self._segment_store(int(segment["segment"]))
-            return store.trace(record["application"]).executions[
-                int(segment["pos"])
-            ]
-        return ExecutionTrace(
-            str(record["application"]),
-            int(record["execution_index"]),
-            decode_column_rows(base64.b64decode(record["rows"])),
-            frozenset(int(p) for p in record["initial_pids"]),
-        )
-
-    def replay(self) -> Iterator[tuple[dict, ExecutionLike]]:
-        """Yield ``(record, execution)`` in original processing order."""
-        for record in self.records:
-            yield record, self._execution_from(record)
+    def replay(self) -> Iterator[tuple[dict, ExecutionTrace]]:
+        """Yield ``(record, execution)`` in original processing order,
+        each execution's rows read back from ``rows.bin`` into
+        columns."""
+        if not self.records:
+            return
+        with open(self.rows_path, "rb") as stream:
+            for record in self.records:
+                stream.seek(record["offset"])
+                yield record, ExecutionTrace(
+                    str(record["application"]),
+                    int(record["execution_index"]),
+                    decode_column_rows(stream.read(record["length"])),
+                    frozenset(int(p) for p in record["initial_pids"]),
+                )
 
     def close(self) -> None:
-        if self._stream is not None:
-            self._stream.close()
-            self._stream = None
+        for stream in (self._stream, self._rows):
+            if stream is not None:
+                stream.close()
+        self._stream = self._rows = None
 
     def __enter__(self) -> "ShardJournal":
         return self

@@ -53,7 +53,6 @@ class ShardSupervisor:
         *,
         predictor: str = "PCAP",
         config: Optional[SimulationConfig] = None,
-        checkpoint_every: int = 32,
         policy: Optional[ResiliencePolicy] = None,
         stall_timeout: float = 30.0,
         max_queue: int = 64,
@@ -63,7 +62,6 @@ class ShardSupervisor:
         self.state_dir = str(state_dir)
         self.predictor = predictor
         self.config = config or SimulationConfig()
-        self.checkpoint_every = checkpoint_every
         self.policy = policy or ResiliencePolicy()
         self.stall_timeout = stall_timeout
         self.max_queue = max_queue
@@ -93,7 +91,6 @@ class ShardSupervisor:
             self.inline = ShardWorker(
                 self.shard_id, self.state_dir,
                 predictor=self.predictor, config=self.config,
-                checkpoint_every=self.checkpoint_every,
             )
             self.recovered = self.inline.recovered
             self.ready = True
@@ -103,7 +100,7 @@ class ShardSupervisor:
         self.process = context.Process(
             target=worker_main,
             args=(child, self.shard_id, self.state_dir, self.predictor,
-                  self.config, self.checkpoint_every),
+                  self.config),
             daemon=True,
         )
         self.process.start()
@@ -275,7 +272,7 @@ class ShardSupervisor:
 
     # -- shutdown ------------------------------------------------------
     def drain(self) -> None:
-        """Finish queued work, compact the journal, stop the worker."""
+        """Finish queued work, then stop the worker."""
         if self.degraded:
             self._pump_inline()
             assert self.inline is not None

@@ -15,12 +15,13 @@ store's columns (:func:`~repro.traces.store.decode_column_rows`), the
 in-memory form of every offline execution too, so no event object is
 built between the socket and the decision.
 
-The worker journals each execution (fsync) **before** releasing its
-decision, so any decision a client ever saw is recoverable.  On start
-it replays the journal to rebuild its tables, and answers duplicate
-``(client, client_seq)`` submissions from the journal — that is what
-makes client retries after a connection drop, and supervisor replays
-after a SIGKILL, idempotent.
+The worker journals each execution — that same payload, then the
+decision, each fsynced — **before** releasing its decision, so any
+decision a client ever saw is recoverable.  On start it replays the
+journal to rebuild its tables, and answers duplicate ``(client,
+client_seq)`` submissions from the journal — that is what makes client
+retries after a connection drop, and supervisor replays after a
+SIGKILL, idempotent.
 
 The same class runs forked (:func:`worker_main` served over a
 ``multiprocessing`` pipe) or inline inside the daemon process when the
@@ -110,7 +111,6 @@ class ShardWorker:
         *,
         predictor: str = "PCAP",
         config: Optional[SimulationConfig] = None,
-        checkpoint_every: int = 32,
     ) -> None:
         self.shard_id = shard_id
         self.predictor = predictor
@@ -121,7 +121,6 @@ class ShardWorker:
                 "predictor": predictor,
                 "config": repr(self.config),
             },
-            checkpoint_every=checkpoint_every,
         )
         self._specs: dict[str, PredictorSpec] = {}
         self._stats: dict[str, PredictionStats] = {}
@@ -233,13 +232,11 @@ class ShardWorker:
         }
 
     def close(self) -> None:
-        self.journal.compact()
         self.journal.close()
 
 
 def worker_main(conn, shard_id: int, state_dir: str, predictor: str,
-                config: Optional[SimulationConfig],
-                checkpoint_every: int) -> None:
+                config: Optional[SimulationConfig]) -> None:
     """Forked worker entry point: serve jobs over a duplex pipe.
 
     Message protocol (tuples over the ``multiprocessing`` connection):
@@ -254,7 +251,6 @@ def worker_main(conn, shard_id: int, state_dir: str, predictor: str,
     """
     worker = ShardWorker(
         shard_id, state_dir, predictor=predictor, config=config,
-        checkpoint_every=checkpoint_every,
     )
     conn.send(("ready", {"recovered": worker.recovered}))
     while True:

@@ -84,7 +84,7 @@ def test_pipeline_builds_no_event_objects(tmp_path, monkeypatch):
     }
 
     state = str(tmp_path / "serve")
-    worker = ShardWorker(0, state, checkpoint_every=2)
+    worker = ShardWorker(0, state)
     for seq, execution in enumerate(suite["nedit"]):
         worker.process(
             client="c", client_seq=seq, application="nedit",
@@ -94,7 +94,7 @@ def test_pipeline_builds_no_event_objects(tmp_path, monkeypatch):
         )
     tables = worker.tables()
     worker.close()
-    recovered = ShardWorker(0, state, checkpoint_every=2)
+    recovered = ShardWorker(0, state)
     assert recovered.recovered == len(suite["nedit"])
     assert recovered.tables() == tables
     recovered.close()

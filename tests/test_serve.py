@@ -5,19 +5,25 @@ The contracts under test:
 * the wire protocol round-trips frames through any chunking, and
   rejects hostile length prefixes before buffering their bodies;
 * a shard journal is crash-safe — fsynced before decisions release,
-  compaction keeps replay exact, a torn tail is truncated away — and
-  dedups ``(client, client_seq)`` retries idempotently;
+  each execution's wire rows written once to an append-only
+  ``rows.bin``, a torn tail of either file truncated away, a missing
+  payload or another format refused — and dedups ``(client,
+  client_seq)`` retries idempotently;
 * a shard worker's decisions and final table state are bit-identical
   to an offline :meth:`ExperimentRunner.run_global` replay of the same
   feed, including after a cold restart that recovers from the journal;
 * the daemon end to end: concurrent clients get decisions equal to the
   offline replay, a SIGKILLed shard worker is restarted with its state
-  recovered, oversized executions are shed with a ``backpressure``
-  NACK, and malformed frames are quarantined as ``*.corrupt``.
+  recovered, a second daemon on a drained state directory recovers
+  every decision and table, oversized executions are shed with a
+  ``backpressure`` NACK, and malformed frames (rows off the grid or
+  with an unknown code) are quarantined as ``*.corrupt``.
 """
 
 from __future__ import annotations
 
+import base64
+import json
 import os
 import signal
 import socket
@@ -29,6 +35,7 @@ from repro.config import SimulationConfig
 from repro.errors import ServeError, ServeProtocolError
 from repro.predictors.registry import make_spec
 from repro.serve import protocol
+from repro.serve.client import ServeClient, control_request
 from repro.serve.harness import (
     run_scenario,
     spawn_daemon,
@@ -43,7 +50,7 @@ from repro.serve.worker import (
 )
 from repro.sim.experiment import ExperimentRunner
 from repro.sim.metrics import PredictionStats
-from repro.traces.store import encode_event_rows
+from repro.traces.store import encode_column_rows, encode_event_rows
 from repro.traces.trace import ApplicationTrace
 from repro.workloads import build_suite
 
@@ -124,7 +131,7 @@ def tiny_suite():
 def test_journal_records_dedup_and_compact_replay(tmp_path, tiny_suite):
     execution = _execution(tiny_suite, "mozilla")
     rows = encode_event_rows(execution.events)
-    with ShardJournal(tmp_path / "shard-0", checkpoint_every=100,
+    with ShardJournal(tmp_path / "shard-0",
                       provenance={"predictor": "PCAP"}) as journal:
         journal.record_execution(
             client="c1", client_seq=0, application="mozilla",
@@ -133,13 +140,11 @@ def test_journal_records_dedup_and_compact_replay(tmp_path, tiny_suite):
             rows=rows, decision={"seq": 0, "shutdowns": 3},
         )
         assert journal.decisions[("c1", 0)] == {"seq": 0, "shutdowns": 3}
-        assert journal.compact() is not None
-        # Rows now live in a store segment; replay must still be exact.
         replayed = [exec_ for _, exec_ in journal.replay()]
     assert len(replayed) == 1
     assert replayed[0].events == list(execution.events)
     assert replayed[0].initial_pids == execution.initial_pids
-    # A fresh load sees the compacted journal and the same decision.
+    # A fresh load sees the same decision and rows.
     with ShardJournal(tmp_path / "shard-0") as reloaded:
         assert reloaded.decisions[("c1", 0)] == {"seq": 0, "shutdowns": 3}
         assert [e.events for _, e in reloaded.replay()] == \
@@ -149,7 +154,7 @@ def test_journal_records_dedup_and_compact_replay(tmp_path, tiny_suite):
 def test_journal_truncates_torn_tail_on_load(tmp_path, tiny_suite):
     execution = _execution(tiny_suite, "mozilla")
     shard_dir = tmp_path / "shard-0"
-    with ShardJournal(shard_dir, checkpoint_every=100) as journal:
+    with ShardJournal(shard_dir) as journal:
         journal.record_execution(
             client="c1", client_seq=0, application="mozilla",
             execution_index=execution.execution_index,
@@ -177,6 +182,121 @@ def test_journal_rejects_mid_stream_corruption(tmp_path):
     )
     with pytest.raises(ServeError, match="corrupt"):
         ShardJournal(shard_dir)
+
+
+def _record(journal, execution, seq):
+    """Journal ``execution`` as client ``c1``'s ``seq``; returns its
+    wire payload."""
+    rows = encode_column_rows(execution.columns)
+    journal.record_execution(
+        client="c1", client_seq=seq, application=execution.application,
+        execution_index=execution.execution_index,
+        initial_pids=sorted(execution.initial_pids),
+        rows=rows, decision={"seq": seq},
+    )
+    return rows
+
+
+def test_journal_writes_each_payload_once_to_rows_bin(tmp_path, tiny_suite):
+    shard_dir = tmp_path / "shard-0"
+    executions = (list(tiny_suite["mozilla"].executions[:3])
+                  + list(tiny_suite["xemacs"].executions[:2]))
+    with ShardJournal(shard_dir, provenance={"predictor": "PCAP"}) as journal:
+        payloads = [_record(journal, execution, seq)
+                    for seq, execution in enumerate(executions)]
+    # rows.bin is the wire payloads end to end, and nothing else.
+    rows_bin = (shard_dir / "rows.bin").read_bytes()
+    assert len(rows_bin) == sum(len(payload) for payload in payloads)
+    assert rows_bin == b"".join(payloads)
+    # The journal points into it and holds no rows of its own.
+    text = (shard_dir / "journal.jsonl").read_text()
+    records = [json.loads(line) for line in text.splitlines()]
+    assert records[0] == {"type": "provenance", "format": 2,
+                          "predictor": "PCAP"}
+    offsets = [sum(map(len, payloads[:i])) for i in range(len(payloads))]
+    assert [(r["offset"], r["length"]) for r in records[1:]] == \
+        list(zip(offsets, map(len, payloads)))
+    assert all("rows" not in record for record in records)
+    for payload in payloads:
+        assert base64.b64encode(payload).decode("ascii")[:64] not in text
+    with ShardJournal(shard_dir) as reloaded:
+        assert [e for _, e in reloaded.replay()] == executions
+
+
+def test_journal_files_are_append_only(tmp_path, tiny_suite):
+    shard_dir = tmp_path / "shard-0"
+    executions = tiny_suite["mozilla"].executions
+    files = ("journal.jsonl", "rows.bin")
+    with ShardJournal(shard_dir, provenance={"predictor": "PCAP"}) as journal:
+        _record(journal, executions[0], 0)
+    first = {name: (shard_dir / name).read_bytes() for name in files}
+    # Many more appends than format 1's compaction interval, over two
+    # reopens: neither file's first bytes ever change.
+    for seqs in (range(1, 20), range(20, 40)):
+        with ShardJournal(shard_dir,
+                          provenance={"predictor": "PCAP"}) as journal:
+            for seq in seqs:
+                _record(journal, executions[seq % len(executions)], seq)
+                for name in files:
+                    data = (shard_dir / name).read_bytes()
+                    assert data.startswith(first[name])
+                    assert data != first[name]
+    assert sorted(os.listdir(shard_dir)) == sorted(files)
+
+
+def test_journal_truncates_orphan_rows_and_appends_after_last_record(
+        tmp_path, tiny_suite):
+    shard_dir = tmp_path / "shard-0"
+    first, second = tiny_suite["mozilla"].executions[:2]
+    with ShardJournal(shard_dir) as journal:
+        kept = _record(journal, first, 0)
+    # A crash after a payload's fsync but before its record's append
+    # leaves bytes in rows.bin that no record points at.
+    with open(shard_dir / "rows.bin", "ab") as stream:
+        stream.write(encode_column_rows(second.columns)[:1000])
+    with ShardJournal(shard_dir) as journal:
+        assert journal.torn_bytes == 1000
+        assert (shard_dir / "rows.bin").stat().st_size == len(kept)
+        appended = _record(journal, second, 1)
+        assert journal.records[-1]["offset"] == len(kept)
+    assert (shard_dir / "rows.bin").read_bytes() == kept + appended
+    with ShardJournal(shard_dir) as journal:
+        assert journal.torn_bytes == 0
+        assert [e for _, e in journal.replay()] == [first, second]
+
+
+def test_journal_refuses_a_payload_past_the_end_of_rows_bin(
+        tmp_path, tiny_suite):
+    shard_dir = tmp_path / "shard-0"
+    with ShardJournal(shard_dir) as journal:
+        rows = _record(journal, tiny_suite["mozilla"].executions[0], 0)
+    with open(shard_dir / "rows.bin", "r+b") as stream:
+        stream.truncate(len(rows) - 1)
+    with pytest.raises(ServeError, match="rows.bin holds"):
+        ShardJournal(shard_dir)
+
+
+@pytest.mark.parametrize("lines", [
+    # As format 1 wrote them: a provenance header, then records whose
+    # rows are inline base64 or point into a trace-store segment.
+    [{"type": "provenance", "format": 1, "predictor": "PCAP"},
+     {"type": "execution", "app_seq": 0, "application": "mozilla",
+      "client": "c1", "client_seq": 0, "execution_index": 0,
+      "initial_pids": [100], "rows": "", "decision": {"seq": 0}}],
+    [{"type": "execution", "app_seq": 0, "application": "mozilla",
+      "client": "c1", "client_seq": 0, "execution_index": 0,
+      "initial_pids": [100], "segment": {"segment": 0, "pos": 0},
+      "decision": {"seq": 0}}],
+])
+def test_journal_refuses_format_1_state(tmp_path, lines):
+    shard_dir = tmp_path / "state" / "shard-0"
+    shard_dir.mkdir(parents=True)
+    (shard_dir / "journal.jsonl").write_text(
+        "".join(json.dumps(line) + "\n" for line in lines)
+    )
+    with pytest.raises(ServeError, match="format-1") as refused:
+        ShardJournal(shard_dir, provenance={"predictor": "PCAP"})
+    assert str(shard_dir) in str(refused.value)
 
 
 def test_journal_rejects_provenance_drift(tmp_path):
@@ -231,12 +351,12 @@ def test_worker_matches_offline_run_global_bit_identically(
     assert sum(d["shutdowns"] for d in decisions) == offline.shutdowns
     assert [f for d in decisions for f in d["fired"]] == sink.fired
     assert worker.tables()["mozilla"] == table_snapshot(spec)
+    worker.close()
 
 
 def test_worker_dedups_retries_and_recovers_from_journal(
         tmp_path, tiny_suite):
-    worker = ShardWorker(0, tmp_path, predictor="PCAP",
-                         checkpoint_every=1)
+    worker = ShardWorker(0, tmp_path, predictor="PCAP")
     decisions = _feed_worker(worker, tiny_suite, "xemacs")
     # A retry of an already-journaled seq must not re-run the engine:
     # the cached decision comes back, and table state does not move.
@@ -252,10 +372,9 @@ def test_worker_dedups_retries_and_recovers_from_journal(
     assert worker.tables() == before
     worker.close()
 
-    # A cold restart replays the journal (compacted to segments by
-    # checkpoint_every=1) into bit-identical tables and counters.
-    recovered = ShardWorker(0, tmp_path, predictor="PCAP",
-                            checkpoint_every=1)
+    # A cold restart replays the journal into bit-identical tables and
+    # counters.
+    recovered = ShardWorker(0, tmp_path, predictor="PCAP")
     assert recovered.recovered == len(decisions)
     assert recovered.tables() == worker.tables()
     assert recovered.stats() == worker.stats()
@@ -308,6 +427,39 @@ def _raw_conn(socket_path, client):
 
 
 @pytest.mark.slow
+def test_daemon_restart_recovers_a_drained_state_dir(tmp_path, tiny_suite):
+    socket_path = str(tmp_path / "serve.sock")
+    control = socket_path + ".ctl"
+    state_dir = str(tmp_path / "state")
+    executions = [execution for application in sorted(tiny_suite)
+                  for execution in tiny_suite[application].executions]
+    with spawn_daemon(socket_path=socket_path, state_dir=state_dir) as first:
+        try:
+            with ServeClient(socket_path, "c1") as client:
+                decisions = [client.submit_execution(execution)
+                             for execution in executions]
+            tables = control_request(control, "tables")
+        finally:
+            first.send_signal(signal.SIGTERM)
+            first.wait(timeout=60.0)
+    assert first.returncode == 0
+    assert len(decisions) == len(executions)
+
+    # A second daemon on the same directory replays both shard journals.
+    with spawn_daemon(socket_path=socket_path, state_dir=state_dir) as second:
+        try:
+            health = control_request(control, "health")
+            assert len(health["shards"]) == 2
+            assert sum(shard["recovered"]
+                       for shard in health["shards"]) == len(decisions)
+            assert control_request(control, "tables") == tables
+        finally:
+            second.send_signal(signal.SIGTERM)
+            second.wait(timeout=60.0)
+    assert second.returncode == 0
+
+
+@pytest.mark.slow
 def test_daemon_backpressure_and_quarantine(tmp_path):
     socket_path = str(tmp_path / "serve.sock")
     state_dir = str(tmp_path / "state")
@@ -343,13 +495,36 @@ def test_daemon_backpressure_and_quarantine(tmp_path):
             assert ftype == protocol.NACK
             assert protocol.parse_json(payload)["code"] == \
                 protocol.NACK_MALFORMED
+
+        # So is a row on the grid whose event type code is unknown: the
+        # daemon runs the store's check before any shard sees it.
+        bad = bytearray(66)
+        bad[0] = 7  # row 0's etype, the first column
+        with _raw_conn(socket_path, "badcode") as sock:
+            sock.sendall(protocol.json_frame(protocol.EXEC_BEGIN, {
+                "application": "mozilla", "execution": 0, "seq": 0,
+                "initial_pids": [100],
+            }))
+            sock.sendall(protocol.encode_frame(protocol.ROWS, bytes(bad)))
+            sock.sendall(protocol.json_frame(protocol.EXEC_END, {}))
+            ftype, payload = protocol.read_frame(sock)
+            assert ftype == protocol.NACK
+            nack = protocol.parse_json(payload)
+            assert nack["code"] == protocol.NACK_MALFORMED
+            assert "unknown event type code 7" in nack["detail"]
         corrupt = [
             name for name in os.listdir(os.path.join(state_dir,
                                                      "quarantine"))
             if name.endswith(".corrupt")
         ]
         assert any(name.startswith("mangled-") for name in corrupt)
+        assert any(name.startswith("badcode-") for name in corrupt)
     finally:
         daemon.send_signal(signal.SIGTERM)
         daemon.wait(timeout=60.0)
     assert daemon.returncode == 0
+    # The shard journalled none of them.
+    journal = os.path.join(state_dir, "shard-0", "journal.jsonl")
+    with open(journal, encoding="utf-8") as stream:
+        assert [json.loads(line)["type"] for line in stream] == \
+            ["provenance"]

@@ -5,7 +5,9 @@ see pyproject.toml); this script covers the high-signal subset —
 unused imports (F401), redefinitions (F811), unused local assignments
 (F841 for simple cases), ``==``/``!=`` against None/True/False (E711/
 E712), bare excepts (E722), and trailing whitespace (W291/W293) — so the
-tree can be kept lint-clean on machines without ruff installed.
+tree can be kept lint-clean on machines without ruff installed.  As in
+ruff, a problem is skipped when its line carries a bare ``# noqa`` or a
+``# noqa:`` that lists its code.
 
 Run:  python tools/check_lint.py [paths...]
 """
@@ -13,10 +15,26 @@ Run:  python tools/check_lint.py [paths...]
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples")
+
+#: ruff's suppression comment: ``# noqa`` alone, or ``# noqa: F401, E711``.
+_NOQA = re.compile(
+    r"#\s*noqa(?::\s*(?P<codes>[A-Z]+[0-9]+(?:[,\s]+[A-Z]+[0-9]+)*))?",
+    re.IGNORECASE,
+)
+
+
+def suppressed(line: str, code: str) -> bool:
+    """Whether ``line`` carries a ``# noqa`` that covers ``code``."""
+    match = _NOQA.search(line)
+    if match is None:
+        return False
+    codes = match.group("codes")
+    return codes is None or code in re.split(r"[,\s]+", codes.upper())
 
 
 def iter_sources(paths: list[str]) -> list[Path]:
@@ -65,6 +83,11 @@ def check_file(path: Path) -> list[str]:
         tree = ast.parse(text, filename=str(path))
     except SyntaxError as error:  # E9
         return [f"{path}:{error.lineno}: E999 {error.msg}"]
+    lines = text.splitlines()
+
+    def report(lineno: int, code: str, message: str) -> None:
+        if not suppressed(lines[lineno - 1], code):
+            problems.append(f"{path}:{lineno}: {code} {message}")
 
     usage = ImportUsage()
     usage.visit(tree)
@@ -88,7 +111,7 @@ def check_file(path: Path) -> list[str]:
         # A bare string use (doctest/typing) keeps this heuristic quiet.
         if f'"{name}"' in text or f"'{name}'" in text:
             continue
-        problems.append(f"{path}:{lineno}: F401 '{name}' imported but unused")
+        report(lineno, "F401", f"'{name}' imported but unused")
 
     for node in ast.walk(tree):
         if isinstance(node, ast.Compare):
@@ -98,22 +121,18 @@ def check_file(path: Path) -> list[str]:
                 if comparator.value is None and isinstance(
                     op, (ast.Eq, ast.NotEq)
                 ):
-                    problems.append(
-                        f"{path}:{node.lineno}: E711 comparison to None"
-                    )
+                    report(node.lineno, "E711", "comparison to None")
                 elif (
                     comparator.value is True or comparator.value is False
                 ) and isinstance(op, (ast.Eq, ast.NotEq)):
-                    problems.append(
-                        f"{path}:{node.lineno}: E712 comparison to "
-                        f"{comparator.value}"
-                    )
+                    report(node.lineno, "E712",
+                           f"comparison to {comparator.value}")
         elif isinstance(node, ast.ExceptHandler) and node.type is None:
-            problems.append(f"{path}:{node.lineno}: E722 bare except")
+            report(node.lineno, "E722", "bare except")
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if line != line.rstrip():
-            problems.append(f"{path}:{lineno}: W291 trailing whitespace")
+            report(lineno, "W291", "trailing whitespace")
     return problems
 
 
