@@ -33,6 +33,11 @@ Robustness behaviors, all deterministic and chaos-testable:
 * Worker crashes and stalls are the supervisor's department
   (:mod:`repro.serve.supervisor`); the daemon only reports the
   incidents on the health endpoint.
+* **Refused state** — a shard whose journal refuses to load (another
+  format, provenance drift, corruption) ends the daemon: the loop
+  raises that shard's :class:`~repro.errors.ServeError`, the drain
+  stops the other shards and unlinks the sockets, and ``repro serve``
+  prints the one ``error:`` line and exits 1.
 """
 
 from __future__ import annotations
@@ -537,6 +542,8 @@ class ServeDaemon:
             for supervisor in self.supervisors:
                 supervisor.check_stall(now)
                 self._sync_shard_registration(supervisor)
+                if supervisor.refused is not None:
+                    raise ServeError(supervisor.refused)
             if self.draining and self._drained():
                 return
 

@@ -43,9 +43,10 @@ from repro.config import SimulationConfig
 from repro.errors import ServeError
 from repro.predictors.registry import make_spec
 from repro.serve.client import ServeClient, control_request
-from repro.serve.worker import _FiredSink, table_snapshot
+from repro.serve.worker import table_snapshot
 from repro.sim.experiment import ExperimentRunner
 from repro.sim.metrics import PredictionStats
+from repro.sim.tracing import ShutdownFired
 from repro.traces.trace import ApplicationTrace
 from repro.workloads import build_suite
 
@@ -77,6 +78,25 @@ class ScenarioResult:
     exit_code: Optional[int] = None
     killed_pid: Optional[int] = None
     client_errors: list[str] = field(default_factory=list)
+
+
+class _FiredSink:
+    """Tracer that keeps only the ``shutdown-fired`` events of a run, as
+    the ``[time, offset, gap_length, source, hit]`` rows a decision's
+    ``fired`` carries: the offline side of the timeline check, taken
+    from the events a traced run emits."""
+
+    __slots__ = ("fired",)
+
+    def __init__(self) -> None:
+        self.fired: list[list] = []
+
+    def emit(self, event) -> None:
+        if isinstance(event, ShutdownFired):
+            self.fired.append([
+                event.time, event.offset, event.gap_length,
+                event.source, event.hit,
+            ])
 
 
 def spawn_daemon(

@@ -40,9 +40,13 @@ Loading follows the same crash order:
   the two appends) are truncated away, so the next payload lands right
   after the last record's;
 * a record whose payload runs past the end of ``rows.bin`` refuses to
-  load;
+  load, and one whose payload does not decode refuses to replay;
 * a journal of another format refuses to load, as a provenance
   mismatch does.
+
+Every refusal is one :class:`~repro.errors.ServeError` naming the
+shard directory; the serve daemon ends with it rather than restart a
+worker that would meet the same files again.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ import os
 from pathlib import Path
 from typing import Iterator, Optional
 
-from repro.errors import ServeError
+from repro.errors import ServeError, TraceStoreError
 from repro.traces.store import decode_column_rows
 from repro.traces.trace import ExecutionTrace
 
@@ -247,10 +251,21 @@ class ShardJournal:
         with open(self.rows_path, "rb") as stream:
             for record in self.records:
                 stream.seek(record["offset"])
+                try:
+                    columns = decode_column_rows(
+                        stream.read(record["length"])
+                    )
+                except TraceStoreError as error:
+                    raise ServeError(
+                        f"shard journal {self.path} record "
+                        f"{record['app_seq']}: its rows in "
+                        f"{self.rows_path} do not decode ({error}); "
+                        "remove the shard directory to reset its state"
+                    ) from None
                 yield record, ExecutionTrace(
                     str(record["application"]),
                     int(record["execution_index"]),
-                    decode_column_rows(stream.read(record["length"])),
+                    columns,
                     frozenset(int(p) for p in record["initial_pids"]),
                 )
 

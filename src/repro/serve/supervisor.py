@@ -17,6 +17,12 @@ to it.  The failure model mirrors the resilient executor
   forking and runs the shard **inline** in the daemon process, exactly
   like the resilient executor's pool → in-process degradation.  (Hosts
   without ``fork`` start degraded.)
+* A worker whose journal **refuses** to load (another format,
+  provenance drift, corruption; a :class:`~repro.errors.ServeError`
+  from :class:`~repro.serve.state.ShardJournal`) is neither restarted
+  nor degraded: every start would meet the same state directory.  The
+  supervisor keeps the message in :attr:`ShardSupervisor.refused` and
+  stops the shard, and the daemon ends with that one error.
 
 Because every completed execution is journaled before its decision is
 released, restarting at any instant loses at most the job in flight —
@@ -36,6 +42,7 @@ from typing import Callable, Optional
 from repro import faults
 from repro.config import SimulationConfig
 from repro.config import fork_available
+from repro.errors import ServeError
 from repro.sim.resilience import ResiliencePolicy
 from repro.serve.worker import ShardWorker, worker_main
 
@@ -73,6 +80,9 @@ class ShardSupervisor:
         self.recovered = 0
         self.restarts = 0
         self.degraded = False
+        #: The journal's refusal message once the shard refused to
+        #: start (see the module doc); the shard then runs nothing.
+        self.refused: Optional[str] = None
         self.queue: deque[dict] = deque()
         self.inflight: Optional[dict] = None
         self._deadline: Optional[float] = None
@@ -88,10 +98,14 @@ class ShardSupervisor:
         """Fork the worker (or construct it inline when degraded)."""
         if self.degraded or not self._use_fork:
             self.degraded = True
-            self.inline = ShardWorker(
-                self.shard_id, self.state_dir,
-                predictor=self.predictor, config=self.config,
-            )
+            try:
+                self.inline = ShardWorker(
+                    self.shard_id, self.state_dir,
+                    predictor=self.predictor, config=self.config,
+                )
+            except ServeError as error:
+                self.refused = str(error)
+                return
             self.recovered = self.inline.recovered
             self.ready = True
             return
@@ -147,7 +161,8 @@ class ShardSupervisor:
             self._handle_death("send-failed")
 
     def _pump_inline(self) -> None:
-        assert self.inline is not None
+        if self.inline is None:  # refused
+            return
         while self.queue:
             job = self.queue.popleft()
             decision = self.inline.process(**job)
@@ -158,7 +173,10 @@ class ShardSupervisor:
 
     def request_info(self, kind: str,
                      callback: Callable[[str, dict], None]) -> None:
-        """Ask the worker for ``stats`` or ``tables`` (async reply)."""
+        """Ask the worker for ``stats`` or ``tables`` (async reply);
+        a refused shard never answers."""
+        if self.refused is not None:
+            return
         if self.degraded:
             assert self.inline is not None
             payload = (self.inline.stats() if kind == "stats"
@@ -196,6 +214,9 @@ class ShardSupervisor:
             self.recovered = message[1]["recovered"]
             self._deadline = None
             self._pump()
+        elif kind == "refused":
+            self.refused = message[1]
+            self._stop()
         elif kind == "decision":
             _, client, client_seq, decision = message
             self.inflight = None
@@ -230,8 +251,8 @@ class ShardSupervisor:
                 pass
             self.process.join(timeout=5.0)
 
-    def _handle_death(self, reason: str) -> None:
-        """Restart (or degrade) after the worker died or was killed."""
+    def _stop(self) -> None:
+        """Close the pipe and reap the worker process."""
         if self.conn is not None:
             try:
                 self.conn.close()
@@ -242,6 +263,10 @@ class ShardSupervisor:
             self.process.join(timeout=5.0)
             self.process = None
         self.ready = False
+
+    def _handle_death(self, reason: str) -> None:
+        """Restart (or degrade) after the worker died or was killed."""
+        self._stop()
         self.restarts += 1
         if self.incident_sink is not None:
             self.incident_sink({
@@ -272,7 +297,10 @@ class ShardSupervisor:
 
     # -- shutdown ------------------------------------------------------
     def drain(self) -> None:
-        """Finish queued work, then stop the worker."""
+        """Finish queued work, then stop the worker (a refused shard has
+        neither)."""
+        if self.refused is not None:
+            return
         if self.degraded:
             self._pump_inline()
             assert self.inline is not None

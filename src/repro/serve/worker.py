@@ -10,6 +10,10 @@ then ``spec.on_execution_end()`` — which is word for word the loop of
 decisions are therefore bit-identical to an offline replay of the same
 feed *by construction*; the equivalence battery cross-checks this
 against an actual :meth:`run_global` run rather than trusting it.
+The worker replays untraced: a decision's ``fired`` timeline is the
+engine's own :attr:`~repro.sim.engine.ExecutionRunResult.fired`, the
+rows a traced run emits as ``shutdown-fired`` events, so no trace event
+is built and no decision depends on the observability layer.
 A submission's ``ROWS`` payload is read straight into the trace
 store's columns (:func:`~repro.traces.store.decode_column_rows`), the
 in-memory form of every offline execution too, so no event object is
@@ -37,6 +41,7 @@ from typing import Optional
 from repro import faults
 from repro.cache.filter import filter_execution
 from repro.config import SimulationConfig
+from repro.errors import ServeError
 from repro.predictors.registry import PredictorSpec, make_spec
 from repro.sim.engine import run_global_execution
 from repro.sim.metrics import PredictionStats
@@ -46,29 +51,12 @@ from repro.traces.store import decode_column_rows
 # worker probe still patches this name in this module.
 from repro.traces.store import decode_event_rows  # noqa: F401
 from repro.traces.trace import ExecutionLike, ExecutionTrace
-from repro._tracing import ShutdownFired
 
 
 def shard_of(application: str, shards: int) -> int:
     """Stable application → shard mapping (BLAKE2b, layout-independent)."""
     digest = hashlib.blake2b(application.encode("utf-8"), digest_size=8)
     return int.from_bytes(digest.digest(), "big") % shards
-
-
-class _FiredSink:
-    """Tracer that keeps only the shutdown-fired timeline of one run."""
-
-    __slots__ = ("fired",)
-
-    def __init__(self) -> None:
-        self.fired: list[list] = []
-
-    def emit(self, event) -> None:
-        if isinstance(event, ShutdownFired):
-            self.fired.append([
-                event.time, event.offset, event.gap_length,
-                event.source, event.hit,
-            ])
 
 
 def table_snapshot(spec: PredictorSpec) -> dict:
@@ -148,10 +136,7 @@ class ShardWorker:
         """The offline code path, verbatim, for one execution."""
         spec = self._spec(application)
         filtered = filter_execution(execution, self.config.cache)
-        sink = _FiredSink()
-        result = run_global_execution(
-            execution, filtered, spec, self.config, tracer=sink
-        )
+        result = run_global_execution(execution, filtered, spec, self.config)
         self._stats[application].merge(result.stats)
         spec.on_execution_end()
         ledger = result.ledger
@@ -172,7 +157,7 @@ class ShardWorker:
             "delay_seconds": result.delay_seconds,
             "irritating_delays": result.irritating_delays,
             "table_size": spec.table_size,
-            "fired": sink.fired,
+            "fired": result.fired,
         }
 
     def process(
@@ -247,11 +232,20 @@ def worker_main(conn, shard_id: int, state_dir: str, predictor: str,
     * ``("drain",)``  → ``("drained",)`` and exit
 
     The first message sent is ``("ready", {"recovered": n})`` after
-    journal recovery, so the supervisor knows replay finished.
+    journal recovery, so the supervisor knows replay finished — or
+    ``("refused", message)`` when the shard's journal refuses to load
+    (a :class:`~repro.errors.ServeError`), after which the worker exits:
+    the refusal is a fact about the state directory, which a restart
+    would only meet again.
     """
-    worker = ShardWorker(
-        shard_id, state_dir, predictor=predictor, config=config,
-    )
+    try:
+        worker = ShardWorker(
+            shard_id, state_dir, predictor=predictor, config=config,
+        )
+    except ServeError as error:
+        conn.send(("refused", str(error)))
+        conn.close()
+        return
     conn.send(("ready", {"recovered": worker.recovered}))
     while True:
         try:

@@ -72,24 +72,28 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _EPS = EPSILON
 
 
-def _emit_fired(
-    tracer: Tracer,
+def fired_row(
     gap_start: float,
     gap_length: float,
     offset: float,
     source: PredictorSource,
     breakeven: float,
-) -> None:
-    """Emit a shutdown-fired event classified exactly like the stats."""
-    tracer.emit(
-        ShutdownFired(
-            time=gap_start + offset,
-            offset=offset,
-            gap_length=gap_length,
-            source=source.value,
-            hit=gap_length - offset > breakeven + _EPS,
-        )
-    )
+) -> list:
+    """One shutdown that took effect, as ``[time, offset, gap_length,
+    source, hit]`` (the :class:`ShutdownFired` fields, in order), its
+    ``hit`` classified exactly like the stats."""
+    return [
+        gap_start + offset,
+        offset,
+        gap_length,
+        source.value,
+        gap_length - offset > breakeven + _EPS,
+    ]
+
+
+def _emit_fired(tracer: Tracer, row: list) -> None:
+    """Emit the shutdown-fired event of a :func:`fired_row`."""
+    tracer.emit(ShutdownFired(*row))
 
 
 def _resolve_shutdown(
@@ -412,10 +416,10 @@ def evaluate_local_stream(
             else:
                 record_gap(gap_length, delay, intent.source, breakeven)
                 if traced:
-                    _emit_fired(
-                        tracer, busy_end, gap_length, delay, intent.source,
+                    _emit_fired(tracer, fired_row(
+                        busy_end, gap_length, delay, intent.source,
                         breakeven,
-                    )
+                    ))
             on_idle_end(
                 IdleFeedback(
                     start=busy_end,
@@ -435,9 +439,9 @@ def evaluate_local_stream(
         record_gap(gap_length, offset, source, breakeven)
         if traced and offset is not None:
             assert source is not None
-            _emit_fired(
-                tracer, busy_end, gap_length, offset, source, breakeven
-            )
+            _emit_fired(tracer, fired_row(
+                busy_end, gap_length, offset, source, breakeven
+            ))
         # Trailing idle period trains too (the table is saved at exit).
         on_idle_end(
             IdleFeedback(
@@ -460,6 +464,10 @@ class ExecutionRunResult:
     ledger: EnergyBreakdown
     shutdowns: int
     disk_accesses: int
+    #: One :func:`fired_row` per shutdown the stats count, in time
+    #: order: the decision timeline, built whether or not a tracer
+    #: listens (a tracer's ``shutdown-fired`` events are these rows).
+    fired: list
     #: Requests that waited for a spin-up, the seconds they waited, and
     #: how many of those waits hit an actively-working user (off-window
     #: below breakeven) — the paper's user-irritation argument.
@@ -489,6 +497,11 @@ def run_global_execution(
     eventual shutdown, then spins down when the combined decision fires —
     "the sliding wait-window can be optimized to put the disk into a
     lower power state immediately".
+
+    The result's ``fired`` is the decision timeline, one
+    :func:`fired_row` per shutdown the stats count; a ``tracer`` only
+    observes it (each ``shutdown-fired`` event is emitted from its row),
+    so no output depends on whether one is attached.
     """
     if spec.is_omniscient:
         return _run_omniscient(execution, filtered, spec, config, tracer=tracer)
@@ -518,6 +531,7 @@ def _run_omniscient(
     durations = columnar.durations_list(config)
     serve = disk.serve
     record_gap = stats.record_gap
+    fired: list[list] = []
     shutdown_offset = policy.shutdown_offset
     schedule_shutdown = disk.schedule_shutdown
     busy_until = disk.busy_until
@@ -529,6 +543,11 @@ def _run_omniscient(
             record_gap(
                 gap_length, offset, PredictorSource.PRIMARY, breakeven
             )
+            row = fired_row(
+                busy_until, gap_length, offset, PredictorSource.PRIMARY,
+                breakeven,
+            )
+            fired.append(row)
             if traced:
                 tracer.emit(
                     ShutdownScheduled(
@@ -536,14 +555,7 @@ def _run_omniscient(
                         source=PredictorSource.PRIMARY.value,
                     )
                 )
-                _emit_fired(
-                    tracer,
-                    busy_until,
-                    gap_length,
-                    offset,
-                    PredictorSource.PRIMARY,
-                    breakeven,
-                )
+                _emit_fired(tracer, row)
         else:
             record_gap(gap_length, None, None, breakeven)
 
@@ -574,6 +586,7 @@ def _run_omniscient(
         ledger=disk.ledger,
         shutdowns=disk.shutdown_count,
         disk_accesses=len(accesses),
+        fired=fired,
         delayed_requests=disk.delayed_requests,
         delay_seconds=disk.delay_seconds,
         irritating_delays=disk.irritating_delays,
@@ -614,6 +627,7 @@ def _run_local_based(
     serve = disk.serve
     schedule_shutdown = disk.schedule_shutdown
     record_gap = stats.record_gap
+    fired: list[list] = []
     on_access = combiner.on_access
     is_live = combiner.is_live
     process_started = combiner.process_started
@@ -692,15 +706,12 @@ def _run_local_based(
                 if pending is not None:
                     offset = pending[0] - gap_start
                     record_gap(gap_length, offset, pending[1], breakeven)
+                    row = fired_row(
+                        gap_start, gap_length, offset, pending[1], breakeven
+                    )
+                    fired.append(row)
                     if traced:
-                        _emit_fired(
-                            tracer,
-                            gap_start,
-                            gap_length,
-                            offset,
-                            pending[1],
-                            breakeven,
-                        )
+                        _emit_fired(tracer, row)
                 else:
                     record_gap(gap_length, None, None, breakeven)
             if not is_live(access.pid):
@@ -736,16 +747,12 @@ def _run_local_based(
     gap_start = busy_until
     if trailing > _EPS:
         if pending is not None:
-            record_gap(trailing, pending[0] - gap_start, pending[1], breakeven)
+            offset = pending[0] - gap_start
+            record_gap(trailing, offset, pending[1], breakeven)
+            row = fired_row(gap_start, trailing, offset, pending[1], breakeven)
+            fired.append(row)
             if traced:
-                _emit_fired(
-                    tracer,
-                    gap_start,
-                    trailing,
-                    pending[0] - gap_start,
-                    pending[1],
-                    breakeven,
-                )
+                _emit_fired(tracer, row)
         else:
             record_gap(trailing, None, None, breakeven)
     disk.finalize(end)
@@ -754,6 +761,7 @@ def _run_local_based(
         ledger=disk.ledger,
         shutdowns=disk.shutdown_count,
         disk_accesses=len(filtered.accesses),
+        fired=fired,
         delayed_requests=disk.delayed_requests,
         delay_seconds=disk.delay_seconds,
         irritating_delays=disk.irritating_delays,

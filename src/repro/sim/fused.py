@@ -77,6 +77,7 @@ from repro.sim.engine import (
     ExecutionRunResult,
     ReplayTape,
     build_replay_tape,
+    fired_row,
 )
 from repro.sim.experiment import ApplicationResult, ExperimentRunner
 from repro.sim.metrics import PredictionStats
@@ -168,6 +169,7 @@ def _finish(
     delayed_requests: int,
     delay_seconds: float,
     irritating: int,
+    fired: list,
 ) -> ExecutionRunResult:
     idle_short, idle_long, power_cycle, standby = energy
     ledger = EnergyBreakdown(
@@ -182,6 +184,7 @@ def _finish(
         ledger=ledger,
         shutdowns=shutdown_count,
         disk_accesses=tape.n_accesses,
+        fired=fired,
         delayed_requests=delayed_requests,
         delay_seconds=delay_seconds,
         irritating_delays=irritating,
@@ -234,6 +237,7 @@ def _replay_local(
     idle_short = idle_long = power_cycle = standby = 0.0
     shutdown_count = delayed_requests = irritating = 0
     delay_seconds = 0.0
+    fired: list[list] = []
 
     for step in tape.views:
         op = step[0]
@@ -332,9 +336,12 @@ def _replay_local(
                     opportunity = gap_length > breakeven
                     if opportunity:
                         opportunities += 1
-                    if gap_length - (shutdown_at - busy_until) > (
-                        breakeven + _EPS
-                    ):
+                    offset = shutdown_at - busy_until
+                    fired.append(fired_row(
+                        busy_until, gap_length, offset, pending_source,
+                        breakeven,
+                    ))
+                    if gap_length - offset > breakeven + _EPS:
                         if pending_source is _PRIMARY:
                             hits_primary += 1
                         else:
@@ -471,6 +478,9 @@ def _replay_local(
             opportunities += 1
         if pending_at is not None:
             offset = pending_at - busy_until
+            fired.append(fired_row(
+                busy_until, tape.trailing, offset, pending_source, breakeven
+            ))
             if tape.trailing - offset > breakeven + _EPS:
                 if pending_source is _PRIMARY:
                     hits_primary += 1
@@ -520,6 +530,7 @@ def _replay_local(
         tape, config, stats,
         (idle_short, idle_long, power_cycle, standby),
         shutdown_count, delayed_requests, delay_seconds, irritating,
+        fired,
     )
 
 
@@ -552,6 +563,7 @@ def _replay_constant(
     idle_short = idle_long = power_cycle = standby = 0.0
     shutdown_count = delayed_requests = irritating = 0
     delay_seconds = 0.0
+    fired: list[list] = []
 
     for step in tape.views:
         op = step[0]
@@ -615,9 +627,11 @@ def _replay_constant(
                     opportunity = gap_length > breakeven
                     if opportunity:
                         opportunities += 1
-                    if gap_length - (shutdown_at - busy_until) > (
-                        breakeven + _EPS
-                    ):
+                    offset = shutdown_at - busy_until
+                    fired.append(fired_row(
+                        busy_until, gap_length, offset, _PRIMARY, breakeven
+                    ))
+                    if gap_length - offset > breakeven + _EPS:
                         hits += 1
                     else:
                         misses += 1
@@ -677,7 +691,11 @@ def _replay_constant(
         if opportunity:
             opportunities += 1
         if pending_at is not None:
-            if tape.trailing - (pending_at - busy_until) > breakeven + _EPS:
+            offset = pending_at - busy_until
+            fired.append(fired_row(
+                busy_until, tape.trailing, offset, _PRIMARY, breakeven
+            ))
+            if tape.trailing - offset > breakeven + _EPS:
                 hits += 1
             else:
                 misses += 1
@@ -717,6 +735,7 @@ def _replay_constant(
         tape, config, stats,
         (idle_short, idle_long, power_cycle, standby),
         shutdown_count, delayed_requests, delay_seconds, irritating,
+        fired,
     )
 
 
@@ -743,6 +762,7 @@ def _replay_omniscient(
     idle_short = idle_long = power_cycle = standby = 0.0
     shutdown_count = delayed_requests = irritating = 0
     delay_seconds = 0.0
+    fired: list[list] = []
 
     for step in tape.views:
         op = step[0]
@@ -786,6 +806,9 @@ def _replay_omniscient(
                 opportunity = gap_length > breakeven
                 if opportunity:
                     opportunities += 1
+                fired.append(fired_row(
+                    busy_until, gap_length, offset, _PRIMARY, breakeven
+                ))
                 if gap_length - offset > breakeven + _EPS:
                     hits += 1
                 else:
@@ -815,6 +838,9 @@ def _replay_omniscient(
             opportunities += 1
         if offset is not None and offset < trailing - _EPS:
             shutdown_at = tape.final_busy_until + offset
+            fired.append(fired_row(
+                tape.final_busy_until, trailing, offset, _PRIMARY, breakeven
+            ))
             if trailing - offset > breakeven + _EPS:
                 hits += 1
             else:
@@ -855,6 +881,7 @@ def _replay_omniscient(
         tape, config, stats,
         (idle_short, idle_long, power_cycle, standby),
         shutdown_count, delayed_requests, delay_seconds, irritating,
+        fired,
     )
 
 

@@ -25,7 +25,9 @@ count, and calls nothing from ``repro.sim``, ``repro.disk`` or
   alone costs ``P_idle·L``.  The request ending a shut-down gap waits
   ``T_su + max(0, t + T_sd − L)`` and irritates the user when the
   off-window ``L − t`` is at most breakeven; it is a hit when the
-  off-window beats breakeven by more than ``EPSILON``.
+  off-window beats breakeven by more than ``EPSILON``;
+* each shutdown is one ``fired`` row, ``[gap start + t, t, L,
+  "primary", hit]``, in time order.
 
 Every sum folds in time order, which is the engine's order too, so
 integer fields must match exactly and float fields to the bit.
@@ -77,7 +79,7 @@ def closed_form(config, accesses, start, end, *, ideal):
 
     ``accesses`` are the filtered ``(arrival time, block count)`` pairs
     in stream order.  Returns ``{field: value}`` over
-    :data:`INT_FIELDS` and :data:`FLOAT_FIELDS`.
+    :data:`INT_FIELDS`, :data:`FLOAT_FIELDS` and ``fired``.
     """
     disk = config.disk
     t_trans = disk.shutdown_time + disk.spinup_time
@@ -91,6 +93,7 @@ def closed_form(config, accesses, start, end, *, ideal):
     out = dict.fromkeys(INT_FIELDS, 0)
     out.update(dict.fromkeys(FLOAT_FIELDS, 0.0))
     out["disk_accesses"] = len(accesses)
+    out["fired"] = []
 
     busy_until = start
     #: (gap start, next arrival or execution end, a request follows)
@@ -127,7 +130,9 @@ def closed_form(config, accesses, start, end, *, ideal):
         out["standby"] += residence
         out[bucket] += residence
         out["shutdowns"] += 1
-        if length - offset > breakeven + EPSILON:
+        hit = length - offset > breakeven + EPSILON
+        out["fired"].append([shutdown_at, offset, length, "primary", hit])
+        if hit:
             out["hits_primary"] += 1
         else:
             out["misses_primary"] += 1
@@ -181,6 +186,11 @@ def check_execution(execution, config) -> dict:
                 assert value.hex() == expected[field].hex(), (
                     where, path, field, value, expected[field],
                 )
+            # ``repr`` spells each float's shortest round trip, so
+            # equal strings mean equal bits.
+            assert repr(observed["fired"]) == repr(expected["fired"]), (
+                where, path,
+            )
         rows[name] = expected
     return rows["Ideal"]
 

@@ -45,7 +45,8 @@ def test_energy_without_shutdowns_matches_closed_form(schedule):
 @given(segments)
 def test_energy_with_immediate_shutdowns_matches_closed_form(schedule):
     """Shut down at the start of every gap: energy must equal the sum of
-    the power model's per-gap closed forms plus busy energy."""
+    the power model's per-gap closed forms plus busy energy.  A gap too
+    short to shut down in idles at idle power."""
     disk = SimulatedDisk(PARAMS, start_time=0.0)
     t = 0.0
     expected = 0.0
@@ -53,6 +54,8 @@ def test_energy_with_immediate_shutdowns_matches_closed_form(schedule):
         if gap > 1e-6:
             disk.schedule_shutdown(t)
             expected += PARAMS.energy_shutdown_window(gap)
+        else:
+            expected += PARAMS.idle_power * gap
         t += gap
         disk.serve(t, service)
         expected += PARAMS.busy_power * service

@@ -11,7 +11,11 @@ The contracts under test:
   client_seq)`` retries idempotently;
 * a shard worker's decisions and final table state are bit-identical
   to an offline :meth:`ExperimentRunner.run_global` replay of the same
-  feed, including after a cold restart that recovers from the journal;
+  feed, including after a cold restart that recovers from the journal,
+  and it replays untraced;
+* a state directory whose journal refuses to load ends ``repro serve``
+  in one ``error:`` line, exit 1, with no restart loop and no socket
+  file left;
 * the daemon end to end: concurrent clients get decisions equal to the
   offline replay, a SIGKILLed shard worker is restarted with its state
   recovered, a second daemon on a drained state directory recovers
@@ -28,23 +32,27 @@ import os
 import signal
 import socket
 import struct
+import subprocess
+import sys
 
 import pytest
 
-from repro.config import SimulationConfig
+import repro
+from repro.config import SimulationConfig, fork_available
 from repro.errors import ServeError, ServeProtocolError
 from repro.predictors.registry import make_spec
 from repro.serve import protocol
 from repro.serve.client import ServeClient, control_request
 from repro.serve.harness import (
+    _FiredSink,
     run_scenario,
     spawn_daemon,
     verify_equivalence,
 )
 from repro.serve.state import ShardJournal
+from repro.serve.supervisor import ShardSupervisor
 from repro.serve.worker import (
     ShardWorker,
-    _FiredSink,
     shard_of,
     table_snapshot,
 )
@@ -126,6 +134,13 @@ def _execution(suite, application, index=0):
 @pytest.fixture(scope="module")
 def tiny_suite():
     return build_suite(scale=0.05, applications=("mozilla", "xemacs"))
+
+
+@pytest.fixture(scope="module")
+def nedit_suite():
+    """A suite whose executions shut the disk down: the tiny suite's
+    never do, so their ``fired`` timelines are empty."""
+    return build_suite(scale=0.1, applications=("nedit",))
 
 
 def test_journal_records_dedup_and_compact_replay(tmp_path, tiny_suite):
@@ -323,34 +338,40 @@ def _feed_worker(worker, suite, application, client="c1"):
 
 
 def test_worker_matches_offline_run_global_bit_identically(
-        tmp_path, tiny_suite):
+        tmp_path, tiny_suite, nedit_suite):
     config = SimulationConfig()
     worker = ShardWorker(0, tmp_path, predictor="PCAP", config=config)
-    decisions = _feed_worker(worker, tiny_suite, "mozilla")
+    fired = 0
+    for suite, application in ((tiny_suite, "mozilla"),
+                               (nedit_suite, "nedit")):
+        decisions = _feed_worker(worker, suite, application,
+                                 client=application)
 
-    runner = ExperimentRunner(
-        {"mozilla": ApplicationTrace(
-            "mozilla", list(tiny_suite["mozilla"].executions))},
-        config=config,
-    )
-    sink = _FiredSink()
-    spec = make_spec("PCAP", config)
-    offline = runner.run_global("mozilla", spec, tracer=sink)
+        runner = ExperimentRunner(
+            {application: ApplicationTrace(
+                application, list(suite[application].executions))},
+            config=config,
+        )
+        sink = _FiredSink()
+        spec = make_spec("PCAP", config)
+        offline = runner.run_global(application, spec, tracer=sink)
 
-    online_stats = PredictionStats.merged([
-        PredictionStats.from_dict(d["stats"]) for d in decisions
-    ])
-    assert online_stats == offline.stats
-    sums = {"busy": 0.0, "idle_short": 0.0, "idle_long": 0.0,
-            "power_cycle": 0.0}
-    for decision in decisions:
-        for name in sums:
-            sums[name] += decision["energy"][name]
-    assert (sums["busy"] + sums["idle_short"] + sums["idle_long"]
-            + sums["power_cycle"]) == offline.ledger.total
-    assert sum(d["shutdowns"] for d in decisions) == offline.shutdowns
-    assert [f for d in decisions for f in d["fired"]] == sink.fired
-    assert worker.tables()["mozilla"] == table_snapshot(spec)
+        online_stats = PredictionStats.merged([
+            PredictionStats.from_dict(d["stats"]) for d in decisions
+        ])
+        assert online_stats == offline.stats
+        sums = {"busy": 0.0, "idle_short": 0.0, "idle_long": 0.0,
+                "power_cycle": 0.0}
+        for decision in decisions:
+            for name in sums:
+                sums[name] += decision["energy"][name]
+        assert (sums["busy"] + sums["idle_short"] + sums["idle_long"]
+                + sums["power_cycle"]) == offline.ledger.total
+        assert sum(d["shutdowns"] for d in decisions) == offline.shutdowns
+        assert [f for d in decisions for f in d["fired"]] == sink.fired
+        assert worker.tables()[application] == table_snapshot(spec)
+        fired += len(sink.fired)
+    assert fired > 0
     worker.close()
 
 
@@ -379,6 +400,132 @@ def test_worker_dedups_retries_and_recovers_from_journal(
     assert recovered.tables() == worker.tables()
     assert recovered.stats() == worker.stats()
     recovered.close()
+
+
+def test_worker_replays_untraced(tmp_path, tiny_suite, nedit_suite,
+                                 monkeypatch):
+    """Live processing and journal recovery hand the engine no tracer:
+    each decision's ``fired`` timeline is the engine's own, one row per
+    shutdown its stats count."""
+    import repro.serve.worker as worker_module
+
+    tracers = []
+    replay = worker_module.run_global_execution
+
+    def recording(*args, **kwargs):
+        tracers.append(kwargs.get("tracer"))
+        return replay(*args, **kwargs)
+
+    monkeypatch.setattr(worker_module, "run_global_execution", recording)
+    suites = (tiny_suite, nedit_suite)
+    worker = ShardWorker(0, tmp_path, predictor="PCAP")
+    decisions = [
+        decision for suite in suites for application in sorted(suite)
+        for decision in _feed_worker(worker, suite, application,
+                                     client=application)
+    ]
+    worker.close()
+    ShardWorker(0, tmp_path, predictor="PCAP").close()
+    assert len(tracers) == 2 * len(decisions)
+    assert tracers == [None] * len(tracers)
+    fired = [len(decision["fired"]) for decision in decisions]
+    assert fired == [
+        PredictionStats.from_dict(decision["stats"]).shutdowns
+        for decision in decisions
+    ]
+    assert sum(fired) > 0
+
+
+# -- refused state directories ----------------------------------------
+
+def _seed_refused_state(state_dir, refusal, tiny_suite) -> tuple:
+    """Leave ``state_dir`` in a state a shard journal refuses; returns
+    the extra ``repro serve`` arguments the refusal needs."""
+    if refusal == "format-1":
+        shard_dir = state_dir / "shard-0"
+        shard_dir.mkdir(parents=True)
+        (shard_dir / "journal.jsonl").write_text(json.dumps(
+            {"type": "provenance", "format": 1, "predictor": "PCAP"}
+        ) + "\n")
+        return ()
+    if refusal == "provenance-drift":
+        for shard in (0, 1):
+            ShardWorker(shard, state_dir, predictor="PCAP").close()
+        return ("--predictor", "TP")
+    worker = ShardWorker(0, state_dir, predictor="PCAP")
+    _feed_worker(worker, tiny_suite, "mozilla")
+    worker.close()
+    shard_dir = state_dir / "shard-0"
+    journal = shard_dir / "journal.jsonl"
+    rows = shard_dir / "rows.bin"
+    if refusal == "mid-stream-corruption":
+        journal.write_bytes(b"not json\n" + journal.read_bytes())
+    elif refusal == "rows-past-end":
+        with open(rows, "r+b") as stream:
+            stream.truncate(rows.stat().st_size - 1)
+    else:  # rows that do not decode: row 0 gets an unknown type code
+        with open(rows, "r+b") as stream:
+            stream.write(b"\x07")
+    return ()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("refusal", [
+    "format-1", "provenance-drift", "mid-stream-corruption",
+    "rows-past-end", "rows-undecodable",
+])
+def test_refused_state_dir_ends_in_one_error_line(tmp_path, tiny_suite,
+                                                  refusal):
+    state_dir = tmp_path / "state"
+    extra = _seed_refused_state(state_dir, refusal, tiny_suite)
+    socket_path = str(tmp_path / "serve.sock")
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", "--socket", socket_path,
+         "--state-dir", str(state_dir), *extra],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    assert lines[0].startswith("error: ")
+    named = [shard for shard in (0, 1)
+             if str(state_dir / f"shard-{shard}") in lines[0]]
+    assert len(named) == 1, lines[0]
+    if refusal != "provenance-drift":  # under drift both shards refuse
+        assert named == [0]
+    assert "Traceback" not in done.stdout
+    assert not os.path.exists(socket_path)
+    assert not os.path.exists(socket_path + ".ctl")
+
+
+@pytest.mark.parametrize("use_fork", [
+    pytest.param(True, marks=pytest.mark.skipif(
+        not fork_available(), reason="needs fork")),
+    False,
+])
+def test_supervisor_keeps_a_refusal_instead_of_restarting(tmp_path,
+                                                          use_fork):
+    state_dir = tmp_path / "state"
+    shard_dir = state_dir / "shard-0"
+    shard_dir.mkdir(parents=True)
+    (shard_dir / "journal.jsonl").write_text(json.dumps(
+        {"type": "provenance", "format": 1}
+    ) + "\n")
+    supervisor = ShardSupervisor(0, str(state_dir), use_fork=use_fork)
+    if use_fork:
+        assert supervisor.conn.poll(60.0)
+        supervisor.on_readable()
+    assert "format-1" in supervisor.refused
+    assert str(shard_dir) in supervisor.refused
+    assert supervisor.restarts == 0
+    assert supervisor.pid is None and supervisor.conn is None
+    # Nothing queued, no worker to stop, and no inline worker either.
+    assert supervisor.submit({"client": "c1", "client_seq": 0})
+    supervisor.drain()
+    assert supervisor.inline is None
 
 
 # -- daemon end to end ------------------------------------------------

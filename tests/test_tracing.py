@@ -1,5 +1,6 @@
 """Structured tracing layer: recorder, JSONL round trip, determinism,
-serial/parallel equivalence, and reconciliation with PredictionStats."""
+serial/parallel equivalence, reconciliation with PredictionStats, and
+the untraced engine's ``fired`` timeline against the traced events."""
 
 import io
 import pickle
@@ -7,8 +8,11 @@ import pickle
 import pytest
 
 from repro.analysis.timeline import render_timeline, render_trace_summary
+from repro.cache.filter import filter_execution
+from repro.config import SimulationConfig, fork_available
+from repro.predictors.registry import KNOWN_PREDICTORS, make_spec
+from repro.sim.engine import run_global_execution
 from repro.sim.experiment import ExperimentRunner
-from repro.config import fork_available
 from repro.sim.tracing import (
     AccessServed,
     GapResolved,
@@ -32,6 +36,7 @@ from repro.sim.tracing import (
     summarize,
     write_jsonl,
 )
+from repro.workloads import build_suite
 
 ONE_OF_EACH = [
     AccessServed(time=1.0, pid=100, pc=0x1000, block_count=2, busy_until=1.2),
@@ -160,6 +165,57 @@ def test_traced_run_covers_the_event_vocabulary(small_suite):
         "wait-expired",
     } <= kinds
     assert result.trace_summary["access-served"] == result.total_disk_accesses
+
+
+def test_untraced_fired_rows_equal_traced_events():
+    """Every predictor, local-based and omniscient, single-lane and
+    multistate, over the scale-0.2 suite with specs carried across
+    executions: an untraced run's ``fired`` equals the rows of the
+    ``shutdown-fired`` events a traced run emits, one per shutdown the
+    stats count.  ``repr`` spells each float's shortest round trip, so
+    equal strings mean equal bits."""
+    config = SimulationConfig()
+    suite = build_suite(scale=0.2)
+    rows = runs = 0
+    for application in sorted(suite):
+        pairs = [
+            (execution, filter_execution(execution, config.cache))
+            for execution in suite[application].executions
+        ]
+        for name in KNOWN_PREDICTORS:
+            for multistate in (False, True):
+                plain = make_spec(name, config)
+                traced = make_spec(name, config)
+                for execution, filtered in pairs:
+                    where = (application, execution.execution_index, name,
+                             multistate)
+                    untraced = run_global_execution(
+                        execution, filtered, plain, config,
+                        multistate=multistate,
+                    )
+                    recorder = TraceRecorder()
+                    result = run_global_execution(
+                        execution, filtered, traced, config,
+                        multistate=multistate, tracer=recorder,
+                    )
+                    events = [
+                        [e.time, e.offset, e.gap_length, e.source, e.hit]
+                        for e in recorder.events
+                        if isinstance(e, ShutdownFired)
+                    ]
+                    assert repr(untraced.fired) == repr(events), where
+                    assert repr(result.fired) == repr(events), where
+                    assert len(untraced.fired) == untraced.stats.shutdowns, (
+                        where
+                    )
+                    plain.on_execution_end()
+                    traced.on_execution_end()
+                    rows += len(events)
+                    runs += 1
+    assert runs == 2 * len(KNOWN_PREDICTORS) * sum(
+        len(trace.executions) for trace in suite.values()
+    )
+    assert rows > 0
 
 
 def test_tracing_disabled_results_identical(small_suite):
