@@ -9,12 +9,11 @@ stages whose products they find.  The cache holds:
   store (:func:`repro.workloads.build_application`);
 * each execution's page-cache filter result (:func:`filter_key`), a
   pickled :class:`~repro.cache.filter.FilterResult`;
-* each fused cell's outcome (:func:`fused_key`), a pickled
-  :class:`~repro.sim.fused.FusedCellOutcome`, and each shared-table
-  fleet run's (:func:`fleet_key`), a list of them;
-* each per-cell matrix outcome, a pickled
-  :class:`~repro.sim.experiment.ApplicationResult` under the cell's
-  checkpoint key (:func:`repro.sim.resilience.cell_key`);
+* each (application, predictor) result of a matrix, sweep or fleet,
+  fused lanes and classic cells alike, a pickled
+  :class:`~repro.sim.experiment.ApplicationResult` under its journal
+  key (:func:`repro.sim.resilience.cell_key`), read and written by
+  :func:`repro.sim.resilience.run_cells` alone;
 * each application's Table 1 row (:func:`table1_key`), a pickled
   :class:`~repro.analysis.tables.Table1Row`.
 
@@ -27,10 +26,9 @@ run reads no cell outcome, because a cached one carries no events).
   content plus the configuration (and, for cell outcomes, the predictor
   labels) plus a schema version for the rest.  Changing any input (or
   bumping :data:`SCHEMA_VERSION` when the layout of a pickled type —
-  ``FilterResult``, ``FusedCellOutcome``, ``ApplicationResult`` or
-  ``Table1Row`` — or the meaning of a key component changes) changes
-  the key, so stale entries are never *read* — they are simply
-  orphaned.
+  ``FilterResult``, ``ApplicationResult`` or ``Table1Row`` — or the
+  meaning of a key component changes) changes the key, so stale
+  entries are never *read* — they are simply orphaned.
 * **One trace format.**  A generated trace is kept as a trace store
   (:mod:`repro.traces.store`), and a hit returns the lazily read
   :class:`~repro.traces.store.StoreBackedTrace`, which carries its
@@ -68,7 +66,7 @@ import shutil
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro import faults
 from repro.cache.page_cache import CacheConfig
@@ -84,9 +82,9 @@ from repro.traces.store import (
 from repro.traces.trace import ApplicationTrace
 
 #: Bump whenever the layout of a pickled artifact type (``FilterResult``,
-#: ``FusedCellOutcome``, ``ApplicationResult``, ``Table1Row``) or the
-#: meaning of a key component changes; old entries are orphaned rather
-#: than misread.  It also feeds checkpoint cell keys.
+#: ``ApplicationResult``, ``Table1Row``) or the meaning of a key
+#: component changes; old entries are orphaned rather than misread.  It
+#: also feeds checkpoint cell keys.
 SCHEMA_VERSION = 1
 
 #: Environment variable naming the default on-disk cache directory.
@@ -154,8 +152,10 @@ class ArtifactCache:
         """``(True, value)`` on a hit, ``(False, None)`` on a miss.
 
         Any failure to read or unpickle counts as a miss — never an
-        exception to the caller; the offending entry is quarantined so
-        the recompute can replace it.
+        exception to the caller: corrupt bytes can make the unpickler
+        raise almost anything (a ``TypeError`` from a bogus reduce, an
+        ``OverflowError`` or ``MemoryError`` from a huge length).  The
+        offending entry is quarantined so the recompute can replace it.
         """
         path = self.path_for(key)
         faults.corrupt_cache_read(path)
@@ -165,8 +165,7 @@ class ArtifactCache:
         except FileNotFoundError:
             self.stats.misses += 1
             return False, None
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError, ValueError):
+        except Exception:
             self.stats.misses += 1
             self._quarantine(path)
             return False, None
@@ -209,15 +208,6 @@ class ArtifactCache:
         ):
             return value
         return None
-
-    def get_or_compute(self, key: str, compute: Callable[[], Any]) -> Any:
-        """The cached value for ``key``, computing and storing on a miss."""
-        hit, value = self.get(key)
-        if hit:
-            return value
-        value = compute()
-        self.put(key, value)
-        return value
 
     def trace_path_for(self, key: str) -> Path:
         """On-disk location of one generated trace's store directory."""
@@ -334,31 +324,17 @@ def table1_key(fingerprint: str, config: "SimulationConfig") -> str:
 def variant_set_fingerprint(
     labels: tuple[str, ...] | list[str], config: "SimulationConfig"
 ) -> str:
-    """Digest identifying a fused variant set under one configuration.
+    """Digest identifying a variant (lane) set under one configuration.
 
-    Fused artifacts hold *every* lane's result, so their keys must
-    change whenever the lane list (order included — lanes are positional)
-    or the simulation configuration does.  Labels are the same
-    predictor-identifying strings the classic per-cell path keys on
-    (registry names, ``"TP@0.5"``-style sweep labels), which is what
-    keeps classic and fused cache entries equally precise.
+    It changes whenever the lane list (order included — lanes are
+    positional) or the simulation configuration does.  Labels are the
+    same predictor-identifying strings the per-cell path keys on
+    (registry names, ``"TP@0.5"``-style sweep labels).  It pins a
+    shared-table fleet's journal provenance and, through
+    :func:`fleet_fingerprint`, its record keys.
     """
     return _digest(
         "variant-set", SCHEMA_VERSION, tuple(labels), repr(config)
-    )
-
-
-def fused_key(
-    fingerprint: str,
-    config: "SimulationConfig",
-    labels: tuple[str, ...] | list[str],
-) -> str:
-    """Cache key of one application's fused multi-variant pass."""
-    return _digest(
-        "fused",
-        SCHEMA_VERSION,
-        fingerprint,
-        variant_set_fingerprint(labels, config),
     )
 
 
@@ -373,7 +349,8 @@ def fleet_fingerprint(
     the variant-set fingerprint: device order matters because the
     shared-table mode replays applications in first-seen device order
     (a reordered fleet evolves its shared tables differently), and the
-    variant set pins down the predictor lanes exactly as fused keys do.
+    variant set pins down the predictor lanes.  A shared-table fleet
+    keys its records on it.
     """
     return _digest(
         "fleet",
@@ -381,20 +358,6 @@ def fleet_fingerprint(
         tuple(device_fingerprints),
         variant_set_fingerprint(labels, config),
     )
-
-
-def fleet_key(
-    fingerprint: str,
-    tables: str,
-) -> str:
-    """Cache key of one fleet evaluation's shared replay artifact.
-
-    ``fingerprint`` is :func:`fleet_fingerprint` (already covering the
-    device population, lane list, and configuration); ``tables`` is the
-    prediction-table mode, which changes the replay semantics without
-    changing any input the fingerprint sees.
-    """
-    return _digest("fleet-run", SCHEMA_VERSION, fingerprint, tables)
 
 
 def resolve_cache(

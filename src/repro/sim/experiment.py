@@ -490,12 +490,12 @@ class ExperimentRunner:
         a journal resumes under either: adding a predictor re-runs only
         the new lanes.
 
-        With an artifact cache attached and tracing off, every cell's
-        outcome is cached too — a per-cell result under its journal key
-        (:func:`~repro.sim.resilience.cell_key`), a fused cell's under
-        :func:`~repro.sim.artifact_cache.fused_key` — and cached cells
-        are served before any cell runs or a worker starts, so a warm
-        matrix filters and forks nothing.
+        With an artifact cache attached and tracing off, every
+        (application, predictor) result is also put in the cache under
+        its journal key (:func:`~repro.sim.resilience.cell_key`), on
+        either path, and stored results are served before any cell runs
+        or a worker starts: a warm matrix filters and forks nothing,
+        and a matrix reuses the lanes any other command stored.
         """
         # Imported lazily: both modules import this one.
         from repro.sim.fused import fused_eligible, run_fused_cells
@@ -549,31 +549,22 @@ class ExperimentRunner:
         keys = None
         if checkpoint is not None or cache is not None:
             keys = [
-                cell_key(
+                (cell.application, cell_key(
                     self.fingerprint(cell.application),
                     cell.predictor,
                     self.config,
                     mode=mode,
                     multistate=multistate,
-                )
+                ))
                 for cell in cells
             ]
 
-        def lookup(cell: ExperimentCell) -> Optional[ApplicationResult]:
-            return cache.get_checked(
-                keys[cell.index], ApplicationResult, cell.application
-            )
-
         def run_cell(cell: ExperimentCell) -> ApplicationResult:
             if mode == "local":
-                result = self.run_local(cell.application, cell.predictor)
-            else:
-                result = self.run_global(
-                    cell.application, cell.predictor, multistate=multistate
-                )
-            if cache is not None:
-                cache.put(keys[cell.index], result)
-            return result
+                return self.run_local(cell.application, cell.predictor)
+            return self.run_global(
+                cell.application, cell.predictor, multistate=multistate
+            )
 
         ledger = run_cells(
             cells,
@@ -587,7 +578,7 @@ class ExperimentRunner:
             # free to differ between resumes; only the run *shape*
             # (mode, multistate) must match.
             provenance={"mode": mode, "multistate": bool(multistate)},
-            lookup=lookup if cache is not None else None,
+            cache=cache,
             # Only applications with cells left to run are filtered.
             prepare=lambda pending: self.prewarm(
                 [cell.application for cell in pending]

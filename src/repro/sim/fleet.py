@@ -44,9 +44,9 @@ this module keeps both bounded:
 Execution rides the existing layers: sharded fleets fan one fused cell
 per application through :func:`repro.sim.fused.run_fused_cells` (worker
 pools, artifact cache, retries, checkpoints all apply); shared fleets
-run as a single sequential cell cached under a fleet-level key
-(:func:`repro.sim.artifact_cache.fleet_key`).  Both run on the one cell
-executor, :func:`repro.sim.resilience.run_cells`.
+run as a single sequential cell that records one result per
+(application, lane) under keys built from the fleet fingerprint.  Both
+run on the one cell executor, :func:`repro.sim.resilience.run_cells`.
 """
 
 from __future__ import annotations
@@ -293,17 +293,19 @@ def _shared_outcomes(
     progress: Optional[ProgressHook],
     policy,
     checkpoint,
-    use_cache: bool,
+    use_cache: bool = True,
 ):
     """Evaluate a shared-table fleet: one sequential cell, one spec set.
 
     The spec objects persist across applications, so shared predictor
     state (PCAP tables, LT trees) carries over in first-seen device
     order — the fleet-wide table scope.  The whole pass is one cell so
-    the resilient executor retries it atomically, and its artifact is
-    cached under the fleet key.
+    the resilient executor retries it atomically.  Its records, one per
+    (application, lane), are keyed on the fleet fingerprint, the
+    application and the lane label.
     """
-    from repro.sim.artifact_cache import fleet_key
+    from repro.sim.artifact_cache import variant_set_fingerprint
+    from repro.sim.resilience import cell_key, run_cells
 
     cache = runner.artifact_cache if use_cache else None
     cell = ExperimentCell(
@@ -311,40 +313,28 @@ def _shared_outcomes(
         predictor=f"fleet-shared[{len(labels)}]",
     )
 
-    key = fleet_key(fingerprint, "shared")
-
-    def lookup(cell: ExperimentCell) -> Optional[list[FusedCellOutcome]]:
-        hit, value = cache.get(key)
-        return value if hit and isinstance(value, list) else None
-
-    def run_cell(cell: ExperimentCell) -> list[FusedCellOutcome]:
+    def run_cell(cell: ExperimentCell) -> list[ApplicationResult]:
         specs = make_specs()
-        outcomes = [
-            FusedCellOutcome(
-                application=app,
-                results=run_fused_application(runner, app, specs),
-            )
+        return [
+            result
             for app in apps
+            for result in run_fused_application(runner, app, specs)
         ]
-        if cache is not None:
-            cache.put(key, outcomes)
-        return outcomes
-
-    from repro.sim.artifact_cache import variant_set_fingerprint
-    from repro.sim.resilience import cell_key, run_cells
 
     keys = None
     provenance = None
+    if checkpoint is not None or cache is not None:
+        keys = [tuple(
+            (app, cell_key(fingerprint, label, runner.config,
+                           mode=f"fleet-shared:{app}"))
+            for app in apps
+            for label in labels
+        )]
     if checkpoint is not None:
-        variant_fp = variant_set_fingerprint(labels, runner.config)
-        keys = [
-            cell_key(fingerprint, f"fleet-shared:{variant_fp}",
-                     runner.config)
-        ]
         provenance = {
             "mode": "fleet-shared",
             "multistate": False,
-            "variant_set": variant_fp,
+            "variant_set": variant_set_fingerprint(labels, runner.config),
         }
     ledger = run_cells(
         [cell],
@@ -355,12 +345,15 @@ def _shared_outcomes(
         checkpoint=checkpoint,
         cell_keys=keys,
         provenance=provenance,
-        lookup=lookup if cache is not None else None,
+        cache=cache,
     )
+    width = len(labels)
     outcomes: dict[str, FusedCellOutcome] = {}
     for item in ledger.results:
-        for outcome in item.result:
-            outcomes[outcome.application] = outcome
+        for row, app in enumerate(apps):
+            outcomes[app] = FusedCellOutcome(
+                app, item.result[row * width:(row + 1) * width]
+            )
     return outcomes, ledger
 
 
@@ -374,7 +367,6 @@ def run_fleet(
     progress: Optional[ProgressHook] = None,
     policy=None,
     checkpoint=None,
-    use_cache: bool = True,
 ) -> FleetResult:
     """Simulate a device fleet under one or more predictors.
 
@@ -393,9 +385,10 @@ def run_fleet(
 
     Cells run on :func:`repro.sim.resilience.run_cells` under
     ``policy`` (a :class:`~repro.sim.resilience.ResiliencePolicy`,
-    default one attempt per cell).  ``checkpoint`` journals completed
-    cells: sharded fleets journal each application × predictor lane
-    under the per-cell key, and shared fleets key their one cell on the
+    default one attempt per cell).  Each application × predictor lane
+    is one record in ``checkpoint``'s journal and the runner's artifact
+    cache: sharded fleets use the per-cell key, so they reuse the lanes
+    any matrix recorded, and shared fleets key their records on the
     fleet fingerprint, so a changed population or lane set never
     resumes stale entries.  Failed cells raise
     :class:`~repro.errors.ExecutionError` — fleet aggregates over a
@@ -435,14 +428,12 @@ def run_fleet(
             runner, apps, names, make_specs, fingerprint,
             jobs=jobs, progress=progress,
             policy=policy, checkpoint=checkpoint,
-            use_cache=use_cache,
         )
     else:
         outcomes, ledger = run_fused_cells(
             runner, apps, names, make_specs,
             jobs=jobs, progress=progress,
             policy=policy, checkpoint=checkpoint,
-            use_cache=use_cache,
         )
     raise_on_failures(ledger, "fleet run")
 

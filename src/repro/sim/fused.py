@@ -15,8 +15,8 @@ pass per application:
    exists because requests never stretch the timeline — spin-up
    latency is energy-only — so the busy/gap structure is identical
    under every predictor.  A tape lives only while its execution's
-   lanes replay it and is never persisted: a warm run reads the fused
-   outcome from the artifact cache instead of replaying, and
+   lanes replay it and is never persisted: a warm run reads each
+   lane's record from the artifact cache instead of replaying, and
    restoring a stored tape costs about what building it does.
 2. A per-variant *lane* replays the tape with only the per-predictor
    state: predictor instances and standing intents, the pending
@@ -53,11 +53,11 @@ per-cell path.  The decomposition changes from (application ×
 variant) cells to one fused cell per *application*
 (:func:`run_fused_cells`), executed by the one cell executor,
 :func:`repro.sim.resilience.run_cells`; results merge through the same
-deterministic cell-ordered fold.  Each fused lane is journalled under
+deterministic cell-ordered fold.  Each fused lane is one record, under
 the per-(application, predictor)
-:func:`~repro.sim.resilience.cell_key` the per-cell path writes, so one
-journal resumes under either path, and a resumed run re-executes only
-the lanes its journal lacks.
+:func:`~repro.sim.resilience.cell_key` the per-cell path writes, in the
+journal and the artifact cache alike, so a run re-executes only the
+lanes no run before it recorded, whichever path or command that was.
 """
 
 from __future__ import annotations
@@ -90,11 +90,11 @@ _PRIMARY = PredictorSource.PRIMARY
 
 @dataclass(slots=True)
 class FusedCellOutcome:
-    """One application's fused pass: per-variant results, in lane order.
+    """One application's lanes as :func:`run_fused_cells` returns them:
+    per-variant results, in lane order.
 
-    Picklable, so fused cells travel through the fork pool, the
-    checkpoint journal, and the artifact cache exactly like classic
-    :class:`~repro.sim.experiment.ApplicationResult` cells.
+    Only the lanes travel: a fused cell returns them through the fork
+    pool, and each is journalled and cached as a record of its own.
     """
 
     application: str
@@ -969,21 +969,19 @@ def run_fused_cells(
 ):
     """Fan one fused cell per application across the execution layer.
 
-    ``labels`` name the variant lanes (they parameterize the artifact
-    cache and checkpoint keys, so they must identify the variants the
-    way classic cell labels do); ``make_specs`` builds one fresh spec
-    per label — called inside each cell, because specs are stateful.
-    ``use_cache=False`` bypasses the artifact cache (for variant sets
-    built by opaque callables, whose labels do not pin down semantics).
+    ``labels`` name the variant lanes (they parameterize the record
+    keys, so they must identify the variants the way classic cell labels
+    do); ``make_specs`` builds one fresh spec per label — called inside
+    each cell, because specs are stateful.  ``use_cache=False`` bypasses
+    the artifact cache (for variant sets built by opaque callables,
+    whose labels do not pin down semantics).
 
-    With ``checkpoint`` (a :class:`~repro.sim.resilience.CellCheckpoint`
-    or a path) every lane is journalled under the per-(application,
-    label) :func:`~repro.sim.resilience.cell_key` the per-cell path
-    writes.  A resumed run restores each journalled lane as a cell of
-    its own and runs one fused cell per application over the lanes the
-    journal lacks.  A cell whose outcome the artifact cache holds
-    (:func:`~repro.sim.artifact_cache.fused_key`) is served from it
-    before any cell runs or a worker starts.
+    Every lane is one record under the per-(application, label)
+    :func:`~repro.sim.resilience.cell_key`, in the journal
+    (``checkpoint``, a :class:`~repro.sim.resilience.CellCheckpoint` or
+    a path) and the artifact cache alike.  Each lane
+    :func:`~repro.sim.resilience.is_recorded` finds is restored as a
+    cell of its own; one fused cell per application runs the rest.
 
     The cells run on :func:`~repro.sim.resilience.run_cells` under
     ``policy`` (default :class:`~repro.sim.resilience.ResiliencePolicy`).
@@ -993,11 +991,14 @@ def run_fused_cells(
     failed cell is missing from ``outcomes`` — callers inspect the
     ledger.
     """
-    from repro.sim.artifact_cache import fused_key
-    from repro.sim.resilience import run_cells
+    from repro.sim.resilience import (
+        CellCheckpoint,
+        cell_key,
+        is_recorded,
+        run_cells,
+    )
 
     label_tuple = tuple(labels)
-    config = runner.config
     cache = runner.artifact_cache if use_cache else None
     apps = list(applications)
     every_lane = tuple(range(len(label_tuple)))
@@ -1005,14 +1006,12 @@ def run_fused_cells(
     plan = [(app, every_lane) for app in apps]
     keys = None
     owned = None
-    if checkpoint is not None:
-        from repro.sim.resilience import CellCheckpoint, cell_key
-
-        if not isinstance(checkpoint, CellCheckpoint):
-            checkpoint = owned = CellCheckpoint(checkpoint)
-        lane_keys = {
+    if checkpoint is not None and not isinstance(checkpoint, CellCheckpoint):
+        checkpoint = owned = CellCheckpoint(checkpoint)
+    if checkpoint is not None or cache is not None:
+        records = {
             app: [
-                cell_key(runner.fingerprint(app), label, config)
+                (app, cell_key(runner.fingerprint(app), label, runner.config))
                 for label in label_tuple
             ]
             for app in apps
@@ -1021,7 +1020,7 @@ def run_fused_cells(
         for app in apps:
             missing = tuple(
                 lane for lane in every_lane
-                if checkpoint.get(lane_keys[app][lane]) is None
+                if not is_recorded(records[app][lane], checkpoint, cache)
             )
             plan.extend(
                 (app, (lane,)) for lane in every_lane if lane not in missing
@@ -1029,7 +1028,7 @@ def run_fused_cells(
             if missing:
                 plan.append((app, missing))
         keys = [
-            tuple(lane_keys[app][lane] for lane in lanes)
+            tuple(records[app][lane] for lane in lanes)
             for app, lanes in plan
         ]
     cells = [
@@ -1044,29 +1043,12 @@ def run_fused_cells(
         for index, (app, lanes) in enumerate(plan)
     ]
 
-    def cache_key(cell: ExperimentCell) -> str:
-        application, lanes = plan[cell.index]
-        return fused_key(
-            runner.fingerprint(application),
-            config,
-            tuple(label_tuple[lane] for lane in lanes),
-        )
-
-    def lookup(cell: ExperimentCell) -> Optional[list[ApplicationResult]]:
-        value = cache.get_checked(
-            cache_key(cell), FusedCellOutcome, cell.application
-        )
-        return None if value is None else value.results
-
     def run_cell(cell: ExperimentCell) -> list[ApplicationResult]:
         application, lanes = plan[cell.index]
         specs = make_specs()
-        results = run_fused_application(
+        return run_fused_application(
             runner, application, [specs[lane] for lane in lanes]
         )
-        if cache is not None:
-            cache.put(cache_key(cell), FusedCellOutcome(application, results))
-        return results
 
     try:
         ledger = run_cells(
@@ -1078,7 +1060,7 @@ def run_fused_cells(
             checkpoint=checkpoint,
             cell_keys=keys,
             provenance={"mode": "global", "multistate": False},
-            lookup=lookup if cache is not None else None,
+            cache=cache,
             # Only applications with cells left to run are filtered.
             prepare=lambda pending: runner.prewarm(
                 [cell.application for cell in pending]

@@ -25,16 +25,15 @@ work:
   becomes a :class:`CellFailure` carrying every attempt's kind, message
   and traceback — the suite completes with a partial result set and a
   ledger instead of crashing.
-* **Checkpoint/resume.**  Completed cells are journalled to an
+* **One record per result.**  Every result a cell returns is one
+  record, keyed by :func:`cell_key` and bound to the application it
+  must name.  A finished cell's records are journalled to an
   append-only JSONL file (:class:`CellCheckpoint`), flushed and fsynced
-  per record, keyed by the same content-hash scheme the artifact cache
-  uses (:func:`cell_key`).  Re-running with the same checkpoint skips
-  completed cells, so a killed multi-hour sweep resumes where it died.
-* **Cells served from a cache.**  A caller's ``lookup`` answers for
-  every cell the checkpoint does not restore, in this process and
-  before any worker starts; an answered cell is journalled and
-  reported like a run one but never runs, so a fully cached matrix
-  forks nothing.
+  per record, and put in the artifact cache, both from this process.
+  Before any worker starts, each cell is restored from the journal
+  first and the cache second, so a killed multi-hour sweep resumes
+  where it died, a fully cached matrix forks nothing, and any command
+  reuses the records another one wrote.
 
 Results fold in cell order whatever the worker count or completion
 order, so a pooled run is bit-identical to an in-process one — asserted
@@ -252,12 +251,13 @@ class CellFailure:
 #: One executed cell's terminal outcome.
 CellOutcome = Union[CellResult, CellFailure]
 
-#: Checkpoint key of one cell: one key, or one key per result of a cell
-#: that returns a sequence of results (a fused cell's lanes).
-CellKey = Union[str, tuple[str, ...]]
+#: Key of one record: the application its result must name, and its
+#: :func:`cell_key`.
+RecordKey = tuple[str, str]
 
-#: A cell's result from a cache, or ``None`` on a miss (see run_cells).
-CellLookup = Callable[[ExperimentCell], Optional[Any]]
+#: Record key(s) of one cell: one record key, or one per result of a
+#: cell that returns a sequence of results (a fused cell's lanes).
+CellKey = Union[RecordKey, tuple[RecordKey, ...]]
 
 
 @dataclass(slots=True)
@@ -268,7 +268,7 @@ class RunLedger:
     retries: list[RetryEvent] = field(default_factory=list)
     degraded: bool = False
     resumed: int = 0
-    #: Cells a ``lookup`` served without running them.
+    #: Cells served, at least in part, from the artifact cache.
     cached: int = 0
 
     @property
@@ -350,13 +350,14 @@ def cell_key(
     mode: str = "global",
     multistate: bool = False,
 ) -> str:
-    """Content-hash key of one cell for checkpoint journalling.
+    """Content-hash key of one record, in the journal and the artifact
+    cache alike.
 
     Built from the same primitives as the artifact cache: the trace
-    content fingerprint of the cell's application, the predictor label
-    (sweeps embed the swept value in it), and the full simulation
-    configuration — any input change orphans the checkpoint entry
-    instead of serving a stale result.
+    content fingerprint of the record's application, the predictor
+    label (sweeps embed the swept value in it), and the full simulation
+    configuration — any input change orphans the record instead of
+    serving a stale result.
     """
     from repro.sim.artifact_cache import SCHEMA_VERSION, _digest
 
@@ -367,15 +368,15 @@ def cell_key(
 
 
 class CellCheckpoint:
-    """Append-only JSONL journal of completed cells.
+    """Append-only JSONL journal of completed records.
 
-    One line per completed cell: a JSON record carrying the cell key,
-    display metadata, and the pickled
-    :class:`~repro.sim.experiment.ApplicationResult` (base64).  Records
-    are flushed and fsynced as they are written, so a killed run loses
-    at most the cell in flight; a torn final line (the only corruption
-    an append-only file can suffer) is skipped on load and overwritten
-    by the resumed run's appends.
+    One line per record, one record per (application, predictor)
+    result: a JSON object carrying the record key, display metadata,
+    and the pickled :class:`~repro.sim.experiment.ApplicationResult`
+    (base64).  Records are flushed and fsynced as they are written, so
+    a killed run loses at most the cell in flight; a torn final line
+    (the only corruption an append-only file can suffer) is skipped on
+    load and overwritten by the resumed run's appends.
 
     A journal optionally opens with one ``type: "provenance"`` record
     describing the run shape that wrote it (execution mode, multistate;
@@ -530,7 +531,7 @@ class CellCheckpoint:
         result: Any,
         wall_time: float,
     ) -> None:
-        """Journal one completed cell (atomic append + flush + fsync)."""
+        """Journal one completed record (atomic append + flush + fsync)."""
         if self._header_pending:
             self._header_pending = False
             self._append({
@@ -572,6 +573,46 @@ class CellCheckpoint:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _names(result: Any, application: str) -> bool:
+    """The serving rule for a stored record, journalled or cached: an
+    ``ApplicationResult`` of the application its key was built for."""
+    return (
+        isinstance(result, ApplicationResult)
+        and result.application == application
+    )
+
+
+def _journalled(
+    checkpoint: Optional[CellCheckpoint], record: RecordKey
+) -> Optional[tuple[Any, float]]:
+    """``(result, wall)`` of a journalled record the rule serves."""
+    entry = None if checkpoint is None else checkpoint.get(record[1])
+    if entry is not None and _names(entry[0], record[0]):
+        return entry
+    return None
+
+
+def is_recorded(
+    record: RecordKey, checkpoint: Optional[CellCheckpoint], cache
+) -> bool:
+    """Whether :func:`run_cells` will find ``record`` without running it.
+
+    True for a journalled result that passes the serving rule, or for an
+    entry file present in the artifact cache: a stat, not a read.  The
+    entry is read, and checked, when ``run_cells`` restores it.
+    """
+    return _journalled(checkpoint, record) is not None or (
+        cache is not None and cache.path_for(record[1]).exists()
+    )
+
+
+def _split(key: CellKey) -> tuple[tuple[RecordKey, ...], bool]:
+    """A cell key's record keys, and whether it is a single record key
+    (the cell returns one result, not a sequence of them)."""
+    single = bool(key) and isinstance(key[0], str)
+    return ((key,) if single else key), single  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +689,7 @@ class _Executor:
         progress: Optional[ProgressHook],
         checkpoint: Optional[CellCheckpoint],
         keys: Optional[Sequence[CellKey]],
-        lookup: Optional[CellLookup] = None,
+        cache,
     ) -> None:
         self.cells = cells
         self.run_cell = run_cell
@@ -656,7 +697,7 @@ class _Executor:
         self.progress = progress
         self.checkpoint = checkpoint
         self.keys = keys
-        self.lookup = lookup
+        self.cache = cache
         self.total = len(cells)
         self.outcomes: list[Optional[CellOutcome]] = [None] * self.total
         self.retries: list[RetryEvent] = []
@@ -676,67 +717,91 @@ class _Executor:
                 attempt=attempt, outcome=outcome, degraded=self.degraded,
             ))
 
-    def _restore(self, key: CellKey) -> Optional[tuple[Any, float]]:
-        """``(result, wall)`` of a journalled cell; a multi-key cell is
-        restored only when every one of its keys is journalled."""
-        assert self.checkpoint is not None
-        if isinstance(key, str):
-            return self.checkpoint.get(key)
-        entries = [self.checkpoint.get(part) for part in key]
-        if any(entry is None for entry in entries):
-            return None
-        return (
-            [result for result, _ in entries],  # type: ignore[misc]
-            sum(wall for _, wall in entries),  # type: ignore[misc]
+    def _read(self, record: RecordKey) -> Optional[tuple[Any, float, bool]]:
+        """``(result, wall, journalled)`` of one stored record, from the
+        journal first and the cache second, or ``None``."""
+        entry = _journalled(self.checkpoint, record)
+        if entry is not None:
+            return entry[0], entry[1], True
+        application, key = record
+        if self.cache is not None:
+            start = time.perf_counter()
+            hit, value = self.cache.get(key)
+            if hit and _names(value, application):
+                return value, time.perf_counter() - start, False
+        return None
+
+    def _journal(self, cell: ExperimentCell, record: RecordKey,
+                 result: Any, wall: float) -> None:
+        application, key = record
+        if self.checkpoint is not None:
+            self.checkpoint.record(
+                key, ExperimentCell(cell.index, application, cell.predictor),
+                result, wall,
+            )
+
+    def _restore(self, position: int) -> bool:
+        """Restore one cell if every one of its records is stored: from
+        the journal alone it is ``resumed``, else ``cached``, and the
+        records the cache served are journalled like run ones."""
+        cell = self.cells[position]
+        records, single = _split(self.keys[position])  # type: ignore[index]
+        entries = []
+        for record in records:
+            entry = self._read(record)
+            if entry is None:
+                return False
+            entries.append(entry)
+        results = [result for result, _, _ in entries]
+        wall = sum(share for _, share, _ in entries)
+        self.outcomes[position] = CellResult(
+            cell=cell, result=results[0] if single else results,
+            wall_time=wall,
         )
+        served = [
+            (record, result, share)
+            for record, (result, share, journalled) in zip(records, entries)
+            if not journalled
+        ]
+        for record, result, share in served:
+            self._journal(cell, record, result, share)
+        if served:
+            self.cached += 1
+        else:
+            self.resumed += 1
+        self.completed += 1
+        self._emit(cell, wall, attempt=0,
+                   outcome="cached" if served else "resumed")
+        return True
 
     def restore(self) -> list[_Pending]:
-        """Terminal outcomes for checkpointed and cache-served cells; the
-        rest as pending.  A served cell is journalled like a run one."""
-        pending: list[_Pending] = []
-        for position, cell in enumerate(self.cells):
-            if self.checkpoint is not None and self.keys is not None:
-                entry = self._restore(self.keys[position])
-                if entry is not None:
-                    result, wall = entry
-                    self.outcomes[position] = CellResult(
-                        cell=cell, result=result, wall_time=wall
-                    )
-                    self.resumed += 1
-                    self.completed += 1
-                    self._emit(cell, wall, attempt=0, outcome="resumed")
-                    continue
-            item = _Pending(position, cell)
-            if self.lookup is not None:
-                start = time.perf_counter()
-                result = self.lookup(cell)
-                if result is not None:
-                    self.cached += 1
-                    item.attempt = 0
-                    self.success(item, result, time.perf_counter() - start,
-                                 outcome="cached")
-                    continue
-            pending.append(item)
-        return pending
+        """Terminal outcomes for every stored cell; the rest as pending."""
+        stored = self.keys is not None and (
+            self.checkpoint is not None or self.cache is not None
+        )
+        return [
+            _Pending(position, cell)
+            for position, cell in enumerate(self.cells)
+            if not (stored and self._restore(position))
+        ]
 
     def success(self, item: _Pending, result: ApplicationResult,
-                wall: float, *, outcome: str = "ok") -> None:
+                wall: float) -> None:
         self.outcomes[item.position] = CellResult(
             cell=item.cell, result=result, wall_time=wall
         )
-        if self.checkpoint is not None and self.keys is not None:
-            key = self.keys[item.position]
-            if isinstance(key, str):
-                self.checkpoint.record(key, item.cell, result, wall)
-            else:
-                # One record per key, each carrying its share of the
-                # cell's wall time.
-                for part, value in zip(key, result, strict=True):
-                    self.checkpoint.record(
-                        part, item.cell, value, wall / len(key)
-                    )
+        if self.keys is not None:
+            records, single = _split(self.keys[item.position])
+            # One record per result, each carrying its share of the
+            # cell's wall time.
+            for record, value in zip(
+                records, [result] if single else result, strict=True
+            ):
+                self._journal(item.cell, record, value, wall / len(records))
+                if self.cache is not None:
+                    self.cache.put(record[1], value)
         self.completed += 1
-        self._emit(item.cell, wall, attempt=item.attempt, outcome=outcome)
+        self._emit(item.cell, wall, attempt=item.attempt, outcome="ok")
 
     def failure(self, item: _Pending, kind: str, message: str,
                 tb: str, wall: float) -> bool:
@@ -1008,7 +1073,7 @@ def run_cells(
     ] = None,
     cell_keys: Optional[Sequence[CellKey]] = None,
     provenance: Optional[dict] = None,
-    lookup: Optional[CellLookup] = None,
+    cache=None,
     prepare: Optional[Callable[[list[ExperimentCell]], None]] = None,
 ) -> RunLedger:
     """Execute every cell; outcomes come back in cell order.
@@ -1018,24 +1083,26 @@ def run_cells(
     cell runs in this process, in order.  Failures are retried under
     ``policy`` (default :class:`ResiliencePolicy`) and terminal failures
     become :class:`CellFailure` entries instead of aborting the run.
-    ``checkpoint`` (a
-    :class:`CellCheckpoint` or a path) with ``cell_keys`` enables
-    journalling and resume.  A cell whose key is a tuple returns one
-    result per key: each is journalled under its own key, and the cell
-    is restored (as the list of those results) only when every key is
-    journalled.  ``provenance`` describes the run shape (execution
-    mode, multistate) and makes a resume from a journal written by an
-    incompatible run fail with :class:`~repro.errors.CheckpointError`
-    instead of silently mixing result shapes.
 
-    ``lookup`` serves cells from a cache: it is asked, in this process
-    and before any cell runs, for every cell the checkpoint does not
-    restore, and a result it returns (``None`` is a miss) becomes the
-    cell's outcome, journalled and reported as ``"cached"``.
+    ``cell_keys`` name each cell's records: one ``(application, key)``
+    pair, or a tuple of pairs for a cell returning a sequence of
+    results.  With ``checkpoint`` (a :class:`CellCheckpoint` or a path)
+    or ``cache`` (an :class:`~repro.sim.artifact_cache.ArtifactCache`),
+    this function alone reads and writes records.  Before any cell
+    runs, each record is read from the journal first and the cache
+    second, and served only if it is an ``ApplicationResult`` naming
+    its application; a cell whose every record is served is restored,
+    and the records the cache served are journalled.  A cell that
+    succeeds has each record journalled and put, from this process.
+    ``provenance`` describes the run shape (execution mode, multistate)
+    and makes a resume from a journal written by an incompatible run
+    fail with :class:`~repro.errors.CheckpointError` instead of
+    silently mixing result shapes.
+
     ``prepare`` then receives the cells left to run, in cell order,
     before any of them runs or a worker starts — the place to warm
     state that forked workers inherit.  Nothing is forked when every
-    cell is restored or served.
+    cell is restored.
     """
     cell_list = list(cells)
     policy = policy or ResiliencePolicy()
@@ -1048,8 +1115,8 @@ def run_cells(
     if checkpoint is not None and not isinstance(checkpoint, CellCheckpoint):
         checkpoint = CellCheckpoint(checkpoint)
         owns_checkpoint = True
-    if checkpoint is not None and keys is None:
-        raise ValueError("checkpointing needs cell_keys")
+    if keys is None and (checkpoint is not None or cache is not None):
+        raise ValueError("checkpointing and caching need cell_keys")
     if checkpoint is not None and provenance is not None:
         try:
             checkpoint.declare_provenance(provenance)
@@ -1058,7 +1125,7 @@ def run_cells(
                 checkpoint.close()
             raise
     executor = _Executor(
-        cell_list, run_cell, policy, progress, checkpoint, keys, lookup
+        cell_list, run_cell, policy, progress, checkpoint, keys, cache
     )
     try:
         pending = executor.restore()

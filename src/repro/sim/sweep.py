@@ -215,11 +215,11 @@ def sweep(
         keys = []
         for cell in cells:
             _, point, application = plan[cell.index]
-            keys.append(cell_key(
+            keys.append((application, cell_key(
                 runner.fingerprint(application),
                 cell.predictor,
                 point_runners[point].config,
-            ))
+            )))
     ledger = run_cells(
         cells,
         run_cell,

@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 
+import pytest
+
 from repro import faults
 from repro.analysis.figures import FIG6_PREDICTORS, build_fig6
 from repro.analysis.tables import build_table1
@@ -111,9 +113,9 @@ def test_corrupted_entry_recovers(tmp_path):
     hit, value = cache.get(key)
     assert not hit and value is None
     assert cache.stats.corrupt == 1
-    # The broken entry is gone, and the recompute path heals the cache.
+    # The broken entry is gone, and the recompute's put heals the cache.
     assert not cache.path_for(key).exists()
-    assert cache.get_or_compute(key, lambda: [1, 2, 3]) == [1, 2, 3]
+    cache.put(key, [1, 2, 3])
     assert cache.get(key) == (True, [1, 2, 3])
 
 
@@ -137,9 +139,8 @@ def test_truncated_entry_quarantined_and_recomputed(tmp_path):
     path = cache.path_for(key)
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) // 2])
-    assert cache.get_or_compute(key, lambda: list(range(1000))) == list(
-        range(1000)
-    )
+    assert cache.get(key) == (False, None)
+    cache.put(key, list(range(1000)))
     assert cache.stats.corrupt == 1
     assert cache.stats.quarantined == 1
     # The corrupt payload survives for inspection; the key was healed.
@@ -172,21 +173,33 @@ def test_torn_write_fault_site_recovers(tmp_path):
     with faults.injected(plan):
         cache.put(key, list(range(500)))
     # The torn entry was published; the next read quarantines it and the
-    # compute path rewrites a good copy.
-    assert cache.get_or_compute(key, lambda: list(range(500))) == list(
-        range(500)
-    )
+    # recompute's put rewrites a good copy.
+    assert cache.get(key) == (False, None)
+    cache.put(key, list(range(500)))
     assert cache.stats.corrupt == 1
     assert cache.get(key) == (True, list(range(500)))
 
 
-def test_get_or_compute_computes_once(tmp_path):
+@pytest.mark.parametrize("blob", [
+    # A reduce whose callable is an int: TypeError.
+    b"\x80\x04K\x01K\x02\x85R.",
+    # BINBYTES8 of 2**63 + 5 bytes: OverflowError.
+    b"\x80\x04\x8e" + (2**63 + 5).to_bytes(8, "little") + b"ab",
+    # BINUNICODE8 of 2**40 bytes: MemoryError (nothing is allocated).
+    b"\x80\x04\x8d" + (2**40).to_bytes(8, "little") + b"ab",
+], ids=["type-error", "overflow-error", "memory-error"])
+def test_any_unpickling_failure_is_a_quarantined_miss(tmp_path, blob):
+    """Corrupt bytes can make the unpickler raise almost anything; every
+    such entry is a miss, moved aside, never an exception."""
     cache = ArtifactCache(tmp_path)
-    calls = []
-    for _ in range(3):
-        value = cache.get_or_compute("ab" * 20, lambda: calls.append(1) or 42)
-        assert value == 42
-    assert len(calls) == 1
+    key = trace_key("alpha", 1.0)
+    cache.put(key, [1, 2, 3])
+    path = cache.path_for(key)
+    path.write_bytes(blob)
+    assert cache.get(key) == (False, None)
+    assert cache.stats.quarantined == 1
+    assert path.with_name(path.name + ".corrupt").read_bytes() == blob
+    assert not path.exists()
 
 
 # ------------------------------------------------------------- traces --

@@ -406,6 +406,79 @@ def test_reproduce_reads_fig6_and_table1_filled_by_their_commands(
     assert digest == REPRODUCE_SHA256_SCALE_02
 
 
+def test_figure8_and_run_read_the_lanes_reproduce_recorded(
+    capsys, tmp_path, monkeypatch
+):
+    """A cache filled by ``repro reproduce`` serves ``repro figure 8`` and
+    a two-predictor ``repro run`` every lane: neither filters an
+    execution nor runs a fused cell, and each prints what it prints
+    uncached (``run``'s ledger line counts the served cells)."""
+    import repro.sim.experiment as experiment
+    import repro.sim.fused as fused
+
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
+    commands = (
+        ("figure", "8"),
+        ("run", "--predictor", "PCAP", "--predictor", "TP"),
+    )
+    uncached = {}
+    for argv in commands:
+        code, uncached[argv], _ = run_cli(capsys, *argv, "--scale", "0.2")
+        assert code == 0
+    cache = ("--scale", "0.2", "--cache-dir", str(tmp_path / "cache"))
+    code, _, _ = run_cli(capsys, "reproduce", *cache)
+    assert code == 0
+    calls = []
+    monkeypatch.setattr(
+        experiment, "filter_execution", lambda *a, **k: calls.append("filter")
+    )
+    monkeypatch.setattr(
+        fused, "run_fused_application", lambda *a, **k: calls.append("fused")
+    )
+    code, out, _ = run_cli(capsys, "figure", "8", *cache)
+    assert code == 0
+    assert out == uncached[commands[0]]
+    code, out, _ = run_cli(capsys, *commands[1], *cache)
+    assert code == 0
+    results, ledger = out.split("\n\n")
+    assert results == uncached[commands[1]].split("\n\n")[0]
+    assert "12 served from the artifact cache" in ledger
+    assert calls == []
+
+
+def test_reproduce_replays_only_the_lanes_figure8_lacks(
+    capsys, tmp_path, monkeypatch
+):
+    """On a cache only ``repro figure 8`` filled, ``reproduce`` runs one
+    fused cell per application over the five global lanes Fig 8 lacks,
+    and prints the same bytes."""
+    import hashlib
+
+    import repro.sim.fused as fused
+    from repro.analysis import FIG8_PREDICTORS, GLOBAL_PREDICTORS
+    from repro.workloads.suite import APPLICATIONS
+
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
+    cache = ("--scale", "0.2", "--cache-dir", str(tmp_path / "cache"))
+    code, _, _ = run_cli(capsys, "figure", "8", *cache)
+    assert code == 0
+    lanes = []
+    original = fused.run_fused_application
+
+    def counting(runner, application, specs):
+        lanes.append((application, len(specs)))
+        return original(runner, application, specs)
+
+    monkeypatch.setattr(fused, "run_fused_application", counting)
+    code, out, _ = run_cli(capsys, "reproduce", *cache)
+    assert code == 0
+    missing = len(GLOBAL_PREDICTORS) - len(FIG8_PREDICTORS)
+    assert missing == 5
+    assert sorted(lanes) == sorted((app, missing) for app in APPLICATIONS)
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == REPRODUCE_SHA256_SCALE_02
+
+
 def test_store_with_unknown_kind_code_is_one_error_line(capsys, tmp_path):
     """A store whose column sizes are right but whose I/O row carries an
     unknown access kind code fails with one ``error:`` line."""

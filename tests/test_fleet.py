@@ -156,10 +156,8 @@ def test_crash_retried_run_bit_identical(runner, devices):
 
 def test_checkpoint_resume_restores_cells(runner, devices, tmp_path):
     path = tmp_path / "fleet.ckpt"
-    first = run_fleet(runner, devices, ("PCAP",), checkpoint=path,
-                      use_cache=False)
-    second = run_fleet(runner, devices, ("PCAP",), checkpoint=path,
-                       use_cache=False)
+    first = run_fleet(runner, devices, ("PCAP",), checkpoint=path)
+    second = run_fleet(runner, devices, ("PCAP",), checkpoint=path)
     assert second.ledger is not None
     assert second.ledger.resumed == len(APPS)  # one fused cell per app
     assert fleets_equal(first, second)
@@ -233,6 +231,109 @@ def test_shared_and_sharded_fingerprints_cache_separately(
     assert shared.fingerprint == sharded.fingerprint
     again = run_fleet(cached_runner, devices, ("PCAP",), tables="shared")
     assert fleets_equal(shared, again)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a stored record was re-run")
+
+
+def test_sharded_fleet_reads_the_lanes_a_matrix_cached(
+    devices, small_suite, tmp_path, monkeypatch
+):
+    from repro.sim import fused as fused_module
+    from repro.sim.artifact_cache import ArtifactCache
+
+    cache = ArtifactCache(tmp_path / "artifacts")
+    cached_runner = ExperimentRunner(
+        small_suite, SimulationConfig(), artifact_cache=cache
+    )
+    cached_runner.run_matrix(["PCAP", "Base"], applications=APPS)
+    expected = run_fleet(
+        ExperimentRunner(small_suite, SimulationConfig()), devices,
+        ("PCAP", "Base"),
+    )
+    monkeypatch.setattr(fused_module, "run_fused_application", _refuse)
+    fleet = run_fleet(cached_runner, devices, ("PCAP", "Base"), jobs=2)
+    assert fleets_equal(fleet, expected)
+    assert fleet.ledger.cached == len(fleet.ledger.outcomes) == 2 * len(APPS)
+
+
+def test_shared_fleet_journal_and_cache_hold_one_key_set(
+    devices, small_suite, tmp_path, monkeypatch
+):
+    import json
+
+    from repro.sim.artifact_cache import ArtifactCache
+
+    def plain():
+        return ExperimentRunner(small_suite, SimulationConfig())
+
+    def cached(root):
+        return ExperimentRunner(small_suite, SimulationConfig(),
+                                artifact_cache=ArtifactCache(root))
+
+    names = ("PCAP", "TP")
+    path = tmp_path / "shared.ckpt"
+    cold = run_fleet(cached(tmp_path / "artifacts"), devices, names,
+                     tables="shared", checkpoint=path)
+    # One record per (application, lane), journalled and cached under
+    # the same keys.
+    records = [
+        json.loads(line) for line in path.read_text().splitlines()
+    ]
+    keys = [record["key"] for record in records if record["type"] == "cell"]
+    assert len(keys) == len(set(keys)) == len(APPS) * len(names)
+    assert sorted(record["application"] for record in records
+                  if record["type"] == "cell") == sorted(APPS * len(names))
+    cache = ArtifactCache(tmp_path / "artifacts")
+    assert all(cache.path_for(key).exists() for key in keys)
+    monkeypatch.setattr("repro.sim.fleet.run_fused_application", _refuse)
+    resumed = run_fleet(plain(), devices, names, tables="shared",
+                        checkpoint=path)
+    served = run_fleet(cached(tmp_path / "artifacts"), devices, names,
+                       tables="shared")
+    assert (resumed.ledger.resumed, served.ledger.cached) == (1, 1)
+    assert fleets_equal(resumed, cold) and fleets_equal(served, cold)
+
+
+def test_parent_shared_fleet_journal_loads_and_reruns_once(
+    devices, small_suite, tmp_path, monkeypatch
+):
+    # A journal that kept a shared-table fleet as one record under a key
+    # no run derives any more, headed by the provenance this mode still
+    # declares: it loads, and the cell re-runs once.
+    from repro.sim.artifact_cache import variant_set_fingerprint
+    from repro.sim.resilience import CellCheckpoint, ExperimentCell, cell_key
+
+    runner = ExperimentRunner(small_suite, SimulationConfig())
+    names = ("PCAP",)
+    expected = run_fleet(runner, devices, names, tables="shared")
+    variant_fp = variant_set_fingerprint(names, runner.config)
+    path = tmp_path / "parent-shared.ckpt"
+    header = {"mode": "fleet-shared", "multistate": False,
+              "variant_set": variant_fp}
+    with CellCheckpoint(path, provenance=header) as journal:
+        journal.record(
+            cell_key(expected.fingerprint, f"fleet-shared:{variant_fp}",
+                     runner.config),
+            ExperimentCell(index=0, application=APPS[0],
+                           predictor="fleet-shared[1]"),
+            [],
+            0.0,
+        )
+    calls = []
+    original = run_fused_application
+
+    def counting(runner, application, specs):
+        calls.append(application)
+        return original(runner, application, specs)
+
+    monkeypatch.setattr("repro.sim.fleet.run_fused_application", counting)
+    fleet = run_fleet(runner, devices, names, tables="shared",
+                      checkpoint=path)
+    assert fleet.ledger.resumed == 0
+    assert calls == list(APPS)
+    assert fleets_equal(fleet, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,7 @@ from repro.config import SimulationConfig
 from repro.errors import SimulationError
 from repro.faults import FaultPlan, FaultSpec
 from repro.predictors.registry import KNOWN_PREDICTORS, make_spec, tp_spec
-from repro.sim.artifact_cache import (
-    ArtifactCache,
-    fused_key,
-    variant_set_fingerprint,
-)
+from repro.sim.artifact_cache import ArtifactCache, variant_set_fingerprint
 from repro.sim import fused as fused_module
 from repro.sim.experiment import ExperimentRunner
 from repro.sim.fused import (
@@ -38,7 +34,7 @@ from repro.sim.fused import (
     run_fused_cells,
 )
 from repro.config import fork_available
-from repro.sim.resilience import ResiliencePolicy
+from repro.sim.resilience import ResiliencePolicy, cell_key
 from repro.sim.sweep import sweep
 from repro.workloads import build_suite, pack_generated
 from tests.helpers import classic_matrix, classic_sweep
@@ -265,14 +261,6 @@ def test_variant_set_fingerprint_pins_labels_and_config():
     assert variant_set_fingerprint(("TP", "LT"), other) != base
 
 
-def test_fused_key_separates_traces_and_variant_sets():
-    config = SimulationConfig()
-    key = fused_key("trace-a", config, ("TP", "LT"))
-    assert fused_key("trace-a", config, ("TP", "LT")) == key
-    assert fused_key("trace-b", config, ("TP", "LT")) != key
-    assert fused_key("trace-a", config, ("TP",)) != key
-
-
 def test_fused_cells_roundtrip_through_artifact_cache(tmp_path, config):
     cache = ArtifactCache(tmp_path)
     runner = ExperimentRunner(
@@ -283,17 +271,28 @@ def test_fused_cells_roundtrip_through_artifact_cache(tmp_path, config):
     labels = ("TP", "Base")
     make_specs = lambda: [make_spec(n, config) for n in labels]
     cold, _ = run_fused_cells(runner, ("mozilla",), labels, make_specs, jobs=1)
+    # One entry per lane, under the key the journal and the per-cell
+    # path use.
+    fingerprint = runner.fingerprint("mozilla")
+    for lane, label in enumerate(labels):
+        assert cache.get(cell_key(fingerprint, label, config)) == (
+            True, cold["mozilla"].results[lane])
     hits_before = cache.stats.hits
-    warm, _ = run_fused_cells(runner, ("mozilla",), labels, make_specs, jobs=1)
-    assert cache.stats.hits > hits_before
+    warm, ledger = run_fused_cells(
+        runner, ("mozilla",), labels, make_specs, jobs=1
+    )
+    assert cache.stats.hits - hits_before == len(labels)
+    # Each stored lane is restored as a cell of its own.
+    assert ledger.cached == len(ledger.outcomes) == len(labels)
     assert warm == cold
     assert isinstance(warm["mozilla"], FusedCellOutcome)
     # Opaque variant sets must not populate or consult the cache.
-    stats_before = (cache.stats.hits, cache.stats.misses)
+    stats_before = (cache.stats.hits, cache.stats.misses, cache.stats.stores)
     run_fused_cells(
         runner, ("mozilla",), labels, make_specs, jobs=1, use_cache=False
     )
-    assert (cache.stats.hits, cache.stats.misses) == stats_before
+    assert (cache.stats.hits, cache.stats.misses,
+            cache.stats.stores) == stats_before
 
 
 # ---------------------------------------------------------------------------

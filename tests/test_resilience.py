@@ -27,7 +27,9 @@ from repro.errors import ExecutionError, FaultPlanError
 from repro.faults import FaultPlan, FaultSpec, parse_fault_plan
 from repro.predictors.registry import tp_spec
 from repro.sim import resilience as resilience_module
-from repro.sim.experiment import ExperimentRunner
+from repro.disk.energy import EnergyBreakdown
+from repro.sim.experiment import ApplicationResult, ExperimentRunner
+from repro.sim.metrics import PredictionStats
 from repro.errors import CheckpointError
 from repro.sim.resilience import (
     CellCheckpoint,
@@ -69,6 +71,21 @@ def toy_cells(n: int) -> list[ExperimentCell]:
 
 def toy_runner(cell: ExperimentCell) -> int:
     return cell.index * 10
+
+
+def toy_record(cell: ExperimentCell) -> ApplicationResult:
+    """A storable toy result: a record must name its application."""
+    return ApplicationResult(
+        application=cell.application, predictor=cell.predictor,
+        stats=PredictionStats(), ledger=EnergyBreakdown(),
+        executions=cell.index * 10, total_disk_accesses=0, shutdowns=0,
+        table_size=None,
+    )
+
+
+def toy_keys(cells: list[ExperimentCell]) -> list[tuple[str, str]]:
+    """One record key per toy cell, bound to the cell's application."""
+    return [(cell.application, f"key-{cell.index}") for cell in cells]
 
 
 # ---------------------------------------------------------------------------
@@ -358,12 +375,12 @@ def test_in_process_timeout_skipped_when_unlimited():
 def test_checkpoint_resume_skips_completed_cells(tmp_path):
     path = tmp_path / "run.ckpt"
     cells = toy_cells(5)
-    keys = [f"key-{c.index}" for c in cells]
+    keys = toy_keys(cells)
     calls: list[int] = []
 
     def counting(cell):
         calls.append(cell.index)
-        return cell.index * 10
+        return toy_record(cell)
 
     first = run_cells(cells, counting, jobs=1, checkpoint=path,
                       cell_keys=keys)
@@ -383,11 +400,11 @@ def test_checkpoint_resume_skips_completed_cells(tmp_path):
 def test_resume_reruns_only_unfinished_cells(tmp_path):
     path = tmp_path / "run.ckpt"
     cells = toy_cells(4)
-    keys = [f"key-{c.index}" for c in cells]
+    keys = toy_keys(cells)
     plan = FaultPlan([FaultSpec(site="worker.fail", cell=2, attempts=99)])
     policy = ResiliencePolicy(max_attempts=1)
     with faults.injected(plan):
-        first = run_cells(cells, toy_runner, jobs=1, policy=policy,
+        first = run_cells(cells, toy_record, jobs=1, policy=policy,
                           checkpoint=path, cell_keys=keys)
     assert [f.cell.index for f in first.failures] == [2]
 
@@ -397,21 +414,21 @@ def test_resume_reruns_only_unfinished_cells(tmp_path):
 
     def counting(cell):
         calls.append(cell.index)
-        return cell.index * 10
+        return toy_record(cell)
 
     second = run_cells(cells, counting, jobs=1, checkpoint=path,
                        cell_keys=keys)
     assert calls == [2]
     assert second.resumed == 3
     assert not second.failures
-    assert [r.result for r in second.results] == [0, 10, 20, 30]
+    assert [r.result.executions for r in second.results] == [0, 10, 20, 30]
 
 
 def test_checkpoint_tolerates_torn_tail(tmp_path):
     path = tmp_path / "run.ckpt"
     cells = toy_cells(3)
-    keys = [f"key-{c.index}" for c in cells]
-    run_cells(cells, toy_runner, jobs=1, checkpoint=path, cell_keys=keys)
+    run_cells(cells, toy_record, jobs=1, checkpoint=path,
+              cell_keys=toy_keys(cells))
     # Simulate a crash mid-append: a torn half-record at the tail.
     with open(path, "a", encoding="utf-8") as stream:
         stream.write('{"type": "cell", "key": "key-torn", "resu')
@@ -512,10 +529,10 @@ def test_progress_events_surface_retries():
 def test_progress_events_surface_resume(tmp_path):
     path = tmp_path / "run.ckpt"
     cells = toy_cells(2)
-    keys = ["a", "b"]
-    run_cells(cells, toy_runner, jobs=1, checkpoint=path, cell_keys=keys)
+    keys = toy_keys(cells)
+    run_cells(cells, toy_record, jobs=1, checkpoint=path, cell_keys=keys)
     events: list[CellProgress] = []
-    run_cells(cells, toy_runner, jobs=1, checkpoint=path, cell_keys=keys,
+    run_cells(cells, toy_record, jobs=1, checkpoint=path, cell_keys=keys,
               progress=events.append)
     assert [(e.outcome, e.attempt) for e in events] == [
         ("resumed", 0), ("resumed", 0)
@@ -634,15 +651,15 @@ def test_chaos_scenario_partial_suite_bit_identical(small_suite):
 def test_provenance_mismatch_refuses_resume(tmp_path):
     path = tmp_path / "prov.ckpt"
     cells = toy_cells(2)
-    keys = [f"key-{c.index}" for c in cells]
-    run_cells(cells, toy_runner, jobs=1, checkpoint=path, cell_keys=keys,
+    keys = toy_keys(cells)
+    run_cells(cells, toy_record, jobs=1, checkpoint=path, cell_keys=keys,
               provenance={"fused": True, "variant_set": "abc"})
     with pytest.raises(CheckpointError, match="incompatible run"):
-        run_cells(cells, toy_runner, jobs=1, checkpoint=path,
+        run_cells(cells, toy_record, jobs=1, checkpoint=path,
                   cell_keys=keys,
                   provenance={"fused": False, "variant_set": "abc"})
     with pytest.raises(CheckpointError, match="variant_set"):
-        run_cells(cells, toy_runner, jobs=1, checkpoint=path,
+        run_cells(cells, toy_record, jobs=1, checkpoint=path,
                   cell_keys=keys,
                   provenance={"fused": True, "variant_set": "other"})
 
@@ -650,13 +667,13 @@ def test_provenance_mismatch_refuses_resume(tmp_path):
 def test_provenance_match_resumes(tmp_path):
     path = tmp_path / "prov-ok.ckpt"
     cells = toy_cells(3)
-    keys = [f"key-{c.index}" for c in cells]
+    keys = toy_keys(cells)
     stamp = {"fused": True, "mode": "global", "variant_set": "abc"}
     calls: list[int] = []
 
     def counting(cell):
         calls.append(cell.index)
-        return cell.index
+        return toy_record(cell)
 
     run_cells(cells, counting, jobs=1, checkpoint=path, cell_keys=keys,
               provenance=stamp)
@@ -672,10 +689,11 @@ def test_provenance_compares_only_shared_keys(tmp_path):
     # resumable: only keys present in BOTH stamps are compared.
     path = tmp_path / "prov-subset.ckpt"
     cells = toy_cells(1)
-    run_cells(cells, toy_runner, jobs=1, checkpoint=path,
-              cell_keys=["k0"], provenance={"fused": False})
+    run_cells(cells, toy_record, jobs=1, checkpoint=path,
+              cell_keys=toy_keys(cells), provenance={"fused": False})
     ledger = run_cells(
-        cells, toy_runner, jobs=1, checkpoint=path, cell_keys=["k0"],
+        cells, toy_record, jobs=1, checkpoint=path,
+        cell_keys=toy_keys(cells),
         provenance={"fused": False, "mode": "global", "multistate": False},
     )
     assert ledger.resumed == 1
@@ -686,11 +704,11 @@ def test_legacy_headerless_journal_resumes(tmp_path):
     # they resume under any provenance (cell keys still guard entries).
     path = tmp_path / "legacy.ckpt"
     cells = toy_cells(2)
-    keys = [f"key-{c.index}" for c in cells]
-    run_cells(cells, toy_runner, jobs=1, checkpoint=path, cell_keys=keys)
+    keys = toy_keys(cells)
+    run_cells(cells, toy_record, jobs=1, checkpoint=path, cell_keys=keys)
     restored = CellCheckpoint(path)
     assert restored.provenance is None
-    ledger = run_cells(cells, toy_runner, jobs=1, checkpoint=path,
+    ledger = run_cells(cells, toy_record, jobs=1, checkpoint=path,
                        cell_keys=keys,
                        provenance={"fused": True, "variant_set": "abc"})
     assert ledger.resumed == 2
@@ -786,3 +804,74 @@ def test_classic_journal_allows_new_predictors(small_suite, tmp_path):
                                          checkpoint=path)
     assert report.ledger.resumed == len(APPS)  # the TP cells
     assert not report.ledger.failures
+
+
+# ---------------------------------------------------------------------------
+# One restore rule over the journal and the artifact cache
+# ---------------------------------------------------------------------------
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a stored record was re-run")
+
+
+def test_journal_and_cache_together_restore_every_lane(
+    small_suite, tmp_path, monkeypatch
+):
+    # Half the lanes in the journal, the other half only in the cache:
+    # every lane is restored, nothing runs, and the lanes the cache
+    # served are journalled, so the journal alone restores them next.
+    from repro.sim.artifact_cache import ArtifactCache
+
+    names = ["TP", "Base", "PCAP"]
+    expected = classic_matrix(
+        ExperimentRunner(small_suite, SimulationConfig()), names, APPS
+    )
+    path = tmp_path / "half.ckpt"
+    cache = ArtifactCache(tmp_path / "cache")
+    runner = ExperimentRunner(small_suite, SimulationConfig(),
+                              artifact_cache=cache)
+    pairs = [(app, name) for app in APPS for name in names]
+    with CellCheckpoint(path) as journal:
+        for index, (app, name) in enumerate(pairs):
+            key = cell_key(runner.fingerprint(app), name, runner.config)
+            if index % 2:
+                cache.put(key, expected[app][name])
+            else:
+                journal.record(key, ExperimentCell(index, app, name),
+                               expected[app][name], 0.0)
+    monkeypatch.setattr(fused_module, "run_fused_application", _refuse)
+    monkeypatch.setattr(experiment_module, "run_global_execution", _refuse)
+    report = runner.run_matrix_resilient(names, applications=APPS,
+                                         checkpoint=path)
+    assert report.matrix == expected
+    assert (report.ledger.resumed, report.ledger.cached) == (
+        len(pairs) // 2, len(pairs) // 2)
+    assert CellCheckpoint(path).loaded == len(pairs)
+    journal_only = ExperimentRunner(small_suite, SimulationConfig())
+    again = journal_only.run_matrix_resilient(names, applications=APPS,
+                                              checkpoint=path)
+    assert again.ledger.resumed == len(pairs)
+    assert again.matrix == expected
+
+
+@pytest.mark.parametrize("names", [["TP"], ["TP", "Base"]],
+                         ids=["per-cell", "fused"])
+def test_journal_record_naming_another_application_is_rerun(
+    small_suite, tmp_path, names
+):
+    # xemacs's result under mozilla's key must not be served.
+    runner = ExperimentRunner(small_suite, SimulationConfig())
+    expected = classic_matrix(runner, names, APPS)
+    path = tmp_path / "wrong.ckpt"
+    with CellCheckpoint(path) as journal:
+        journal.record(
+            cell_key(runner.fingerprint(APPS[0]), "TP", runner.config),
+            ExperimentCell(index=0, application=APPS[0], predictor="TP"),
+            expected[APPS[1]]["TP"],
+            0.0,
+        )
+    report = runner.run_matrix_resilient(names, applications=APPS,
+                                         checkpoint=path)
+    assert report.ledger.resumed == 0
+    assert report.matrix == expected
