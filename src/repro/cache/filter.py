@@ -309,7 +309,8 @@ def _nth_new_block(
 
 
 def _write_back_groups(
-    execution: ExecutionLike,
+    columns: dict,
+    end_time: float,
     config: CacheConfig,
     flush_on_exit: bool,
     rows: np.ndarray,
@@ -327,7 +328,8 @@ def _write_back_groups(
     So a run of hits of one block with no wake-up in between is one
     dirty episode, dirtied by its first WRITE touch; the write-back keeps
     the inode of the touch that inserted the block and the pid of that
-    writer.
+    writer.  ``columns`` are the execution's columns as the caller read
+    them, and ``end_time`` stamps the final flush.
 
     Returns the number of blocks written back and their coalesced groups
     as ``[row, phase, time, pid, inode, blocks]`` columns: one group per
@@ -368,13 +370,12 @@ def _write_back_groups(
     evictor = _nth_new_block(prev, last, start[wake_row], config.capacity_blocks)
     forced = evictor >= 0
     daemon = ~forced & (wake_row < len(rows))
-    stamp = np.full(len(dirtied), execution.end_time)
+    stamp = np.full(len(dirtied), end_time)
     group_row = np.where(forced, row[evictor], wake_row)
     stamp[forced] = time[group_row[forced]]
     stamp[daemon] = wakes[dirty_epoch[daemon]]
     # Still dirty at the end (row len(rows)): the final flush, if any.
     keep = forced | daemon | flush_on_exit
-    columns = execution.columns
     keys = [
         group_row[keep],
         forced[keep].astype(np.int64),
@@ -438,7 +439,8 @@ def _filter_lru(
     flushed = 0
     if len(written):
         flushed, groups = _write_back_groups(
-            execution, config, flush_on_exit, rows, time, touches, written
+            columns, execution.end_time, config, flush_on_exit, rows, time,
+            touches, written,
         )
     if not flushed:
         by_time = np.argsort(fields[0], kind="stable")
@@ -492,7 +494,7 @@ def _replay(
     The replay walks the execution's column chunks
     (``iter_column_chunks``): the I/O rows of each chunk are masked out
     and their columns walked as plain lists, so no event object is built
-    whether the execution is in memory or a store's memory-mapped rows.
+    whether the execution is in memory or read from a store.
     """
     result = FilterResult(
         application=execution.application,

@@ -220,7 +220,7 @@ class ArtifactCache:
         column file is size-checked against the manifest and every row's
         codes are checked, without NumPy.  A store that fails is
         quarantined and reported as a miss, like any corrupt entry.  A
-        hit maps no column and reads no event: they load on demand.
+        hit reads no row and decodes no event: rows are read on demand.
         """
         path = self.trace_path_for(key)
         if not path.exists():

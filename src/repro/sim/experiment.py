@@ -191,6 +191,18 @@ class ExperimentRunner:
             self._fingerprints[application] = fingerprint
         return fingerprint
 
+    def row_count(self, application: str) -> int:
+        """Rows of one application's trace, counted without reading one.
+
+        The cost the worker pool dispatches by (``cell_costs`` of
+        :func:`repro.sim.resilience.run_cells`): a store-backed
+        execution's count comes from the manifest, an in-memory one's
+        from its column length.
+        """
+        return sum(
+            execution.event_count for execution in self._trace(application)
+        )
+
     def _filter_one(self, execution, application: str) -> FilterResult:
         """Filter one execution, honoring the attached artifact cache."""
         cache = self.artifact_cache
@@ -263,8 +275,8 @@ class ExperimentRunner:
 
         NumPy is imported here in any case.  No module imports it at
         load time (a warm run that computes nothing never needs it), so
-        a forked worker would otherwise import it once per cell attempt,
-        which costs more than the warm run saves (DESIGN §10,
+        each forked worker would otherwise import it again after the
+        fork instead of sharing the parent's copy (DESIGN §10,
         "Start-up").
         """
         import numpy  # noqa: F401  (inherited by forked workers)
@@ -574,6 +586,7 @@ class ExperimentRunner:
             progress=self.progress,
             checkpoint=checkpoint,
             cell_keys=keys,
+            cell_costs=[self.row_count(cell.application) for cell in cells],
             # Cells are keyed per predictor, so the predictor list is
             # free to differ between resumes; only the run *shape*
             # (mode, multistate) must match.

@@ -61,12 +61,8 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.predictors.registry import PredictorSpec, make_spec
 from repro.sim.columnar import DeviceStateColumns
 from repro.sim.experiment import ApplicationResult, ExperimentRunner
-from repro.sim.fused import (
-    FusedCellOutcome,
-    fused_supported,
-    run_fused_application,
-    run_fused_cells,
-)
+from repro.sim import fused
+from repro.sim.fused import FusedCellOutcome, fused_supported, run_fused_cells
 from repro.sim.metrics import PredictionStats
 from repro.sim.resilience import ExperimentCell, ProgressHook
 
@@ -315,10 +311,12 @@ def _shared_outcomes(
 
     def run_cell(cell: ExperimentCell) -> list[ApplicationResult]:
         specs = make_specs()
+        # Called through the module, like every other fused replay, so
+        # a patch of repro.sim.fused.run_fused_application sees it.
         return [
             result
             for app in apps
-            for result in run_fused_application(runner, app, specs)
+            for result in fused.run_fused_application(runner, app, specs)
         ]
 
     keys = None
@@ -344,6 +342,7 @@ def _shared_outcomes(
         progress=progress,
         checkpoint=checkpoint,
         cell_keys=keys,
+        cell_costs=[sum(runner.row_count(app) for app in apps)],
         provenance=provenance,
         cache=cache,
     )

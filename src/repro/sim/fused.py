@@ -1059,6 +1059,7 @@ def run_fused_cells(
             progress=progress,
             checkpoint=checkpoint,
             cell_keys=keys,
+            cell_costs=[runner.row_count(app) for app, _ in plan],
             provenance={"mode": "global", "multistate": False},
             cache=cache,
             # Only applications with cells left to run are filtered.

@@ -6,18 +6,21 @@ matrix, suite, sweep and fleet decomposes into: independent
 by an :class:`ExperimentCell` and returning a picklable
 :class:`~repro.sim.experiment.ApplicationResult` (a fused cell returns
 one per predictor lane).  It runs them in-process with ``jobs=1``
-and on per-attempt forked workers otherwise, and it is built for long
-runs, where one crashed or hung worker must not cost hours of completed
-work:
+and otherwise on ``jobs`` long-lived forked workers, each forked once
+and fed one cell attempt at a time, the costliest eligible cell first
+(``cell_costs``).  It is built for long runs, where one crashed or hung
+worker must not cost hours of completed work:
 
 * **Per-cell retries** with capped exponential backoff.  The backoff
   jitter is drawn from a generator seeded by ``(seed, cell index,
   attempt)``, so retry timing is deterministic for a given policy.
-* **Per-cell wall-clock timeouts.**  In pool mode every attempt runs in
-  its own forked worker process; a hung worker is killed
-  (``SIGKILL``-hard) and the attempt is retried.  In-process execution
-  honours the same timeout by running the attempt on a daemon thread
-  and abandoning it on expiry.
+* **Per-cell wall-clock timeouts.**  In pool mode a worker whose
+  attempt passes its deadline (counted from dispatch) is killed
+  (``SIGKILL``-hard), the attempt is retried, and the next dispatch
+  forks a replacement; a worker that crashed is reaped and replaced
+  the same way, while a worker whose cell raised keeps running.
+  In-process execution honours the same timeout by running the attempt
+  on a daemon thread and abandoning it on expiry.
 * **Graceful degradation.**  Repeated pool incidents (worker crashes,
   spawn failures) flip the executor into in-process execution for the
   remaining cells instead of hammering a broken pool.
@@ -53,6 +56,7 @@ import multiprocessing
 import os
 import pickle
 import random
+import signal
 import sys
 import threading
 import time
@@ -619,63 +623,91 @@ def _split(key: CellKey) -> tuple[tuple[RecordKey, ...], bool]:
 # The executor.
 # ---------------------------------------------------------------------------
 
-#: Cell runner inherited by forked attempt processes (see _child_main).
+#: Cell runner inherited by forked workers (see _worker_main).
 _CHILD_RUN_CELL: Optional[
     Callable[[ExperimentCell], ApplicationResult]
 ] = None
 
 
 class _Pending:
-    """Mutable per-cell execution state (position, attempt, history)."""
+    """Mutable per-cell execution state (position, cost, attempt,
+    history)."""
 
-    __slots__ = ("position", "cell", "attempt", "eligible_at", "events")
+    __slots__ = ("position", "cell", "cost", "attempt", "eligible_at",
+                 "events")
 
-    def __init__(self, position: int, cell: ExperimentCell) -> None:
+    def __init__(self, position: int, cell: ExperimentCell,
+                 cost: int) -> None:
         self.position = position
         self.cell = cell
+        self.cost = cost
         self.attempt = 1
         self.eligible_at = 0.0
         self.events: list[RetryEvent] = []
 
 
-class _Running:
-    """One in-flight worker process."""
+def _dispatch_order(item: _Pending) -> tuple[int, int]:
+    """The costliest cell first, ties (and uncosted cells) by position."""
+    return -item.cost, item.position
 
-    __slots__ = ("process", "item", "started", "deadline")
 
-    def __init__(self, process, item: _Pending, started: float,
-                 deadline: Optional[float]) -> None:
+class _Worker:
+    """One long-lived forked worker and the attempt it is running."""
+
+    __slots__ = ("process", "conn", "item", "started", "deadline")
+
+    def __init__(self, process, conn) -> None:
         self.process = process
-        self.item = item
-        self.started = started
-        self.deadline = deadline
+        self.conn = conn
+        self.item: Optional[_Pending] = None
+        self.started = 0.0
+        self.deadline: Optional[float] = None
 
 
-def _child_main(conn, cell: ExperimentCell, attempt: int) -> None:
-    """Run one cell attempt in a forked worker and report over the pipe."""
+def _worker_main(conn, inherited) -> None:
+    """Run cell attempts in a forked worker until told to stop.
+
+    Each message is ``(cell, attempt)`` and is answered with one ``ok``
+    or ``err`` payload; a cell that raises leaves the worker running.
+    ``None``, or a pipe the parent closed, ends the loop.  ``inherited``
+    are the parent's ends of this worker's and the other workers' pipes,
+    which the fork copied: closing them lets each worker see the
+    parent's end close.  An interrupt is the parent's to handle (it
+    stops or kills every worker), so the worker ignores ``SIGINT``.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for other in inherited:
+        other.close()
     faults.mark_worker_process()
-    try:
-        start = time.perf_counter()
-        faults.worker_gate(cell.index, cell.application, attempt)
-        assert _CHILD_RUN_CELL is not None, "worker forked without a runner"
-        result = _CHILD_RUN_CELL(cell)
-        payload = ("ok", result, time.perf_counter() - start)
-    except BaseException as exc:
-        payload = (
-            "err", type(exc).__name__, str(exc), traceback.format_exc()
-        )
-    try:
-        conn.send(payload)
-    except Exception:
+    assert _CHILD_RUN_CELL is not None, "worker forked without a runner"
+    while True:
         try:
-            conn.send((
-                "err", "SerializationError",
-                "cell result could not be pickled", "",
-            ))
+            message = conn.recv()
+        except (EOFError, OSError):
+            break
+        if message is None:
+            break
+        cell, attempt = message
+        try:
+            start = time.perf_counter()
+            faults.worker_gate(cell.index, cell.application, attempt)
+            result = _CHILD_RUN_CELL(cell)
+            payload = ("ok", result, time.perf_counter() - start)
+        except Exception as exc:
+            payload = (
+                "err", type(exc).__name__, str(exc), traceback.format_exc()
+            )
+        try:
+            conn.send(payload)
         except Exception:
-            pass
-    finally:
-        conn.close()
+            try:
+                conn.send((
+                    "err", "SerializationError",
+                    "cell result could not be pickled", "",
+                ))
+            except Exception:
+                break
+    conn.close()
 
 
 class _Executor:
@@ -689,6 +721,7 @@ class _Executor:
         progress: Optional[ProgressHook],
         checkpoint: Optional[CellCheckpoint],
         keys: Optional[Sequence[CellKey]],
+        costs: Optional[Sequence[int]],
         cache,
     ) -> None:
         self.cells = cells
@@ -697,6 +730,7 @@ class _Executor:
         self.progress = progress
         self.checkpoint = checkpoint
         self.keys = keys
+        self.costs = costs
         self.cache = cache
         self.total = len(cells)
         self.outcomes: list[Optional[CellOutcome]] = [None] * self.total
@@ -780,7 +814,8 @@ class _Executor:
             self.checkpoint is not None or self.cache is not None
         )
         return [
-            _Pending(position, cell)
+            _Pending(position, cell,
+                     0 if self.costs is None else self.costs[position])
             for position, cell in enumerate(self.cells)
             if not (stored and self._restore(position))
         ]
@@ -912,150 +947,172 @@ class _Executor:
         if not terminal:
             queue.append(item)
 
-    def _spawn(
-        self, context, item: _Pending, queue: list[_Pending]
-    ) -> Optional[tuple[Any, _Running]]:
-        parent_conn, child_conn = context.Pipe(duplex=False)
-        process = context.Process(
-            target=_child_main,
-            args=(child_conn, item.cell, item.attempt),
-            daemon=True,
-        )
-        try:
-            process.start()
-        except OSError as exc:
-            parent_conn.close()
-            child_conn.close()
-            self.incidents += 1
-            terminal = self.failure(
-                item, "crash", f"could not spawn worker: {exc}", "", 0.0
+    def _dispatch(self, context, workers: list[_Worker], item: _Pending,
+                  queue: list[_Pending]) -> None:
+        """Send one attempt to an idle worker, or to a fresh fork.
+
+        A fork that fails, or a send to a worker that died while idle,
+        fails the attempt as a crash (a pool incident).
+        """
+        worker = next((w for w in workers if w.item is None), None)
+        if worker is None:
+            parent_conn, child_conn = context.Pipe()
+            inherited = [parent_conn] + [other.conn for other in workers]
+            process = context.Process(
+                target=_worker_main, args=(child_conn, inherited),
+                daemon=True,
             )
-            self._requeue(queue, item, terminal)
-            return None
-        child_conn.close()
-        now = time.monotonic()
-        deadline = (
-            now + self.policy.cell_timeout
+            try:
+                process.start()
+            except OSError as exc:
+                parent_conn.close()
+                child_conn.close()
+                self.incidents += 1
+                terminal = self.failure(
+                    item, "crash", f"could not spawn worker: {exc}", "", 0.0
+                )
+                self._requeue(queue, item, terminal)
+                return
+            child_conn.close()
+            worker = _Worker(process, parent_conn)
+            workers.append(worker)
+        worker.item = item
+        worker.started = time.monotonic()
+        worker.deadline = (
+            worker.started + self.policy.cell_timeout
             if self.policy.cell_timeout is not None else None
         )
-        slot = _Running(process, item, now, deadline)
-        return parent_conn, slot
-
-    def _reap(self, conn, slot: _Running, queue: list[_Pending]) -> None:
         try:
-            payload = conn.recv()
+            worker.conn.send((item.cell, item.attempt))
+        except OSError:
+            self._drop(worker, workers, queue, timed_out=False)
+
+    def _answer(self, worker: _Worker, workers: list[_Worker],
+                queue: list[_Pending]) -> None:
+        """Take a busy worker's payload; EOF means it crashed."""
+        try:
+            payload = worker.conn.recv()
         except (EOFError, OSError):
-            payload = None
-        conn.close()
-        slot.process.join()
-        wall = time.monotonic() - slot.started
-        if payload is not None and payload[0] == "ok":
-            _, result, child_wall = payload
-            self.success(slot.item, result, child_wall)
+            self._drop(worker, workers, queue, timed_out=False)
             return
-        if payload is None:
-            self.incidents += 1
-            code = slot.process.exitcode
-            terminal = self.failure(
-                slot.item, "crash",
-                f"worker process died without a result (exit code {code})",
-                "", wall,
+        item, worker.item = worker.item, None
+        if payload[0] == "ok":
+            _, result, child_wall = payload
+            self.success(item, result, child_wall)
+            return
+        _, error_type, message, tb = payload
+        terminal = self.failure(
+            item, "error", f"{error_type}: {message}", tb,
+            time.monotonic() - worker.started,
+        )
+        self._requeue(queue, item, terminal)
+
+    def _drop(self, worker: _Worker, workers: list[_Worker],
+              queue: list[_Pending], *, timed_out: bool) -> None:
+        """Fail the attempt of a worker that crashed, or SIGKILL one past
+        its deadline, and reap it; the next dispatch that finds no idle
+        worker forks its replacement."""
+        if timed_out:
+            worker.process.kill()
+        worker.process.join()
+        worker.conn.close()
+        workers.remove(worker)
+        if timed_out:
+            kind = "timeout"
+            message = (
+                f"cell exceeded the {self.policy.cell_timeout:g} s "
+                "wall-clock timeout (worker killed)"
             )
         else:
-            _, error_type, message, tb = payload
-            terminal = self.failure(
-                slot.item, "error", f"{error_type}: {message}", tb, wall
+            self.incidents += 1
+            kind = "crash"
+            message = (
+                "worker process died without a result (exit code "
+                f"{worker.process.exitcode})"
             )
-        self._requeue(queue, slot.item, terminal)
-
-    def _kill(self, conn, slot: _Running, queue: list[_Pending]) -> None:
-        slot.process.kill()
-        slot.process.join()
-        conn.close()
-        wall = time.monotonic() - slot.started
         terminal = self.failure(
-            slot.item, "timeout",
-            f"cell exceeded the {self.policy.cell_timeout:g} s wall-clock "
-            "timeout (worker killed)",
-            "", wall,
+            worker.item, kind, message, "", time.monotonic() - worker.started
         )
-        self._requeue(queue, slot.item, terminal)
+        self._requeue(queue, worker.item, terminal)
 
-    def run_pool(self, pending: list[_Pending], workers: int) -> None:
-        """Execute pending cells on per-attempt forked workers.
+    def run_pool(self, pending: list[_Pending], jobs: int) -> None:
+        """Execute pending cells on at most ``jobs`` long-lived workers.
 
-        At most ``workers`` processes are in flight; each runs exactly
-        one cell attempt, so a hung or crashed attempt is killed and
-        retried without poisoning the other workers.  Once
-        ``policy.degrade_after`` pool incidents accumulate, in-flight
-        workers are drained and the remaining cells run in-process.
+        Each worker is forked at its first dispatch and runs one attempt
+        at a time until the call ends.  Free workers take the costliest
+        eligible cell first.  A crashed worker is reaped and a hung one
+        killed; a later dispatch forks a replacement, so neither poisons
+        the other workers.  Once ``policy.degrade_after`` pool incidents
+        accumulate, in-flight attempts are drained and the remaining
+        cells run in-process.  Whatever way the call ends, idle workers
+        are told to stop, busy ones are killed, and all are joined.
         """
         global _CHILD_RUN_CELL
         context = multiprocessing.get_context("fork")
         queue: list[_Pending] = list(pending)
-        running: dict[Any, _Running] = {}
+        workers: list[_Worker] = []
+
+        def busy() -> dict[Any, _Worker]:
+            return {w.conn: w for w in workers if w.item is not None}
+
         _CHILD_RUN_CELL = self.run_cell
         try:
-            while queue or running:
+            while True:
                 now = time.monotonic()
                 if not self.degraded and (
                     self.incidents >= self.policy.degrade_after
                 ):
                     self.degraded = True
-                # Fill free worker slots with eligible cells (smallest
-                # position first, for reproducible submission order).
-                while not self.degraded and len(running) < workers:
+                # Hand every free worker slot the costliest eligible cell.
+                while not self.degraded and len(busy()) < jobs:
                     eligible = [
                         item for item in queue if item.eligible_at <= now
                     ]
                     if not eligible:
                         break
-                    item = min(eligible, key=lambda entry: entry.position)
+                    item = min(eligible, key=_dispatch_order)
                     queue.remove(item)
-                    spawned = self._spawn(context, item, queue)
-                    if spawned is None:
-                        continue
-                    conn, slot = spawned
-                    running[conn] = slot
+                    self._dispatch(context, workers, item, queue)
+                running = busy()
                 if not running:
-                    if self.degraded:
+                    if self.degraded or not queue:
                         break
-                    if queue:
-                        # Everything pending is backing off; sleep to
-                        # the earliest eligibility and retry the fill.
-                        wake = min(item.eligible_at for item in queue)
-                        time.sleep(max(0.0, wake - time.monotonic()))
-                        continue
-                    break
+                    # Everything pending is backing off; sleep to the
+                    # earliest eligibility and retry the fill.
+                    wake = min(item.eligible_at for item in queue)
+                    time.sleep(max(0.0, wake - time.monotonic()))
+                    continue
                 # Wait for a result, the next deadline, or the next
                 # backoff expiry — whichever comes first.
                 waits = [
-                    slot.deadline - now
-                    for slot in running.values()
-                    if slot.deadline is not None
+                    worker.deadline - now
+                    for worker in running.values()
+                    if worker.deadline is not None
                 ]
-                if queue and not self.degraded and len(running) < workers:
-                    waits.extend(
-                        item.eligible_at - now for item in queue
-                    )
+                if queue and not self.degraded and len(running) < jobs:
+                    waits.extend(item.eligible_at - now for item in queue)
                 timeout = max(0.01, min(waits)) if waits else None
-                ready = mp_connection.wait(list(running), timeout)
-                for conn in ready:
-                    slot = running.pop(conn)
-                    self._reap(conn, slot, queue)
+                for conn in mp_connection.wait(list(running), timeout):
+                    self._answer(running.pop(conn), workers, queue)
                 now = time.monotonic()
-                for conn, slot in list(running.items()):
-                    if slot.deadline is not None and now >= slot.deadline:
+                for conn, worker in running.items():
+                    if worker.deadline is not None and now >= worker.deadline:
                         if conn.poll():
                             continue  # result arrived at the wire
-                        running.pop(conn)
-                        self._kill(conn, slot, queue)
+                        self._drop(worker, workers, queue, timed_out=True)
         finally:
             _CHILD_RUN_CELL = None
-            for conn, slot in running.items():
-                slot.process.kill()
-                slot.process.join()
-                conn.close()
+            for worker in workers:
+                if worker.item is None:
+                    try:
+                        worker.conn.send(None)
+                    except OSError:
+                        pass
+                else:
+                    worker.process.kill()
+            for worker in workers:
+                worker.process.join()
+                worker.conn.close()
         if queue:
             # Degraded: finish the remaining cells in-process.
             self.run_in_process(queue)
@@ -1072,17 +1129,24 @@ def run_cells(
         Union[CellCheckpoint, str, os.PathLike[str]]
     ] = None,
     cell_keys: Optional[Sequence[CellKey]] = None,
+    cell_costs: Optional[Sequence[int]] = None,
     provenance: Optional[dict] = None,
     cache=None,
     prepare: Optional[Callable[[list[ExperimentCell]], None]] = None,
 ) -> RunLedger:
     """Execute every cell; outcomes come back in cell order.
 
-    With ``jobs`` > 1 (and ``fork`` available) each cell attempt runs in
-    its own forked worker, at most ``jobs`` at a time; otherwise every
-    cell runs in this process, in order.  Failures are retried under
-    ``policy`` (default :class:`ResiliencePolicy`) and terminal failures
-    become :class:`CellFailure` entries instead of aborting the run.
+    With ``jobs`` > 1 (and ``fork`` available) the cells run on
+    ``min(jobs, cells left to run)`` long-lived forked workers, one
+    attempt per worker at a time; otherwise every cell runs in this
+    process, in order.  Failures are retried under ``policy`` (default
+    :class:`ResiliencePolicy`) and terminal failures become
+    :class:`CellFailure` entries instead of aborting the run.
+
+    ``cell_costs`` give each cell's expected cost (its application's row
+    count): a free worker takes the costliest eligible cell first, so
+    the longest cell does not start last.  Without costs, and on the
+    in-process path, cells run in cell order.
 
     ``cell_keys`` name each cell's records: one ``(application, key)``
     pair, or a tuple of pairs for a cell returning a sequence of
@@ -1107,10 +1171,13 @@ def run_cells(
     cell_list = list(cells)
     policy = policy or ResiliencePolicy()
     keys = list(cell_keys) if cell_keys is not None else None
-    if keys is not None and len(keys) != len(cell_list):
-        raise ValueError(
-            f"cell_keys length {len(keys)} != cells length {len(cell_list)}"
-        )
+    costs = list(cell_costs) if cell_costs is not None else None
+    for name, given in (("cell_keys", keys), ("cell_costs", costs)):
+        if given is not None and len(given) != len(cell_list):
+            raise ValueError(
+                f"{name} length {len(given)} != cells length "
+                f"{len(cell_list)}"
+            )
     owns_checkpoint = False
     if checkpoint is not None and not isinstance(checkpoint, CellCheckpoint):
         checkpoint = CellCheckpoint(checkpoint)
@@ -1125,7 +1192,7 @@ def run_cells(
                 checkpoint.close()
             raise
     executor = _Executor(
-        cell_list, run_cell, policy, progress, checkpoint, keys, cache
+        cell_list, run_cell, policy, progress, checkpoint, keys, costs, cache
     )
     try:
         pending = executor.restore()

@@ -228,6 +228,7 @@ def sweep(
         progress=progress,
         checkpoint=checkpoint,
         cell_keys=keys,
+        cell_costs=[runner.row_count(app) for _, _, app in plan],
         provenance={"mode": "global", "multistate": False},
     )
     raise_on_failures(ledger, "sweep")

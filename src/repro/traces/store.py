@@ -2,11 +2,12 @@
 
 An in-memory execution (:class:`~repro.traces.trace.ExecutionTrace`)
 holds its rows as the columns of :data:`COLUMNS`; this module writes
-those same columns to **flat per-field column files** and reads them
-back through NumPy memory maps, so a simulation touches one *chunk
-window* of rows at a time and peak memory is bounded by the chunk size
-instead of the trace size.  Packing copies column arrays and reading
-slices them: no event object is built on either side.
+those same columns to **flat per-field column files** and reads back
+only the row range a caller asks for, so a simulation holds one
+execution (or one *chunk window*) of rows at a time and peak memory is
+bounded by that range instead of the trace size.  Packing copies column
+arrays and reading fills them from the files: no event object is built
+on either side.
 
 Layout of a store directory::
 
@@ -29,11 +30,15 @@ trace and an in-memory trace of equal content key the same
 :func:`repro.sim.artifact_cache.filter_key` entries and resilient-run
 checkpoints.
 
-Reading is lazy end to end: :class:`TraceStore` memory-maps each column
-once, :class:`StoreBackedTrace` holds only per-execution metadata, and
-:class:`StoredExecution` yields zero-copy column views one chunk at a
-time through the :class:`~repro.traces.trace.ExecutionLike` streaming
-protocol.  The rows read back are **bit-identical** to the rows that
+Reading is lazy end to end: :class:`StoreBackedTrace` holds only
+per-execution metadata, and :class:`StoredExecution` reads its own rows
+(:meth:`TraceStore.read_rows`, one ``read`` per column into a read-only
+array) when asked for its columns, or one chunk window at a time through
+the :class:`~repro.traces.trace.ExecutionLike` streaming protocol.
+Nothing stays mapped or open between reads, so a process's memory
+returns to its baseline once it drops the rows it read, however many
+executions and stores it has read.  The rows read back are
+**bit-identical** to the rows that
 were packed: times round-trip as IEEE-754 doubles, all other fields are
 integers or enum codes.  The same columns laid end to end are the serve
 protocol's ``ROWS`` payload (:func:`encode_column_rows`,
@@ -448,10 +453,11 @@ class StoredExecution:
     """One execution of a store-backed trace (metadata only, lazy events).
 
     Implements the :class:`~repro.traces.trace.ExecutionLike` streaming
-    protocol: :meth:`iter_events` decodes one chunk window of rows at a
-    time from the memory-mapped columns, and :meth:`liveness_events`
-    returns the fork/exit subset straight from the manifest without
-    touching the columns at all.
+    protocol: :attr:`columns` reads this execution's rows, and
+    :meth:`iter_column_chunks` and :meth:`iter_events` read one chunk
+    window at a time, each from the column files on every call
+    (:meth:`TraceStore.read_rows`); :meth:`liveness_events` returns the
+    fork/exit subset straight from the manifest without reading a row.
     """
 
     __slots__ = (
@@ -499,28 +505,28 @@ class StoredExecution:
         )
 
     def iter_column_chunks(self) -> Iterator[dict[str, np.ndarray]]:
-        """Yield zero-copy column views of this execution's rows.
+        """Yield this execution's columns one chunk window at a time.
 
-        One mapping per chunk window, each value a slice of the store's
-        memory-mapped column array — no event objects are materialized
-        and no bytes are copied.  The page-cache filter's replay loop
-        for a substituted cache object
+        Each window is read from the column files as it is reached — no
+        event objects are materialized.  The page-cache filter's replay
+        loop for a substituted cache object
         (:func:`repro.cache.filter.filter_execution` with ``cache=``)
         consumes these exactly as it consumes an in-memory execution's
         one chunk, so its memory stays bounded by the chunk grid.
         """
-        cols = self._store.columns()
         for start, stop in self.chunk_windows():
-            yield {name: col[start:stop] for name, col in cols.items()}
+            yield self._store.read_rows(start, stop)
 
     @property
     def columns(self) -> dict[str, np.ndarray]:
-        """Zero-copy column views of every row of this execution."""
-        start, stop = self.row_start, self.row_start + self.event_count
-        self._store._check_rows(start, stop)
-        return {
-            name: col[start:stop] for name, col in self._store.columns().items()
-        }
+        """Every row of this execution, read from the column files.
+
+        Each access reads the rows again into read-only arrays; read it
+        once per use.
+        """
+        return self._store.read_rows(
+            self.row_start, self.row_start + self.event_count
+        )
 
     def iter_events(self) -> Iterator[TraceEvent]:
         """Iterate every event in canonical order, chunk by chunk."""
@@ -634,8 +640,9 @@ class TraceStore:
     count without NumPy: a missing or truncated column file is
     quarantined and reported as a :class:`TraceStoreError`, and so is
     (without quarantine) a row with an unknown event type or access kind
-    code.  Columns are memory-mapped lazily on first touch, after that
-    check.  All decoding goes through :meth:`decode_rows`, which
+    code.  Rows are read on demand, after that check, one row range at a
+    time (:meth:`read_rows`); no file stays open or mapped between
+    reads.  All decoding goes through :meth:`decode_rows`, which
     materializes one row window at a time.
     """
 
@@ -685,7 +692,6 @@ class TraceStore:
                 f"malformed store manifest {manifest_path}: {exc!r}"
             ) from exc
         self._checked = False
-        self._columns: Optional[dict[str, np.ndarray]] = None
 
     @property
     def applications(self) -> list[str]:
@@ -771,7 +777,7 @@ class TraceStore:
         Size-checks every column file against the manifest, then reads
         the one-byte ``etype`` and ``kind`` columns and checks every
         row's codes byte by byte, so no reader ever meets a code it
-        cannot decode.  :meth:`columns` calls it first.
+        cannot decode.  :meth:`read_rows` calls it first.
         """
         if self._checked:
             return
@@ -788,33 +794,48 @@ class TraceStore:
             ) from None
         self._checked = True
 
-    def columns(self) -> dict[str, np.ndarray]:
-        """All memory-mapped columns, keyed by name (memoized).
+    def read_rows(self, start: int, stop: int) -> dict[str, np.ndarray]:
+        """Rows ``[start, stop)`` of every column, keyed by name.
 
-        The first call runs :meth:`check`, then maps every column.
+        The first read runs :meth:`check`.  Each column's byte range is
+        read with one ``read`` into a read-only array, and the file is
+        closed again: the arrays are the only thing a read leaves
+        behind, so dropping them returns the memory, and a process keeps
+        no descriptor per store it has read.  The window must lie inside
+        the store's row range (see :meth:`decode_rows`).
         """
-        if self._columns is None:
-            self.check()
-            import numpy as np
+        self._check_rows(start, stop)
+        self.check()
+        import numpy as np
 
-            columns = {}
-            for name, spec in COLUMNS:
-                dtype = np.dtype(spec)
-                columns[name] = (
-                    np.memmap(self._column_path(name), dtype=dtype, mode="r",
-                              shape=(self.rows,))
-                    if self.rows else np.empty(0, dtype=dtype)
+        count = max(0, stop - start)
+        columns = {}
+        for name, spec in COLUMNS:
+            size = _itemsize(spec)
+            path = self._column_path(name)
+            try:
+                with open(path, "rb", buffering=0) as stream:
+                    stream.seek(start * size)
+                    data = stream.read(count * size)
+            except OSError as exc:
+                raise TraceStoreError(
+                    f"store column {path} could not be read ({exc}); the "
+                    "store is corrupt"
+                ) from None
+            if len(data) != count * size:
+                raise TraceStoreError(
+                    f"store column {path} ended before row {stop}; the "
+                    "store is corrupt — re-pack it"
                 )
-            self._columns = columns
-        return self._columns
+            columns[name] = np.frombuffer(data, dtype=np.dtype(spec))
+        return columns
 
     def _check_rows(self, start: int, stop: int) -> None:
         """Reject row windows outside ``[0, rows)``.
 
-        NumPy slicing silently clamps an out-of-range window to the
-        array, so an off-by-one caller would read a *shorter* stream and
-        simulate on truncated data without any error.  Fail loudly
-        instead.
+        A read past the end of a column file comes back short without
+        an error, so an off-by-one caller would read a *shorter* stream
+        and simulate on truncated data.  Fail loudly instead.
         """
         if start < 0 or stop > self.rows:
             raise TraceStoreError(
@@ -831,11 +852,7 @@ class TraceStore:
         the store's row range — a silent short read is an off-by-one
         bug, not a smaller result.
         """
-        self._check_rows(start, stop)
-        return events_from_columns(
-            {name: col[start:stop] for name, col in self.columns().items()},
-            start,
-        )
+        return events_from_columns(self.read_rows(start, stop), start)
 
 
 def pack_jsonl(stream: IO[str], writer: StoreWriter) -> int:

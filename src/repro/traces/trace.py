@@ -21,9 +21,10 @@ simulation engine) drive executions through the :class:`ExecutionLike`
 protocol — metadata attributes plus ``columns``,
 :meth:`~ExecutionTrace.iter_column_chunks` and
 :meth:`~ExecutionTrace.liveness_events` — which
-:class:`~repro.traces.store.StoredExecution` implements over
-memory-mapped column views, one on-disk chunk window at a time.  An :class:`ExecutionTrace` is one chunk, so
-both share one code path and produce bit-identical results.
+:class:`~repro.traces.store.StoredExecution` implements by reading its
+rows from the column files, whole or one chunk window at a time.  An
+:class:`ExecutionTrace` is one chunk, so both share one code path and
+produce bit-identical results.
 """
 
 from __future__ import annotations

@@ -177,3 +177,26 @@ def test_paths_agree_on_the_suite(tmp_path):
         for memory, stored in zip(trace, store.trace(name), strict=True):
             expected = _both(memory, config)
             assert _both(stored, config) == expected
+
+
+def test_column_path_reads_the_columns_once(tmp_path, monkeypatch):
+    """The LRU column path reads a stored execution's rows once, its
+    write-backs included: each ``columns`` access reads the files
+    again."""
+    from repro.traces.store import StoredExecution
+
+    store = pack_generated(tmp_path / "store", scale=0.1,
+                           applications=("nedit",))
+    read = StoredExecution.columns.fget
+    reads = []
+
+    def counting(execution):
+        reads.append(execution.execution_index)
+        return read(execution)
+
+    monkeypatch.setattr(StoredExecution, "columns", property(counting))
+    executions = store.trace("nedit").executions
+    results = [filter_execution(execution) for execution in executions]
+    assert reads == [execution.execution_index for execution in executions]
+    # Some rows write, so the write-back placement ran too.
+    assert any(result.cache_stats.writes for result in results)

@@ -287,7 +287,7 @@ def test_shared_fleet_journal_and_cache_hold_one_key_set(
                   if record["type"] == "cell") == sorted(APPS * len(names))
     cache = ArtifactCache(tmp_path / "artifacts")
     assert all(cache.path_for(key).exists() for key in keys)
-    monkeypatch.setattr("repro.sim.fleet.run_fused_application", _refuse)
+    monkeypatch.setattr("repro.sim.fused.run_fused_application", _refuse)
     resumed = run_fleet(plain(), devices, names, tables="shared",
                         checkpoint=path)
     served = run_fleet(cached(tmp_path / "artifacts"), devices, names,
@@ -328,7 +328,7 @@ def test_parent_shared_fleet_journal_loads_and_reruns_once(
         calls.append(application)
         return original(runner, application, specs)
 
-    monkeypatch.setattr("repro.sim.fleet.run_fused_application", counting)
+    monkeypatch.setattr("repro.sim.fused.run_fused_application", counting)
     fleet = run_fleet(runner, devices, names, tables="shared",
                       checkpoint=path)
     assert fleet.ledger.resumed == 0

@@ -11,6 +11,9 @@ The contracts under test:
   terminal failures become :class:`CellFailure` records instead of
   aborting the run, and repeated pool incidents degrade gracefully to
   in-process execution;
+* the pool keeps at most ``jobs`` workers for the whole call, replaces
+  only those that crashed or hung, hands the costliest cell out first,
+  and leaves no worker behind;
 * the checkpoint journal restores completed cells so a rerun executes
   only unfinished work, and tolerates a torn tail.
 """
@@ -18,6 +21,9 @@ The contracts under test:
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import time
 
 import pytest
 
@@ -321,6 +327,222 @@ def test_pool_degrades_to_in_process_after_repeated_crashes():
     assert not ledger.failures
     assert [r.result for r in ledger.results] == [0, 10, 20, 30]
     assert all(e.kind == "crash" for e in ledger.retries)
+
+
+# ---------------------------------------------------------------------------
+# Long-lived workers and costliest-first dispatch
+# ---------------------------------------------------------------------------
+
+
+def pid_runner(cell: ExperimentCell) -> int:
+    """The pid of the process that ran the cell."""
+    return os.getpid()
+
+
+def result_pids(ledger) -> dict[int, int]:
+    return {r.cell.index: r.result for r in ledger.results}
+
+
+def at_most_jobs_alive(jobs: int):
+    """A progress hook asserting, in the parent, that no more than
+    ``jobs`` workers are alive whenever a cell reports."""
+    def check(event: CellProgress) -> None:
+        assert len(multiprocessing.active_children()) <= jobs
+    return check
+
+
+def log_start(log, cell: ExperimentCell) -> None:
+    """Append the index of a cell that starts to ``log``."""
+    with open(log, "a", encoding="utf-8") as stream:
+        stream.write(f"{cell.index}\n")
+
+
+def started(log) -> list[int]:
+    """The cells that started, in the order they did."""
+    return [int(line) for line in log.read_text(encoding="utf-8").split()]
+
+
+def wait_for_starts(log, count: int) -> None:
+    """Block until ``count`` cells have started (10 s at most)."""
+    deadline = time.monotonic() + 10.0
+    while len(started(log)) < count and time.monotonic() < deadline:
+        time.sleep(0.005)
+
+
+def start_logging_runner(log, barrier: int):
+    """A toy runner that logs its cell's start, then waits until
+    ``barrier`` cells have started, so the first ``barrier`` lines are
+    the first cells dispatched."""
+    def run(cell: ExperimentCell) -> int:
+        log_start(log, cell)
+        wait_for_starts(log, barrier)
+        return cell.index
+    return run
+
+
+@needs_fork
+def test_workers_outlive_their_cells():
+    ledger = run_cells(toy_cells(7), pid_runner, jobs=2, policy=QUICK,
+                       progress=at_most_jobs_alive(2))
+    pids = set(result_pids(ledger).values())
+    assert len(ledger.results) == 7
+    assert len(pids) <= 2 and os.getpid() not in pids
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_crashed_worker_is_replaced_and_the_run_goes_on():
+    plan = FaultPlan([FaultSpec(site="worker.crash", cell=1, attempts=1)])
+    with faults.injected(plan):
+        ledger = run_cells(toy_cells(7), pid_runner, jobs=2, policy=QUICK,
+                           progress=at_most_jobs_alive(2))
+    assert not ledger.failures
+    assert [(e.cell.index, e.kind) for e in ledger.retries] == [(1, "crash")]
+    assert sorted(result_pids(ledger)) == list(range(7))
+    assert len(set(result_pids(ledger).values())) <= 3
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_worker_whose_cell_raised_keeps_running(tmp_path):
+    log = tmp_path / "started.log"
+
+    def runner(cell: ExperimentCell) -> int:
+        log_start(log, cell)
+        if cell.index == 1:
+            raise RuntimeError(f"pid {os.getpid()}")
+        # Cell 2 waits for a fourth cell to start: the worker running it
+        # cannot, so the other one, whose cell raised, must.
+        wait_for_starts(log, 4 if cell.index == 2 else 0)
+        return os.getpid()
+
+    ledger = run_cells(toy_cells(6), runner, jobs=2,
+                       policy=ResiliencePolicy(max_attempts=1))
+    (failure,) = ledger.failures
+    failed_pid = int(failure.last.message.rsplit(" ", 1)[1])
+    later = {pid for index, pid in result_pids(ledger).items() if index > 1}
+    assert failed_pid in later
+    assert len(set(result_pids(ledger).values())) <= 2
+
+
+@needs_fork
+def test_hung_worker_is_replaced_while_the_other_keeps_its_pid(tmp_path):
+    log = tmp_path / "started.log"
+
+    # Cell 0 hangs on its first attempt and is killed after 1 s.  The
+    # other worker runs cell 1, then holds cell 2 until cell 0's retry
+    # has started, so that retry needs a fresh fork.
+    def runner(cell: ExperimentCell) -> int:
+        log_start(log, cell)
+        if cell.index == 1:
+            time.sleep(0.5)
+        elif cell.index == 2:
+            while 0 not in started(log):
+                time.sleep(0.005)
+        return os.getpid()
+
+    plan = FaultPlan([FaultSpec(site="worker.hang", cell=0, seconds=30.0)])
+    policy = ResiliencePolicy(
+        max_attempts=2, cell_timeout=1.0, base_delay=0.001
+    )
+    with faults.injected(plan):
+        ledger = run_cells(toy_cells(3), runner, jobs=2, policy=policy,
+                           progress=at_most_jobs_alive(2))
+    assert not ledger.failures
+    assert [(e.cell.index, e.kind) for e in ledger.retries] == [
+        (0, "timeout")
+    ]
+    pids = result_pids(ledger)
+    assert pids[1] == pids[2] != pids[0]
+    assert multiprocessing.active_children() == []
+
+
+COSTS = [4, 1, 9, 3, 7, 2, 5]
+
+
+@needs_fork
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_costliest_cells_are_dispatched_first(tmp_path, jobs):
+    log = tmp_path / "started.log"
+    ledger = run_cells(toy_cells(7), start_logging_runner(log, jobs),
+                       jobs=jobs, cell_costs=COSTS)
+    assert [r.result for r in ledger.results] == list(range(7))
+    costliest = sorted(range(7), key=lambda i: -COSTS[i])[:jobs]
+    assert set(started(log)[:jobs]) == set(costliest)
+    assert sorted(started(log)) == list(range(7))
+
+
+@needs_fork
+def test_uncosted_cells_are_dispatched_in_position_order(tmp_path):
+    log = tmp_path / "started.log"
+    run_cells(toy_cells(7), start_logging_runner(log, 2), jobs=2)
+    assert set(started(log)[:2]) == {0, 1}
+
+
+def test_in_process_cells_run_in_position_order_whatever_their_costs(
+    tmp_path,
+):
+    log = tmp_path / "started.log"
+    run_cells(toy_cells(7), start_logging_runner(log, 1), jobs=1,
+              cell_costs=COSTS)
+    assert started(log) == list(range(7))
+
+
+def test_callers_cost_each_cell_by_its_row_count(small_suite, monkeypatch):
+    """Every batch caller passes run_cells one cost per cell: the row
+    count of the cell's application (of every application, for the one
+    cell of a shared-table fleet)."""
+    from repro.sim.fleet import run_fleet
+
+    calls = []
+    real_run_cells = resilience_module.run_cells
+
+    def spy(cells, run_cell, **kwargs):
+        cells = list(cells)
+        calls.append(([cell.application for cell in cells],
+                      kwargs.get("cell_costs")))
+        return real_run_cells(cells, run_cell, **kwargs)
+
+    monkeypatch.setattr(resilience_module, "run_cells", spy)
+    suite = {app: small_suite[app] for app in APPS}
+    runner = ExperimentRunner(suite, SimulationConfig())
+    rows = {
+        app: sum(execution.event_count for execution in trace)
+        for app, trace in suite.items()
+    }
+    runner.run_matrix(["TP"])
+    runner.run_matrix(["TP", "PCAP"])
+    sweep(runner, [1, 2], make_config=lambda _: runner.config,
+          predictor="TP")
+    run_fleet(runner, 2 * len(APPS), ("PCAP",), tables="shared")
+    assert len(calls) == 4
+    for applications, costs in calls[:3]:
+        assert costs == [rows[app] for app in applications]
+    assert calls[3][1] == [sum(rows.values())]
+
+
+def test_cell_costs_must_match_the_cells():
+    with pytest.raises(ValueError, match="cell_costs length"):
+        run_cells(toy_cells(3), toy_runner, cell_costs=[1, 2])
+
+
+@needs_fork
+@pytest.mark.parametrize("scenario", ["normal", "timeout", "degraded"])
+def test_no_worker_outlives_run_cells(scenario):
+    policy = QUICK
+    plan = FaultPlan([])
+    if scenario == "timeout":
+        plan = FaultPlan([FaultSpec(site="worker.hang", cell=2, seconds=30.0)])
+        policy = ResiliencePolicy(max_attempts=1, cell_timeout=0.3)
+    elif scenario == "degraded":
+        plan = FaultPlan([FaultSpec(site="worker.crash", attempts=99)])
+        policy = ResiliencePolicy(max_attempts=4, base_delay=0.001,
+                                  degrade_after=2)
+    with faults.injected(plan):
+        ledger = run_cells(toy_cells(5), toy_runner, jobs=2, policy=policy)
+    assert ledger.degraded == (scenario == "degraded")
+    assert len(ledger.failures) == (scenario == "timeout")
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ No ``repro`` module imports NumPy at load time, so a command that
 touches no column data never loads it (``tests/test_cli.py`` checks a
 warm ``repro reproduce``).  A process that forks compute workers imports
 it before the fork instead, so each worker inherits it rather than
-importing it once per cell attempt or shard start.
+importing it again in every cell worker or shard.
 """
 
 from __future__ import annotations
@@ -75,23 +75,36 @@ def test_import_repro_loads_no_subpackage(tmp_path):
     assert out.split() == ["['repro._lazy']", "False"]
 
 
-#: Runs ``repro.cli.main`` with every forked cell attempt recording
-#: whether NumPy was already imported when the worker started.
+#: Runs ``repro.cli.main`` with every forked cell worker recording, as
+#: it starts, whether NumPy was already imported, and then every cell
+#: it runs.
 _RECORD_CELL_WORKERS = """\
+import os
 import sys
 import repro.sim.resilience as resilience
 from repro.cli import main
 
-log, child_main = sys.argv[1], resilience._child_main
+log, worker_main = sys.argv[1], resilience._worker_main
 
 
-def recording(conn, cell, attempt):
+def record(line):
     with open(log, "a", encoding="utf-8") as stream:
-        stream.write(f"{cell.application} {'numpy' in sys.modules}\\n")
-    child_main(conn, cell, attempt)
+        stream.write(f"{os.getpid()} {line}\\n")
 
 
-resilience._child_main = recording
+def recording(conn, inherited):
+    record(f"numpy {'numpy' in sys.modules}")
+    run_cell = resilience._CHILD_RUN_CELL
+
+    def run(cell):
+        record(f"cell {cell.application}")
+        return run_cell(cell)
+
+    resilience._CHILD_RUN_CELL = run
+    worker_main(conn, inherited)
+
+
+resilience._worker_main = recording
 sys.exit(main(sys.argv[2:]))
 """
 
@@ -104,11 +117,18 @@ def test_forked_cells_inherit_numpy(tmp_path):
     run_python("-c", _RECORD_CELL_WORKERS, str(log), "run", "--store", store,
                "--jobs", "2", "--predictor", "Base", "--predictor", "PCAP",
                cwd=tmp_path)
-    records = log.read_text(encoding="utf-8").split("\n")[:-1]
-    # Two predictors run fused: one cell per application.
-    assert sorted(records) == sorted(
-        f"{name} True" for name in repro.APPLICATIONS
-    )
+    records = [
+        line.split(" ", 2)
+        for line in log.read_text(encoding="utf-8").splitlines()
+    ]
+    # Two long-lived workers, each of which found NumPy imported.
+    starts = {pid: value for pid, what, value in records if what == "numpy"}
+    assert list(starts.values()) == ["True", "True"]
+    # Two predictors run fused: one cell per application, every one of
+    # them on one of those two workers.
+    cells = [(pid, value) for pid, what, value in records if what == "cell"]
+    assert sorted(app for _, app in cells) == sorted(repro.APPLICATIONS)
+    assert {pid for pid, _ in cells} <= set(starts)
 
 
 #: Starts a two-shard serve daemon whose forked shard workers record

@@ -10,8 +10,11 @@ window at a time.
 from __future__ import annotations
 
 import json
+import os
 import pickle
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -370,6 +373,63 @@ class TestMemoryBound:
         assert peak_big < 3 * peak_small
 
 
+class TestRowReads:
+    """An execution reads its own row range from the column files into
+    read-only arrays, and a read leaves nothing mapped or open."""
+
+    @staticmethod
+    def _assert_same_columns(stored, memory):
+        columns = stored.columns
+        assert list(columns) == list(memory.columns)
+        for name, values in columns.items():
+            assert not values.flags.writeable
+            assert values.dtype == memory.columns[name].dtype
+            assert values.tobytes() == memory.columns[name].tobytes()
+
+    def test_first_and_last_execution(self, store_and_suite):
+        store, suite = store_and_suite
+        first, last = store.applications[0], store.applications[-1]
+        self._assert_same_columns(
+            store.trace(first).executions[0], suite[first].executions[0]
+        )
+        self._assert_same_columns(
+            store.trace(last).executions[-1], suite[last].executions[-1]
+        )
+
+    @pytest.mark.parametrize("rows", [1, 0])
+    def test_one_row_and_empty_store(self, tmp_path, rows):
+        from repro.traces.trace import ExecutionTrace
+        from tests.helpers import io_event
+
+        memory = ExecutionTrace.from_events(
+            "demo", 0, [io_event(0.5, pid=1)][:rows], initial_pids=(1,)
+        )
+        with StoreWriter(tmp_path / "store") as writer:
+            writer.write_execution(memory)
+        store = TraceStore(tmp_path / "store")
+        assert store.rows == rows
+        (stored,) = store.trace("demo")
+        self._assert_same_columns(stored, memory)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads /proc/self")
+    def test_reads_leave_no_mapping_or_descriptor(self, tmp_path):
+        fds = len(os.listdir("/proc/self/fd"))
+        for copy in range(3):
+            store = pack_generated(tmp_path / f"store{copy}", scale=0.1,
+                                   applications=("nedit", "mozilla"),
+                                   chunk_rows=128)
+            for name in store.applications:
+                for execution in store.trace(name):
+                    rows = len(execution.columns["etype"])
+                    assert rows == execution.event_count
+                    for chunk in execution.iter_column_chunks():
+                        assert not chunk["etype"].flags.writeable
+        maps = Path("/proc/self/maps").read_text(encoding="utf-8")
+        assert str(tmp_path.resolve()) not in maps
+        assert len(os.listdir("/proc/self/fd")) == fds
+
+
 class TestChunkBoundaries:
     """Chunk-window arithmetic at the edges (tiny chunk sizes).
 
@@ -503,12 +563,12 @@ class TestRowCodes:
         with StoreWriter(store_dir) as writer:
             writer.write_execution(_mixed_execution())
         _poke(store_dir, column, row, code)
-        store = TraceStore(store_dir)
+        (execution,) = TraceStore(store_dir).trace("demo")
         if problem is None:
-            assert store.columns()[column][row] == code
+            assert execution.columns[column][row] == code
             return
         with pytest.raises(TraceStoreError, match=f"corrupt: {problem}"):
-            store.columns()
+            execution.columns
         # A bad code is reported; only a wrongly sized file is moved aside.
         assert not list((store_dir / "columns").glob("*.corrupt"))
 

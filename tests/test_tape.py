@@ -9,7 +9,7 @@ its contract has two legs, both exercised here at the edges:
   ``TAPE_SIMPLE``) streams, and single-access processes; and
 * store-backed builds are identical across degenerate chunk sizes
   (1–3 rows) and never decode event objects — the page-cache filter
-  and the tape builder both run off the memmapped columns.
+  and the tape builder both run off the columns read from the store.
 """
 
 from __future__ import annotations
@@ -193,7 +193,7 @@ class TestStoreBackedBuilds:
             assert repr(mem_tape) == repr(st_tape)
 
     def test_store_filter_never_decodes_events(self, tmp_path, monkeypatch):
-        """The zero-copy path: filtering a store-backed execution and
+        """The column path: filtering a store-backed execution and
         building its tape never materializes decoded event objects."""
         config = SimulationConfig()
         _, store = self._pack(tmp_path / "nodecode", 256)
@@ -215,8 +215,9 @@ class TestStoreBackedBuilds:
 class TestMemoryBound:
     def test_store_backed_build_peak_below_event_objects(self, tmp_path):
         """At 10x the usual test scale, building every tape straight
-        off the store's memmapped columns allocates less than even
-        materializing the decoded event stream — the zero-copy path
+        off the store's columns allocates less than even materializing
+        the decoded event stream, although tracemalloc counts the rows
+        each execution reads from the column files — the column path
         never holds event objects."""
         config = SimulationConfig()
         trace = build_application_trace(
