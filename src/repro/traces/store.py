@@ -57,7 +57,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import re
 import tempfile
 from pathlib import Path
@@ -91,9 +90,6 @@ _COLUMN_DIR = "columns"
 #: AccessType values in code order (versioned by :data:`STORE_VERSION`
 #: and self-described in the manifest).
 _KIND_VALUES: tuple[str, ...] = tuple(kind.value for kind in AccessType)
-
-#: Pickle protocol for fingerprint hashing (same as the artifact cache).
-_PICKLE_PROTOCOL = 4
 
 
 def _itemsize(spec: str) -> int:
@@ -190,39 +186,19 @@ def decode_event_rows(payload: bytes) -> list[TraceEvent]:
     return events_from_columns(decode_column_rows(payload))
 
 
-def _row_tuples(columns: dict) -> list[tuple]:
-    """The canonical value tuple of every row, used for content hashing.
-
-    ``("io", time, pid, pc, fd, kind value, inode, block start, block
-    count)``, ``("fork", time, pid, parent pid)`` or ``("exit", time,
-    pid)``: the unit :class:`TraceFingerprint` hashes.
-    """
-    kinds = _KIND_VALUES
-    tuples: list[tuple] = []
-    append = tuples.append
-    for code, time, pid, pc, fd, kind, inode, start, count, aux in zip(
-        *(columns[name].tolist() for name, _ in COLUMNS)
-    ):
-        if code == 0:
-            append(("io", time, pid, pc, fd, kinds[kind], inode, start,
-                    count))
-        elif code == 1:
-            append(("fork", time, pid, aux))
-        else:
-            append(("exit", time, pid))
-    return tuples
-
-
 class TraceFingerprint:
     """The provenance digest of one application's event content.
 
     A BLAKE2b digest seeded with ``store:<version>:<application>`` and
-    updated once per execution with a canonical pickle of the execution
-    header (index, sorted initial pids, row count) and one value tuple
-    per row, read from its columns.  The store writer computes manifest fingerprints
-    with it and :func:`repro.sim.artifact_cache.trace_fingerprint`
-    computes in-memory ones, so equal content has one fingerprint
-    wherever it lives.
+    updated once per execution with that execution's digest: the repr
+    of its header (index, sorted initial pids, row count) followed by
+    one digest per column of :data:`COLUMNS`, over the column's bytes in
+    its canonical dtype.  Each column is hashed on its own as its chunks
+    arrive, so the value does not depend on where the chunks are cut.
+    The store writer computes manifest fingerprints with it and
+    :func:`repro.sim.artifact_cache.trace_fingerprint` computes
+    in-memory ones, so equal content has one fingerprint wherever it
+    lives.
     """
 
     __slots__ = ("_digest",)
@@ -235,15 +211,27 @@ class TraceFingerprint:
 
     def add_execution(self, execution) -> None:
         """Fold in one execution (any ``ExecutionLike``), chunk by chunk."""
-        tuples: list[tuple] = []
+        import numpy as np
+
+        digests = [hashlib.blake2b(digest_size=20) for _ in COLUMNS]
+        rows = 0
         for chunk in execution.iter_column_chunks():
-            tuples.extend(_row_tuples(chunk))
+            for digest, (name, spec) in zip(digests, COLUMNS):
+                digest.update(
+                    np.ascontiguousarray(chunk[name], dtype=np.dtype(spec))
+                )
+            rows += len(chunk["etype"])
         header = (
             execution.execution_index,
             tuple(sorted(execution.initial_pids)),
-            len(tuples),
+            rows,
         )
-        self._digest.update(pickle.dumps((header, tuples), _PICKLE_PROTOCOL))
+        execution_digest = hashlib.blake2b(
+            repr(header).encode("utf-8"), digest_size=20
+        )
+        for digest in digests:
+            execution_digest.update(digest.digest())
+        self._digest.update(execution_digest.digest())
 
     def hexdigest(self) -> str:
         """The fingerprint of every execution added so far."""
@@ -857,11 +845,18 @@ class TraceStore:
 
 def pack_jsonl(stream: IO[str], writer: StoreWriter) -> int:
     """Pack a JSON-lines trace stream (see :mod:`repro.traces.io_format`)
-    into ``writer``, one execution at a time; returns executions packed."""
+    into ``writer``, one execution at a time; returns executions packed.
+
+    Each execution is validated before it is written
+    (:meth:`~repro.traces.trace.ExecutionTrace.validate`): rows out of
+    order or I/O from a process that is not alive raise
+    :class:`~repro.errors.TraceError` naming the execution and the row.
+    """
     from repro.traces.io_format import iter_executions
 
     count = 0
     for execution in iter_executions(stream):
+        execution.validate()
         writer.write_execution(execution)
         count += 1
     return count

@@ -25,6 +25,7 @@ Why this reproduces the paper's trace properties:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -32,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.traces.trace import KIND_CODE, ExecutionTrace, columns_from_rows
+from repro.traces.trace import COLUMNS, KIND_CODE, ExecutionTrace
 from repro.workloads.activities import (
     HelperProcess,
     IOStep,
@@ -55,11 +56,24 @@ _FILE_REGION_BITS = 28
 _HOT_AREA_BLOCKS = 4096
 _FRESH_AREA_BLOCKS = 1 << 21
 
+#: Fields of one :class:`TraceBuilder` record: the values its rows
+#: share, the block stride between consecutive rows, and the row count.
+_RECORD = (
+    "etype", "pid", "pc", "fd", "kind", "inode", "block_start",
+    "block_stride", "block_count", "aux", "repeat",
+)
+
 
 @lru_cache(maxsize=None)
 def _inode(application: str, name: str) -> int:
     """Stable inode of a logical file (memoized: one SHA-256 per name)."""
     return stable_seed("inode", application, name) & 0xFFFFF
+
+
+@lru_cache(maxsize=None)
+def _pc(application: str, function: str) -> int:
+    """Stable PC of a code location (memoized: one SHA-256 per name)."""
+    return stable_pc(application, function)
 
 
 class FileSpace:
@@ -85,41 +99,63 @@ class FileSpace:
             )
         return self._region_base(name), blocks
 
+    def _fresh_base(self, name: str) -> int:
+        return (
+            self._region_base(name)
+            + _HOT_AREA_BLOCKS
+            + self.execution_index * _FRESH_AREA_BLOCKS
+        )
+
     def fresh_range(self, name: str, blocks: int) -> tuple[int, int]:
         """``blocks`` never-before-seen blocks of the file."""
         cursor = self._fresh_cursor.get(name, 0)
         if cursor + blocks > _FRESH_AREA_BLOCKS:
             cursor = 0  # wrap within this execution's fresh area
-        start = (
-            self._region_base(name)
-            + _HOT_AREA_BLOCKS
-            + self.execution_index * _FRESH_AREA_BLOCKS
-            + cursor
-        )
         self._fresh_cursor[name] = cursor + blocks
-        return start, blocks
+        return self._fresh_base(name) + cursor, blocks
+
+    def fresh_run(
+        self, name: str, blocks: int, repeat: int
+    ) -> Optional[int]:
+        """The first block of ``repeat`` back-to-back :meth:`fresh_range`
+        reads of ``blocks`` blocks, when none of them wraps the fresh
+        area (read ``k`` then starts ``k * blocks`` after it); ``None``,
+        with the cursor left alone, when one would."""
+        cursor = self._fresh_cursor.get(name, 0)
+        if cursor + repeat * blocks > _FRESH_AREA_BLOCKS:
+            return None
+        self._fresh_cursor[name] = cursor + repeat * blocks
+        return self._fresh_base(name) + cursor
 
 
 class TraceBuilder:
     """Accumulates the rows of one execution and finalizes the trace.
 
-    Rows are tuples laid out as :data:`~repro.traces.trace.COLUMNS`;
-    :meth:`finish` turns them into the execution's columns.
+    Each :class:`IOStep` of a burst, and each fork or exit, is kept as
+    one record of the values its rows share (:data:`_RECORD`): pid, PC,
+    fd, kind, inode, first block, block stride, block count, and how
+    many rows it repeats into.  The times are kept per row, each added
+    to the one before as the burst advances.  :meth:`finish` expands the
+    records into the execution's columns with one ``np.repeat`` per
+    column.
     """
 
     def __init__(self, application: str, execution_index: int) -> None:
         self.application = application
         self.execution_index = execution_index
         self.files = FileSpace(application, execution_index)
-        self.rows: list[tuple] = []
+        self._records: list[tuple[int, ...]] = []
+        self._times: list[float] = []
         #: Latest event time emitted so far.
         self.latest_time: float = 0.0
 
     def fork(self, time: float, pid: int, parent: int) -> None:
-        self.rows.append((1, time, pid, 0, 0, 0, 0, 0, 0, parent))
+        self._records.append((1, pid, 0, 0, 0, 0, 0, 0, 0, parent, 1))
+        self._times.append(time)
 
     def exit(self, time: float, pid: int) -> None:
-        self.rows.append((2, time, pid, 0, 0, 0, 0, 0, 0, 0))
+        self._records.append((2, pid, 0, 0, 0, 0, 0, 0, 0, 0, 1))
+        self._times.append(time)
 
     def emit_steps(
         self,
@@ -132,10 +168,11 @@ class TraceBuilder:
         of the last event.  Steps naming a ``process`` are routed to that
         helper's pid via ``pid_map``."""
         t = start
-        append = self.rows.append
+        record = self._records.append
+        times = self._times
         files = self.files
         for step in steps:
-            pc = stable_pc(self.application, step.function)
+            pc = _pc(self.application, step.function)
             if step.process is None:
                 step_pid = pid
             else:
@@ -147,26 +184,53 @@ class TraceBuilder:
                 step_pid = pid_map[step.process]
             kind = KIND_CODE[step.kind]
             inode = files.inode(step.file)
-            for _ in range(step.repeat):
-                t += step.pre_gap
-                if step.fresh:
-                    block_start, count = files.fresh_range(
-                        step.file, step.blocks
-                    )
-                else:
-                    block_start, count = files.hot_range(
-                        step.file, step.blocks
-                    )
-                append((0, t, step_pid, pc, step.fd, kind, inode,
-                        block_start, count, 0))
+            blocks, repeat = step.blocks, step.repeat
+            # (first block, block stride, rows) of each record.
+            if not step.fresh:
+                runs = ((files.hot_range(step.file, blocks)[0], 0, repeat),)
+            else:
+                first = files.fresh_run(step.file, blocks, repeat)
+                if first is not None:
+                    runs = ((first, blocks, repeat),)
+                else:  # the fresh area wraps inside the step
+                    runs = [
+                        (files.fresh_range(step.file, blocks)[0], 0, 1)
+                        for _ in range(repeat)
+                    ]
+            for first, stride, rows in runs:
+                record((0, step_pid, pc, step.fd, kind, inode, first,
+                        stride, blocks, 0, rows))
+            run = itertools.accumulate(
+                itertools.repeat(step.pre_gap, repeat), initial=t
+            )
+            next(run)  # ``t`` itself
+            times.extend(run)
+            t = times[-1]
         self.latest_time = max(self.latest_time, t)
         return t
 
     def finish(self, initial_pids: frozenset[int]) -> ExecutionTrace:
         """The execution in canonical order, validated."""
+        records = np.array(self._records, dtype=np.int64).reshape(
+            -1, len(_RECORD)
+        )
+        fields = dict(zip(_RECORD, records.T))
+        repeats = fields.pop("repeat")
+        rows = {
+            name: np.repeat(values, repeats) for name, values in fields.items()
+        }
+        # Row k of a record reads block ``first + k * stride``.
+        rows["block_start"] += rows.pop("block_stride") * (
+            np.arange(len(self._times))
+            - np.repeat(np.cumsum(repeats) - repeats, repeats)
+        )
+        rows["time"] = self._times
+        columns = {
+            name: np.asarray(rows[name], dtype=np.dtype(spec))
+            for name, spec in COLUMNS
+        }
         execution = ExecutionTrace(
-            self.application, self.execution_index,
-            columns_from_rows(self.rows), initial_pids,
+            self.application, self.execution_index, columns, initial_pids,
         ).sorted()
         execution.validate()
         return execution

@@ -502,6 +502,51 @@ def test_store_with_unknown_kind_code_is_one_error_line(capsys, tmp_path):
     assert "Traceback" not in err and out == ""
 
 
+def _edit_row(records, row, **values):
+    """``records`` with I/O row ``row`` of the first execution edited
+    (its line follows the header)."""
+    records = [dict(record) for record in records]
+    records[row + 1].update(values)
+    return records
+
+
+@pytest.mark.parametrize(("edit", "problem"), [
+    (lambda records: _edit_row(records, 3, t=records[5]["t"] + 5.0),
+     "nedit#0: events out of order (row 4,"),
+    (lambda records: _edit_row(records, 5, pid=4242),
+     "nedit#0: I/O from dead/unknown pid (row 5, pid 4242,"),
+], ids=["out-of-order", "unknown-pid"])
+def test_pack_from_jsonl_rejects_invalid_execution(capsys, tmp_path, edit,
+                                                   problem):
+    """``trace pack --from`` validates each execution before it packs
+    it: an invalid one is one ``error:`` line naming the execution and
+    the row, and no store is published."""
+    import json
+
+    dump = tmp_path / "nedit.jsonl"
+    assert main(["generate", "--app", "nedit", "--scale", "0.1",
+                 "--out", str(dump)]) == 0
+    records = [json.loads(line) for line in dump.read_text().splitlines()]
+    assert records[0]["type"] == "header"
+    assert all(record["type"] == "io" for record in records[1:7])
+    code, _, _ = run_cli(capsys, "trace", "pack", "--from", str(dump),
+                         "--out", str(tmp_path / "clean.store"))
+    assert code == 0
+    assert (tmp_path / "clean.store" / "manifest.json").is_file()
+
+    edited = tmp_path / "edited.jsonl"
+    edited.write_text("".join(json.dumps(record) + "\n"
+                              for record in edit(records)))
+    store = tmp_path / "edited.store"
+    code, out, err = run_cli(capsys, "trace", "pack", "--from", str(edited),
+                             "--out", str(store))
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert problem in err
+    assert "Traceback" not in err and out == ""
+    assert not (store / "manifest.json").exists()
+
+
 @pytest.fixture(scope="module")
 def nedit_store(tmp_path_factory):
     store = tmp_path_factory.mktemp("label") / "store"

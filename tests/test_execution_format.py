@@ -7,6 +7,8 @@ built only at the JSONL, strace and test boundaries.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.analysis.figures import FIG8_PREDICTORS
@@ -27,20 +29,48 @@ from repro.traces.store import (
     encode_event_rows,
     pack_trace,
 )
-from repro.traces.trace import ExecutionTrace, columns_from_rows
+from repro.traces.trace import COLUMNS, ExecutionTrace, columns_from_rows
 from repro.workloads import build_application, build_suite
 
-#: ``trace_fingerprint`` of each application at scale 0.1, as generated
-#: when executions were still built from event objects.  Any drift of
-#: the generator's rows changes one of them.
+#: ``trace_fingerprint`` of each application at scale 0.1, as the
+#: fingerprint hashes each column's bytes.  The column digests below pin
+#: the rows themselves; these pin the fingerprint's definition on them.
 SCALE_01_FINGERPRINTS = {
-    "mozilla": "40366a6f370f78e2904fc544da20fc86ee82ac0c",
-    "writer": "e657530553d5c2482653f287d96a2737f3ba52f5",
-    "impress": "2213cb48c19d1daab0861ea8e56b8104851da7b6",
-    "xemacs": "270365729a230c5612ded33e4344e78231ab8966",
-    "nedit": "5fd37c536f892eb3973ca50dacf1fda08861df4d",
-    "mplayer": "a6585abaceaf4dcda5567a5eb5a22381a3289651",
+    "mozilla": "0e054d9aab54fcd58f9e0e9bbf0c1bf4a4fa73d6",
+    "writer": "a08f309fc741f70066495b986f2d2e6e2b5978be",
+    "impress": "76bd43af04741d29bc1833c3025bef62a582e565",
+    "xemacs": "7c9f4f7e8d7ae2c96ec19354f0cd8612fb5dcd70",
+    "nedit": "d78279b5d6647e13b4ffdf7e277511bcf5a58316",
+    "mplayer": "97f550f7ed0f94e4ede352e8ecba3ad2a953da17",
 }
+
+#: SHA-256 of each application's column bytes at scale 0.1: every
+#: execution's columns in :data:`COLUMNS` order, ``tobytes()`` each.
+#: Unlike the fingerprints above, this pin does not depend on how the
+#: fingerprint is defined, so it holds the generator alone to its rows.
+SCALE_01_COLUMN_DIGESTS = {
+    "mozilla":
+        "4e46b2224ead547db79c04fadeef074f7be8750acf9a344a7be95f5b6106dca6",
+    "writer":
+        "f938e0dc43f3c9f74cccbd3abebc462a13344b03cf6fbfcb372b981e4076af73",
+    "impress":
+        "a913b2ac0530503cae3baa49b6017032fa964b1373a981bd615cd02cef6b80e2",
+    "xemacs":
+        "6d455dfb19eb51e9fa23a2f79647ff472442fd6ec0e268d3716f9acdd1aaeeb3",
+    "nedit":
+        "3cdd601f979d5296a29c660c923e3678092ef4f2554c03ee74b95339f2493843",
+    "mplayer":
+        "bf91031b782cdfb4175257e9fd72bdab8d84908e32930ca713da45939ec69a10",
+}
+
+
+def _column_digest(trace) -> str:
+    digest = hashlib.sha256()
+    for execution in trace:
+        columns = execution.columns
+        for name, _ in COLUMNS:
+            digest.update(columns[name].tobytes())
+    return digest.hexdigest()
 
 
 def test_generator_output_is_pinned():
@@ -48,6 +78,13 @@ def test_generator_output_is_pinned():
     assert {
         name: trace_fingerprint(trace) for name, trace in suite.items()
     } == SCALE_01_FINGERPRINTS
+
+
+def test_generator_column_bytes_are_pinned():
+    suite = build_suite(scale=0.1)
+    assert {
+        name: _column_digest(trace) for name, trace in suite.items()
+    } == SCALE_01_COLUMN_DIGESTS
 
 
 def test_pipeline_builds_no_event_objects(tmp_path, monkeypatch):

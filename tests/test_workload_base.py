@@ -93,8 +93,15 @@ def test_emit_steps_respects_repeat_and_gaps():
         IOStep(function="loop", file="f", fd=3, pre_gap=0.01, repeat=5),
     )
     end = builder.emit_steps(1.0, MAIN_PID, steps)
-    assert len(builder.rows) == 5
-    assert end == pytest.approx(1.05)
+    execution = builder.finish(initial_pids=frozenset({MAIN_PID}))
+    expected = []
+    t = 1.0
+    for _ in range(5):
+        t += 0.01
+        expected.append(t)
+    assert execution.event_count == 5
+    assert execution.columns["time"].tolist() == expected
+    assert end == expected[-1]
 
 
 def test_emit_steps_routes_named_process():
